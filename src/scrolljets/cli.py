@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 from .chern import rank_profile, segre_closed_form, segre_term
 from .formulas import (
@@ -62,47 +62,38 @@ def _emit(args, doc: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _params(args) -> ScrollParams:
-    return ScrollParams(n=args.n, ambient=args.ambient, d=args.d, g=args.g)
-
-
-def _cmd_class(args) -> int:
-    params = _params(args)
-    cls = inflectional_class(params)
+def _params(args) -> Tuple[ScrollParams, dict, str]:
+    """The scroll of a class or degree query, its JSON inputs and its header line."""
+    params = ScrollParams(n=args.n, ambient=args.ambient, d=args.d, g=args.g)
     inputs = {
         "n": args.n,
         "ambient": args.ambient,
         "d": None if args.d is None else str(args.d),
         "g": None if args.g is None else str(args.g),
     }
+    header = f"scroll: n={args.n} in P^{args.ambient} (k={params.k}, ell={params.ell})"
+    return params, inputs, header
+
+
+def _cmd_class(args) -> int:
+    params, inputs, header = _params(args)
+    cls = inflectional_class(params)
     result = {
         "class": str(cls),
         "codimension": params.ell,
         "jet_order": params.k,
         "source": "segre-closed-form",
     }
-    lines = [
-        f"scroll: n={args.n} in P^{args.ambient} (k={params.k}, ell={params.ell})",
-        f"inflectional locus class: {cls}",
-    ]
+    lines = [header, f"inflectional locus class: {cls}"]
     _emit(args, _document("class", inputs, result), lines)
     return 0
 
 
 def _cmd_degree(args) -> int:
-    params = _params(args)
+    params, inputs, header = _params(args)
     value = inflectional_degree(params)
-    inputs = {
-        "n": args.n,
-        "ambient": args.ambient,
-        "d": None if args.d is None else str(args.d),
-        "g": None if args.g is None else str(args.g),
-    }
     result = {"degree": str(value), "source": "inflectional-degree-closed-form"}
-    lines = [
-        f"scroll: n={args.n} in P^{args.ambient} (k={params.k}, ell={params.ell})",
-        f"inflectional locus degree: {value}",
-    ]
+    lines = [header, f"inflectional locus degree: {value}"]
     _emit(args, _document("degree", inputs, result), lines)
     return 0
 
@@ -160,14 +151,13 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _scan_inputs(args, k: int) -> dict:
+    return {"scroll": list(args.scroll.degrees), "k": k, "samples": args.samples, "seed": args.seed}
+
+
 def _cmd_scan(args) -> int:
     report = rank_scan(args.scroll, k=args.k, samples=args.samples, seed=args.seed)
-    inputs = {
-        "scroll": list(args.scroll.degrees),
-        "k": report.k,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    inputs = _scan_inputs(args, report.k)
     payload = report.to_dict()
     certificate = {"inflected": payload.pop("inflected")}
     payload["source"] = "rank-scan"
@@ -239,12 +229,7 @@ def _cmd_cross_validate(args) -> int:
     report = cross_validate(
         args.scroll, k=args.k, samples=args.samples, seed=args.seed
     )
-    inputs = {
-        "scroll": list(args.scroll.degrees),
-        "k": report.k,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    inputs = _scan_inputs(args, report.k)
     payload = report.to_dict()
     payload["source"] = report.oracle
     lines = [
@@ -292,21 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON document")
+    scanned = argparse.ArgumentParser(add_help=False)
+    scanned.add_argument("--scroll", type=_scroll, required=True, help='degrees, e.g. "1,3"')
+    scanned.add_argument("--k", type=int, default=None)
+    scanned.add_argument("--samples", type=int, default=200)
+    scanned.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("class", parents=[common], help="inflectional locus class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--d", type=_fraction, default=None)
-    p.add_argument("--g", type=_fraction, default=None)
-    p.set_defaults(func=_cmd_class)
-
-    p = sub.add_parser("degree", parents=[common], help="inflectional locus degree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ambient", type=int, required=True)
-    p.add_argument("--d", type=_fraction, default=None)
-    p.add_argument("--g", type=_fraction, default=None)
-    p.set_defaults(func=_cmd_degree)
+    for verb, func in (("class", _cmd_class), ("degree", _cmd_degree)):
+        p = sub.add_parser(verb, parents=[common], help=f"inflectional locus {verb}")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--ambient", type=int, required=True)
+        p.add_argument("--d", type=_fraction, default=None)
+        p.add_argument("--g", type=_fraction, default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "verify-theorem3",
@@ -323,11 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("scan", parents=[common], help="exact-rank scan of a scroll")
-    p.add_argument("--scroll", type=_scroll, required=True, help='degrees, e.g. "1,3"')
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p = sub.add_parser("scan", parents=[common, scanned], help="exact-rank scan of a scroll")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("wronskian", parents=[common], help="curve inflection weights")
@@ -341,12 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_wronskian)
 
     p = sub.add_parser(
-        "cross-validate", parents=[common], help="oracle vs formula for one scroll"
+        "cross-validate", parents=[common, scanned], help="oracle vs formula for one scroll"
     )
-    p.add_argument("--scroll", type=_scroll, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_cross_validate)
 
     p = sub.add_parser("ranks", parents=[common], help="rank bookkeeping for (n, k)")

@@ -26,9 +26,13 @@ HYPOTHESIS-VIOLATED (the latter when the oracle certifies a locus of the
 wrong dimension, so the expected-codimension hypothesis behind the class
 formula fails).
 
-The symbolic layer (polynomial determinants, factorization) rides on
-sympy; the rank certificates use the fraction-free elimination from
-:mod:`scrolljets.scrollmodel`, so the two sides stay independent.
+All three oracles read one jet template,
+:func:`scrolljets.scrollmodel.jet_template`: the scan evaluates it at
+rational points, the determinant oracle with the symbols u and v_j, and
+the Wronskian combines the basis coefficients with the template of the
+monomial curve, so nothing here differentiates.  sympy does only the
+polynomial determinants and their factorization; the rank certificates
+use the fraction-free elimination from :mod:`scrolljets.scrollmodel`.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import sympy as sp
 
@@ -48,15 +51,20 @@ from .scrollmodel import (
     BASE_ZERO,
     DecomposableScroll,
     ScrollPoint,
+    evaluate_jet_template,
+    exact_int,
     exact_rank,
     fiber_coordinate,
-    jet_columns,
     jet_matrix,
     jet_rank,
+    jet_template,
 )
 
 #: Fixed default seed so runs are reproducible; override per call.
 DEFAULT_SEED = 1729
+
+#: The base coordinate of the symbolic jet matrices and Wronskians.
+_U = sp.Symbol("u")
 
 
 class GenericRankFailure(Exception):
@@ -118,13 +126,6 @@ class WronskianReport:
         }
 
 
-def _trim(coeffs: Sequence[int]) -> Tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _basis_rows(curve) -> Tuple[Tuple[int, ...], ...]:
     if isinstance(curve, DecomposableScroll):
         if curve.n != 1:
@@ -133,11 +134,33 @@ def _basis_rows(curve) -> Tuple[Tuple[int, ...], ...]:
         return tuple(tuple(1 if i == m else 0 for i in range(d + 1)) for m in range(d + 1))
     rows = []
     for row in curve:
-        trimmed = _trim([int(c) for c in row])
+        trimmed = [exact_int(c, "a basis coefficient") for c in row]
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
         if not trimmed:
             raise ValueError("a basis polynomial is identically zero")
-        rows.append(trimmed)
+        rows.append(tuple(trimmed))
     return tuple(rows)
+
+
+def _wronskian(rows, k: int, degree: int, base_chart: str) -> sp.Expr:
+    """Wronskian of the basis in one base chart, as a polynomial in u.
+
+    Coefficient m of a basis polynomial multiplies section m of the monomial
+    curve of the basis degree, so the Wronskian matrix is the coefficient
+    rows times that curve's jet template; in chart "inf" the template
+    already carries the reversed exponents.
+    """
+    template = jet_template(DecomposableScroll((degree,)), k, base_chart, 1)
+    matrix = [
+        [
+            sp.Add(*(c * entry.coeff * _U**entry.u_exponent
+                     for c, entry in zip(row, column) if c and entry is not None))
+            for column in zip(*template)
+        ]
+        for row in rows
+    ]
+    return sp.expand(sp.Matrix(matrix).det(method="domain-ge"))
 
 
 def wronskian_weights(curve, k: int) -> WronskianReport:
@@ -162,11 +185,7 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
     if k > degree:
         raise ValueError(f"jet order {k} exceeds the basis degree {degree}")
 
-    u = sp.Symbol("u")
-    polys = [sum(c * u**i for i, c in enumerate(row)) for row in rows]
-    wronskian = sp.expand(
-        sp.Matrix(k + 1, k + 1, lambda r, c: sp.diff(polys[c], u, r)).det(method="domain-ge")
-    )
+    wronskian = _wronskian(rows, k, degree, BASE_ZERO)
     if wronskian == 0:
         return WronskianReport(
             k=k,
@@ -181,28 +200,19 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
             total=0,
             notes=("basis is linearly dependent; weights are undefined",),
         )
+    wronskian_inf = _wronskian(rows, k, degree, BASE_INF)
 
-    # second chart: reverse each coefficient row relative to the common degree
-    reversed_rows = [
-        tuple(reversed(tuple(row) + (0,) * (degree + 1 - len(row)))) for row in rows
-    ]
-    polys_inf = [sum(c * u**i for i, c in enumerate(row)) for row in reversed_rows]
-    wronskian_inf = sp.expand(
-        sp.Matrix(k + 1, k + 1, lambda r, c: sp.diff(polys_inf[c], u, r)).det(method="domain-ge")
-    )
-
-    poly = sp.Poly(wronskian, u)
+    poly = sp.Poly(wronskian, _U)
     finite_total = poly.degree()
     rational_points = []
     for factor, mult in sp.factor_list(wronskian)[1]:
-        fpoly = sp.Poly(factor, u)
+        fpoly = sp.Poly(factor, _U)
         if fpoly.degree() == 1:
             c1, c0 = fpoly.all_coeffs()
-            root = -Fraction(int(sp.numer(sp.Rational(c0, c1))), int(sp.denom(sp.Rational(c0, c1))))
-            rational_points.append((root, mult))
+            rational_points.append((-Fraction(int(c0), int(c1)), int(mult)))
     rational_points.sort(key=lambda item: item[0])
 
-    poly_inf = sp.Poly(wronskian_inf, u)
+    poly_inf = sp.Poly(wronskian_inf, _U)
     infinity_weight = min(m[0] for m in poly_inf.monoms())
 
     notes = []
@@ -245,43 +255,18 @@ class DeterminantDivisor(NamedTuple):
     charts: Dict[Tuple[str, int], str]
 
 
+def _fiber_symbols(scroll: DecomposableScroll, fiber_chart: int) -> Dict[int, sp.Symbol]:
+    return {j: sp.Symbol(f"v{j}") for j in range(1, scroll.n + 1) if j != fiber_chart}
+
+
 def _symbolic_jet_matrix(
     scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int
-) -> Tuple[sp.Matrix, sp.Symbol, Dict[int, sp.Symbol]]:
-    u = sp.Symbol("u")
-    vs = {
-        j: sp.Symbol(f"v{j}")
-        for j in range(1, scroll.n + 1)
-        if j != fiber_chart
-    }
-    basis = scroll.section_basis(base_chart, fiber_chart)
-    cols = jet_columns(scroll.n, k, fiber_chart)
-    rows = []
-    for section in basis:
-        vfac = vs.get(section.summand, sp.Integer(1))
-        e = section.exponent
-        row = []
-        for col in cols:
-            if col[0] == "u":
-                h = col[1]
-                row.append(vfac * perm(e, h) * u ** (e - h) if h <= e else sp.Integer(0))
-            else:
-                _, h, j = col
-                if j == section.summand and h <= e:
-                    row.append(sp.Integer(perm(e, h)) * u ** (e - h))
-                else:
-                    row.append(sp.Integer(0))
-        rows.append(row)
-    return sp.Matrix(rows), u, vs
+) -> sp.Matrix:
+    vs = _fiber_symbols(scroll, fiber_chart)
+    return sp.Matrix(evaluate_jet_template(scroll, k, base_chart, fiber_chart, _U, vs))
 
 
-def _section_twist(
-    scroll: DecomposableScroll,
-    fiber_chart: int,
-    delta: sp.Expr,
-    u: sp.Symbol,
-    vs: Dict[int, sp.Symbol],
-) -> int:
+def _section_twist(scroll: DecomposableScroll, fiber_chart: int, delta: sp.Expr) -> int:
     """The b with delta a section of L + bF, from the monomials of delta.
 
     A v-free monomial c*u^e needs e <= b + a_iota; a monomial c*u^e*v_j
@@ -289,12 +274,12 @@ def _section_twist(
     e - a_iota resp. e - a_j over the monomials.  Anything nonlinear in the
     fiber coordinates cannot come from a hyperplane-linear divisor.
     """
-    ordered = [u] + [vs[j] for j in sorted(vs)]
-    poly = sp.Poly(delta, *ordered)
+    vs = _fiber_symbols(scroll, fiber_chart)
+    poly = sp.Poly(delta, _U, *vs.values())
     candidates = []
     for monom in poly.monoms():
         e_u = monom[0]
-        carried = [j for j, exp in zip(sorted(vs), monom[1:]) if exp]
+        carried = [j for j, exp in zip(vs, monom[1:]) if exp]
         if any(exp > 1 for exp in monom[1:]) or len(carried) > 1:
             raise ValueError(
                 "determinant is not affine-linear in the fiber coordinates; "
@@ -323,14 +308,10 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
             f"kn={k * scroll.n}"
         )
     charts: Dict[Tuple[str, int], sp.Expr] = {}
-    twists: Dict[Tuple[str, int], Optional[int]] = {}
-    symbols: Dict[Tuple[str, int], tuple] = {}
     for base_chart in (BASE_ZERO, BASE_INF):
         for fiber_chart in range(1, scroll.n + 1):
-            matrix, u, vs = _symbolic_jet_matrix(scroll, k, base_chart, fiber_chart)
-            delta = sp.expand(matrix.det(method="domain-ge"))
-            charts[(base_chart, fiber_chart)] = delta
-            symbols[(base_chart, fiber_chart)] = (u, vs)
+            matrix = _symbolic_jet_matrix(scroll, k, base_chart, fiber_chart)
+            charts[(base_chart, fiber_chart)] = sp.expand(matrix.det(method="domain-ge"))
 
     zero = [key for key, delta in charts.items() if delta == 0]
     if zero:
@@ -343,9 +324,7 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
             "the generic-rank hypothesis fails"
         )
 
-    for key, delta in charts.items():
-        u, vs = symbols[key]
-        twists[key] = _section_twist(scroll, key[1], delta, u, vs)
+    twists = {key: _section_twist(scroll, key[1], delta) for key, delta in charts.items()}
     distinct = set(twists.values())
     if len(distinct) != 1:
         raise ValueError(f"chart extractions of the divisor twist disagree: {twists}")
@@ -353,7 +332,7 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
 
     primary = charts[(BASE_ZERO, 1)]
     factors = tuple(
-        (sp.sstr(factor), mult) for factor, mult in sp.factor_list(primary)[1]
+        (sp.sstr(factor), int(mult)) for factor, mult in sp.factor_list(primary)[1]
     )
     return DeterminantDivisor(
         delta=primary,
@@ -446,6 +425,8 @@ def scan_points(
     alternates fully random points with random points forced onto a random
     zero pattern, so low-dimensional strata keep getting sampled.
     """
+    if exact_int(samples, "the number of samples") < 1:
+        raise ValueError(f"the number of samples must be positive, got {samples}")
     rng = random.Random(seed)
     n = scroll.n
     points: List[ScrollPoint] = []
@@ -688,25 +669,30 @@ def cross_validate(
     formula_deg = inflectional_degree(params)
     ell = params.ell
 
+    def report(oracle: str, verdict: str, summary: dict, notes: List[str]) -> CrossValidationReport:
+        return CrossValidationReport(
+            scroll=scroll,
+            k=k,
+            ell=ell,
+            oracle=oracle,
+            verdict=verdict,
+            formula_class=str(formula_cls),
+            formula_degree=str(formula_deg),
+            oracle_summary=summary,
+            notes=tuple(notes),
+        )
+
     if scroll.N == k * scroll.n:
         try:
             result = determinant_divisor(scroll, k)
         except GenericRankFailure as failure:
-            return CrossValidationReport(
-                scroll=scroll,
-                k=k,
-                ell=ell,
-                oracle="determinant-divisor",
-                verdict=HYPOTHESIS_VIOLATED,
-                formula_class=str(formula_cls),
-                formula_degree=str(formula_deg),
-                oracle_summary={"error": str(failure)},
-                notes=(
-                    "determinant vanishes identically: generic jet rank is below kn+1",
-                ),
+            return report(
+                "determinant-divisor",
+                HYPOTHESIS_VIOLATED,
+                {"error": str(failure)},
+                ["determinant vanishes identically: generic jet rank is below kn+1"],
             )
         oracle_cls = result.divisor_class.to_chow(scroll.n)
-        verdict = MATCH if oracle_cls == formula_cls else MISMATCH
         summary = {
             "oracle": "determinant-divisor",
             "determinant": sp.sstr(result.delta),
@@ -714,61 +700,38 @@ def cross_validate(
             "factors": [{"factor": f, "multiplicity": m} for f, m in result.factors],
             "charts": {f"{base},{iota}": text for (base, iota), text in result.charts.items()},
         }
-        notes = (
-            f"divisor class extracted in {2 * scroll.n} charts, all agreeing",
-        )
-        return CrossValidationReport(
-            scroll=scroll,
-            k=k,
-            ell=ell,
-            oracle="determinant-divisor",
-            verdict=verdict,
-            formula_class=str(formula_cls),
-            formula_degree=str(formula_deg),
-            oracle_summary=summary,
-            notes=notes,
+        return report(
+            "determinant-divisor",
+            MATCH if oracle_cls == formula_cls else MISMATCH,
+            summary,
+            [f"divisor class extracted in {2 * scroll.n} charts, all agreeing"],
         )
 
-    report = rank_scan(scroll, k, samples=samples, seed=seed)
-    summary = report.to_dict()
+    scan = rank_scan(scroll, k, samples=samples, seed=seed)
+    summary = scan.to_dict()
     summary["inflected"] = summary["inflected"][:10]  # keep the summary bounded
-    notes = list(report.notes)
-    if report.inflected:
-        distinct_bases = {
-            _geometric_base(sample.point) for sample in report.inflected
-        }
-        if formula_deg == 0:
-            verdict = HYPOTHESIS_VIOLATED
-            notes.append(
-                "expected degree is 0 yet inflected points are certified: "
-                "the locus has the wrong dimension"
-            )
-        elif ell == scroll.n and len(distinct_bases) > formula_deg:
-            verdict = HYPOTHESIS_VIOLATED
-            notes.append(
-                f"{len(distinct_bases)} distinct certified points exceed the expected "
-                f"finite count {formula_deg}"
-            )
-        else:
-            verdict = MATCH
-            notes.append("certified points are consistent with the expected locus")
+    notes = list(scan.notes)
+    verdict = MATCH
+    distinct_bases = {_geometric_base(sample.point) for sample in scan.inflected}
+    if not scan.inflected:
+        notes.append(
+            "clean scan is consistent with an empty locus"
+            if formula_deg == 0
+            else "clean scan is inconclusive for a positive expected count "
+            "(sampling misses measure-zero loci)"
+        )
+    elif formula_deg == 0:
+        verdict = HYPOTHESIS_VIOLATED
+        notes.append(
+            "expected degree is 0 yet inflected points are certified: "
+            "the locus has the wrong dimension"
+        )
+    elif ell == scroll.n and len(distinct_bases) > formula_deg:
+        verdict = HYPOTHESIS_VIOLATED
+        notes.append(
+            f"{len(distinct_bases)} distinct certified points exceed the expected "
+            f"finite count {formula_deg}"
+        )
     else:
-        verdict = MATCH
-        if formula_deg == 0:
-            notes.append("clean scan is consistent with an empty locus")
-        else:
-            notes.append(
-                "clean scan is inconclusive for a positive expected count "
-                "(sampling misses measure-zero loci)"
-            )
-    return CrossValidationReport(
-        scroll=scroll,
-        k=k,
-        ell=ell,
-        oracle="rank-scan",
-        verdict=verdict,
-        formula_class=str(formula_cls),
-        formula_degree=str(formula_deg),
-        oracle_summary=summary,
-        notes=tuple(notes),
-    )
+        notes.append("certified points are consistent with the expected locus")
+    return report("rank-scan", verdict, summary, notes)

@@ -8,7 +8,9 @@ N = d + n - 1.  Around any point there are local coordinates
 hyperplane section restricts to a(u) + sum_j v_j b_j(u).  Consequently all
 partial derivatives of order h >= 2 vanish identically except the pure
 d/du^h ones and the mixed d/du^(h-1) d/dv_j ones, which is why the k-jet
-matrix below keeps only those kn+1 columns.
+matrix below keeps only those kn+1 columns.  That matrix is defined once,
+as a per-chart template of falling-factorial monomials (:func:`jet_template`),
+and every numeric, symbolic or Wronskian jet matrix evaluates it.
 
 Charts: two base charts ("0" and "inf", exchanging u with 1/u, which
 reverses the exponent m of a degree-a section to a - m) and n fiber charts
@@ -21,14 +23,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, perm
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from numbers import Integral
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 
 BASE_ZERO = "0"
 BASE_INF = "inf"
 _BASE_CHARTS = (BASE_ZERO, BASE_INF)
+
+
+def exact_int(value, what: str) -> int:
+    """The value as an int; bools, floats and non-integral values are rejected."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -38,7 +49,7 @@ class DecomposableScroll:
     degrees: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        degrees = tuple(int(a) for a in self.degrees)
+        degrees = tuple(exact_int(a, "a summand degree") for a in self.degrees)
         if not degrees:
             raise ValueError("a scroll needs at least one summand")
         if any(a <= 0 for a in degrees):
@@ -209,8 +220,74 @@ def jet_columns(n: int, k: int, fiber_chart: int) -> Tuple[Column, ...]:
     return tuple(cols)
 
 
-def _upow(u: Fraction, e: int) -> Fraction:
-    return u**e if e else Fraction(1)
+class JetEntry(NamedTuple):
+    """A nonzero jet-matrix entry: coeff * u^u_exponent, times v_summand if set."""
+
+    coeff: int
+    u_exponent: int
+    summand: Optional[int]
+
+
+JetTemplate = Tuple[Tuple[Optional[JetEntry], ...], ...]
+
+
+@lru_cache(maxsize=32, typed=True)
+def jet_template(
+    scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int
+) -> JetTemplate:
+    """The reduced k-jet matrix of the section basis in one chart, symbolically.
+
+    Rows follow :meth:`DecomposableScroll.section_basis`, columns follow
+    :func:`jet_columns`; an entry is None where the partial vanishes
+    identically.  A section v_j u^e has pure derivative
+    perm(e, h) u^(e-h) v_j (v_j = 1 on the chart summand) and, for its own
+    summand j only, the mixed d/dv_j derivative perm(e, h) u^(e-h).  Every
+    numeric, symbolic and Wronskian jet matrix is this template evaluated.
+    The cache is bounded: a scan needs at most 2n charts.
+    """
+    if exact_int(k, "jet order k") < 1:
+        raise ValueError("jet order k must be a positive integer")
+    basis = scroll.section_basis(base_chart, fiber_chart)
+    cols = jet_columns(scroll.n, k, fiber_chart)
+    rows = []
+    for section in basis:
+        e = section.exponent
+        vfac = None if section.summand == fiber_chart else section.summand
+        row: List[Optional[JetEntry]] = []
+        for col in cols:
+            h = col[1]
+            if h > e or (col[0] == "uv" and col[2] != section.summand):
+                row.append(None)
+            else:
+                row.append(JetEntry(perm(e, h), e - h, vfac if col[0] == "u" else None))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def evaluate_jet_template(
+    scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int, u, v: Mapping
+) -> Tuple[tuple, ...]:
+    """The jet template of a chart with u and the fiber coordinates substituted.
+
+    ``v`` maps every summand other than the chart summand to its fiber
+    coordinate.  Values may be Fractions (a point) or sympy symbols; the
+    powers of u are taken once, and every entry, zeros included, stays in
+    u's own number type.  (Powers are taken directly rather than by repeated
+    products, and the zero is 0 * u**0: with sympy, u * u and 1 - 1 would
+    build an Add, whose first use imports sympy's tensor module.)
+    """
+    template = jet_template(scroll, k, base_chart, fiber_chart)
+    powers = [u**e for e in range(max(scroll.degrees) + 1)]
+    scaled = {None: powers}
+    scaled.update((j, [x * p for p in powers]) for j, x in v.items())
+    zero = powers[0] * 0
+    return tuple(
+        tuple(
+            zero if entry is None else entry.coeff * scaled[entry.summand][entry.u_exponent]
+            for entry in row
+        )
+        for row in template
+    )
 
 
 @dataclass(frozen=True)
@@ -237,36 +314,14 @@ class JetMatrix:
 
 
 def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMatrix:
-    """Evaluate all reduced partials of the section basis at the point.
-
-    A section u^m has pure derivative perm(m, h) * u^(m-h); a section
-    v_j u^m additionally has the mixed d/dv_j derivatives with the same
-    falling-factorial coefficients.  Everything else vanishes identically.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("jet order k must be a positive integer")
+    """Evaluate all reduced partials of the section basis at the point."""
     _check_point(scroll, point)
-    basis = scroll.section_basis(point.base_chart, point.fiber_chart)
+    others = [j for j in range(1, scroll.n + 1) if j != point.fiber_chart]
+    entries = evaluate_jet_template(
+        scroll, k, point.base_chart, point.fiber_chart, point.u, dict(zip(others, point.v))
+    )
     cols = jet_columns(scroll.n, k, point.fiber_chart)
-    u = point.u
-    rows: List[Tuple[Fraction, ...]] = []
-    for section in basis:
-        vfac = fiber_coordinate(scroll, point, section.summand)
-        e = section.exponent
-        row: List[Fraction] = []
-        for col in cols:
-            if col[0] == "u":
-                h = col[1]
-                value = vfac * perm(e, h) * _upow(u, e - h) if h <= e else Fraction(0)
-            else:
-                _, h, j = col
-                if j == section.summand and h <= e:
-                    value = perm(e, h) * _upow(u, e - h)
-                else:
-                    value = Fraction(0)
-            row.append(Fraction(value))
-        rows.append(tuple(row))
-    return JetMatrix(scroll=scroll, k=k, point=point, columns=cols, entries=tuple(rows))
+    return JetMatrix(scroll=scroll, k=k, point=point, columns=cols, entries=entries)
 
 
 def _bareiss_rank(rows: List[List[int]]) -> int:

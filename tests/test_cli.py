@@ -105,6 +105,17 @@ def test_wronskian_verb_with_basis_file(capsys, tmp_path):
     assert doc["result"]["infinity_weight"] == 3
 
 
+def test_wronskian_verb_json_with_double_root(capsys, tmp_path):
+    # the Wronskian has the factor u**2, whose multiplicity must reach the
+    # JSON document as a plain integer
+    path = tmp_path / "basis.txt"
+    path.write_text("3 -1 1 -2 0 -2\n-4 -2 -3 -2 -2 5\n1 5 3 -3 2 1\n-1 5 2 3 -2 -3\n")
+    code, doc, _ = run_json(capsys, "wronskian", "--basis", str(path), "--k", "3")
+    assert code == 0
+    assert doc["result"]["rational_points"] == [{"u": "0", "weight": 2}]
+    assert doc["result"]["total"] == 8
+
+
 def test_wronskian_verb_requires_one_source(capsys):
     code, _, err = run(capsys, "wronskian", "--k", "3")
     assert code == 1
@@ -133,10 +144,15 @@ def test_ranks_verb(capsys):
 
 
 def test_invalid_input_is_one_line_diagnostic(capsys):
-    code, out, err = run(capsys, "degree", "--n", "2", "--ambient", "2")
-    assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error:")
+    for argv in (
+        ("degree", "--n", "2", "--ambient", "2"),
+        ("scan", "--scroll", "2,2", "--samples", "0"),
+        ("scan", "--scroll", "2,2", "--samples", "-5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_output_is_deterministic(capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrolljets.formulas import ScrollParams, inflectional_class
 from scrolljets.scanner import (
@@ -10,6 +12,7 @@ from scrolljets.scanner import (
     MATCH,
     DivisorClass,
     GenericRankFailure,
+    _symbolic_jet_matrix,
     cross_validate,
     determinant_divisor,
     rank_scan,
@@ -20,8 +23,10 @@ from scrolljets.scrollmodel import (
     BASE_INF,
     BASE_ZERO,
     DecomposableScroll,
+    ScrollPoint,
     exact_rank,
     fiber_coordinate,
+    jet_columns,
     jet_matrix,
     jet_rank,
 )
@@ -37,6 +42,20 @@ def random_spanning_basis(rng, d, k):
                 return rows
 
 
+def reference_wronskians(rows, k):
+    """Both-chart Wronskians by differentiating the basis polynomials.
+
+    Rows have full length d+1; the chart at infinity reverses them.
+    """
+    u = sp.Symbol("u")
+    texts = []
+    for coeffs in (rows, [row[::-1] for row in rows]):
+        polys = [sum(c * u**i for i, c in enumerate(row)) for row in coeffs]
+        w = sp.Matrix(k + 1, k + 1, lambda r, c: sp.diff(polys[c], u, r)).det(method="domain-ge")
+        texts.append(sp.sstr(sp.expand(w)))
+    return tuple(texts)
+
+
 # ---------------------------------------------------------------------------
 # Wronskian oracle
 # ---------------------------------------------------------------------------
@@ -48,6 +67,10 @@ def test_wronskian_rational_normal_cubic():
     assert report.total == 0
     assert report.rational_points == ()
     assert report.infinity_weight == 0
+    # inexact coefficients are rejected, not truncated
+    for bad in (1.9, True, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            wronskian_weights([[1], [0, bad], [0, 0, 1], [0, 0, 0, 1]], 3)
 
 
 def test_wronskian_monomial_quartic_both_charts():
@@ -77,11 +100,14 @@ def test_wronskian_degenerate_basis():
 def test_wronskian_random_spanning_bases():
     rng = random.Random(424242)
     for d, k in ((4, 3), (5, 3), (5, 4), (6, 4)):
-        for _ in range(20):
+        for trial in range(20):
             rows = random_spanning_basis(rng, d, k)
             report = wronskian_weights(rows, k)
             assert not report.degenerate
             assert report.total == (k + 1) * (d - k), (d, k, rows)
+            if trial < 2:
+                charts = (report.wronskian, report.wronskian_at_infinity)
+                assert charts == reference_wronskians(rows, k), (d, k, rows)
 
 
 def test_wronskian_weight_shift_under_translation():
@@ -113,6 +139,7 @@ def test_determinant_divisor_case_i_family():
         result = determinant_divisor(X, k)
         last = f"v{X.n}"
         assert result.factors == ((last, 1),)
+        assert all(type(mult) is int for _, mult in result.factors)
         assert result.divisor_class == DivisorClass(1, -k)
         formula = inflectional_class(ScrollParams(n=X.n, ambient=X.N, d=X.d, g=0))
         assert result.divisor_class.to_chow(X.n) == formula
@@ -173,6 +200,42 @@ def test_determinant_divisor_square_census():
                 with pytest.raises(GenericRankFailure):
                     determinant_divisor(X, k)
     assert seen >= 10 and genuine >= 5
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    st.integers(1, 3),
+    small_fractions,
+    st.lists(small_fractions, min_size=2, max_size=2),
+)
+def test_numeric_jet_matrix_is_symbolic_one_at_the_point(degrees, k, u, v):
+    # both evaluate the shared template; the symbolic one is also checked
+    # against differentiating the section monomials directly
+    X = DecomposableScroll(tuple(degrees))
+    v = tuple(v[: X.n - 1])
+    for base in (BASE_ZERO, BASE_INF):
+        for iota in range(1, X.n + 1):
+            matrix = _symbolic_jet_matrix(X, k, base, iota)
+            usym = sp.Symbol("u")
+            vs = {j: sp.Symbol(f"v{j}") for j in range(1, X.n + 1) if j != iota}
+            differentiated = [
+                [
+                    sp.diff(f, usym, col[1], *([vs[col[2]]] if col[0] == "uv" else []))
+                    for col in jet_columns(X.n, k, iota)
+                ]
+                for f in (
+                    vs.get(s.summand, 1) * usym**s.exponent
+                    for s in X.section_basis(base, iota)
+                )
+            ]
+            assert matrix == sp.Matrix(differentiated)
+            at_point = {usym: u, **{vs[j]: x for j, x in zip(sorted(vs), v)}}
+            numeric = jet_matrix(X, k, ScrollPoint(base, u, iota, v)).entries
+            assert matrix.subs(at_point) == sp.Matrix(numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +305,9 @@ def test_rank_scan_semibalanced_at_top_order_finds_directrix():
 def test_rank_scan_rejects_large_order():
     with pytest.raises(ValueError):
         rank_scan(DecomposableScroll((1, 2)), k=3)
+    for samples in (0, -5, 2.5, True):
+        with pytest.raises(ValueError):
+            rank_scan(DecomposableScroll((2, 2)), samples=samples)
 
 
 # ---------------------------------------------------------------------------

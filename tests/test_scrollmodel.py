@@ -56,6 +56,10 @@ def test_scroll_rejects_bad_degrees():
         DecomposableScroll((2, 0))
     with pytest.raises(ValueError):
         DecomposableScroll((-1,))
+    with pytest.raises(ValueError):
+        DecomposableScroll((1.7, 2))
+    with pytest.raises(ValueError):
+        DecomposableScroll((True, 2))
 
 
 def test_scroll_from_text():
@@ -137,6 +141,9 @@ def test_jet_matrix_rejects_bad_input():
     X = DecomposableScroll((1, 2))
     with pytest.raises(ValueError):
         jet_matrix(X, 0, pt(1, (1,)))
+    jet_matrix(X, 1, pt(1, (1,)))
+    with pytest.raises(ValueError):  # not served the cached k = 1 template
+        jet_matrix(X, True, pt(1, (1,)))
     with pytest.raises(ValueError):
         jet_matrix(X, 2, pt(1, (1,), fiber_chart=3))
     with pytest.raises(ValueError):
