@@ -99,6 +99,10 @@ def _cmd_degree(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < 1 or args.max_k < 1:
+        raise ValueError(
+            f"--max-n and --max-k must be at least 1, got {args.max_n} and {args.max_k}"
+        )
     failures = []
     checked = 0
     lines = []
@@ -338,7 +342,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

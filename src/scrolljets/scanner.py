@@ -28,11 +28,11 @@ formula fails).
 
 All three oracles read one jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan evaluates it at
-rational points, the determinant oracle with the symbols u and v_j, and
-the Wronskian combines the basis coefficients with the template of the
-monomial curve, so nothing here differentiates.  sympy does only the
-polynomial determinants and their factorization; the rank certificates
-use the fraction-free elimination from :mod:`scrolljets.scrollmodel`.
+rational points, the determinant oracle over ZZ[u, v_j], and the Wronskian
+combines the basis coefficients with the template of the monomial curve
+over ZZ[u], so nothing here differentiates.  One fraction-free elimination,
+:func:`scrolljets.scrollmodel.bareiss`, gives every rank and determinant;
+sympy supplies only the polynomial rings, factorization and printing.
 """
 
 from __future__ import annotations
@@ -51,20 +51,24 @@ from .scrollmodel import (
     BASE_ZERO,
     DecomposableScroll,
     ScrollPoint,
+    bareiss,
     evaluate_jet_template,
     exact_int,
     exact_rank,
     fiber_coordinate,
     jet_matrix,
     jet_rank,
-    jet_template,
 )
 
 #: Fixed default seed so runs are reproducible; override per call.
 DEFAULT_SEED = 1729
 
-#: The base coordinate of the symbolic jet matrices and Wronskians.
-_U = sp.Symbol("u")
+#: Largest structured block a scan builds.  The block has 10 n 2^(n-1)
+#: points whatever the sample count, so this admits scrolls with n <= 7.
+MAX_STRUCTURED_POINTS = 10_000
+
+#: The integer polynomials in the base coordinate, where Wronskians live.
+_ZZ_U, _U = sp.ring("u", sp.ZZ)
 
 
 class GenericRankFailure(Exception):
@@ -143,24 +147,20 @@ def _basis_rows(curve) -> Tuple[Tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _wronskian(rows, k: int, degree: int, base_chart: str) -> sp.Expr:
-    """Wronskian of the basis in one base chart, as a polynomial in u.
+def _wronskian(rows, k: int, degree: int, base_chart: str):
+    """Wronskian of the basis in one base chart, as an element of ZZ[u].
 
     Coefficient m of a basis polynomial multiplies section m of the monomial
     curve of the basis degree, so the Wronskian matrix is the coefficient
-    rows times that curve's jet template; in chart "inf" the template
-    already carries the reversed exponents.
+    rows times that curve's jet matrix; in chart "inf" the template already
+    carries the reversed exponents.
     """
-    template = jet_template(DecomposableScroll((degree,)), k, base_chart, 1)
+    jets = evaluate_jet_template(DecomposableScroll((degree,)), k, base_chart, 1, _U, {})
     matrix = [
-        [
-            sp.Add(*(c * entry.coeff * _U**entry.u_exponent
-                     for c, entry in zip(row, column) if c and entry is not None))
-            for column in zip(*template)
-        ]
+        [sum((c * jet for c, jet in zip(row, column)), _ZZ_U.zero) for column in zip(*jets)]
         for row in rows
     ]
-    return sp.expand(sp.Matrix(matrix).det(method="domain-ge"))
+    return bareiss(matrix)[1]
 
 
 def wronskian_weights(curve, k: int) -> WronskianReport:
@@ -186,7 +186,7 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
         raise ValueError(f"jet order {k} exceeds the basis degree {degree}")
 
     wronskian = _wronskian(rows, k, degree, BASE_ZERO)
-    if wronskian == 0:
+    if not wronskian:
         return WronskianReport(
             k=k,
             coefficients=rows,
@@ -202,18 +202,15 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
         )
     wronskian_inf = _wronskian(rows, k, degree, BASE_INF)
 
-    poly = sp.Poly(wronskian, _U)
-    finite_total = poly.degree()
+    finite_total = wronskian.degree()
     rational_points = []
-    for factor, mult in sp.factor_list(wronskian)[1]:
-        fpoly = sp.Poly(factor, _U)
-        if fpoly.degree() == 1:
-            c1, c0 = fpoly.all_coeffs()
-            rational_points.append((-Fraction(int(c0), int(c1)), int(mult)))
+    for factor, mult in wronskian.factor_list()[1]:
+        if factor.degree() == 1:
+            c0, c1 = int(factor.coeff(1)), int(factor.coeff(_U))
+            rational_points.append((-Fraction(c0, c1), mult))
     rational_points.sort(key=lambda item: item[0])
 
-    poly_inf = sp.Poly(wronskian_inf, _U)
-    infinity_weight = min(m[0] for m in poly_inf.monoms())
+    infinity_weight = min(m[0] for m in wronskian_inf.monoms())
 
     notes = []
     irrational = finite_total - sum(mult for _, mult in rational_points)
@@ -226,8 +223,8 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
         coefficients=rows,
         degree=degree,
         degenerate=False,
-        wronskian=sp.sstr(wronskian),
-        wronskian_at_infinity=sp.sstr(wronskian_inf),
+        wronskian=sp.sstr(wronskian.as_expr()),
+        wronskian_at_infinity=sp.sstr(wronskian_inf.as_expr()),
         finite_total=finite_total,
         rational_points=tuple(rational_points),
         infinity_weight=infinity_weight,
@@ -254,19 +251,25 @@ class DeterminantDivisor(NamedTuple):
     factors: Tuple[Tuple[str, int], ...]
     charts: Dict[Tuple[str, int], str]
 
-
-def _fiber_symbols(scroll: DecomposableScroll, fiber_chart: int) -> Dict[int, sp.Symbol]:
-    return {j: sp.Symbol(f"v{j}") for j in range(1, scroll.n + 1) if j != fiber_chart}
-
-
-def _symbolic_jet_matrix(
-    scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int
-) -> sp.Matrix:
-    vs = _fiber_symbols(scroll, fiber_chart)
-    return sp.Matrix(evaluate_jet_template(scroll, k, base_chart, fiber_chart, _U, vs))
+    def to_dict(self) -> dict:
+        return {
+            "oracle": "determinant-divisor",
+            "determinant": self.charts[(BASE_ZERO, 1)],
+            "divisor_class": str(self.divisor_class),
+            "factors": [{"factor": f, "multiplicity": m} for f, m in self.factors],
+            "charts": {f"{base},{iota}": text for (base, iota), text in self.charts.items()},
+        }
 
 
-def _section_twist(scroll: DecomposableScroll, fiber_chart: int, delta: sp.Expr) -> int:
+def _chart_determinant(scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int):
+    """Determinant of the square jet matrix of a chart, in ZZ[u, v_j (j != chart)]."""
+    others = [j for j in range(1, scroll.n + 1) if j != fiber_chart]
+    _, u, *vs = sp.ring(["u"] + [f"v{j}" for j in others], sp.ZZ)
+    matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, u, dict(zip(others, vs)))
+    return bareiss([list(row) for row in matrix])[1]
+
+
+def _section_twist(scroll: DecomposableScroll, fiber_chart: int, delta) -> int:
     """The b with delta a section of L + bF, from the monomials of delta.
 
     A v-free monomial c*u^e needs e <= b + a_iota; a monomial c*u^e*v_j
@@ -274,12 +277,11 @@ def _section_twist(scroll: DecomposableScroll, fiber_chart: int, delta: sp.Expr)
     e - a_iota resp. e - a_j over the monomials.  Anything nonlinear in the
     fiber coordinates cannot come from a hyperplane-linear divisor.
     """
-    vs = _fiber_symbols(scroll, fiber_chart)
-    poly = sp.Poly(delta, _U, *vs.values())
+    others = [j for j in range(1, scroll.n + 1) if j != fiber_chart]
     candidates = []
-    for monom in poly.monoms():
+    for monom in delta.monoms():
         e_u = monom[0]
-        carried = [j for j, exp in zip(vs, monom[1:]) if exp]
+        carried = [j for j, exp in zip(others, monom[1:]) if exp]
         if any(exp > 1 for exp in monom[1:]) or len(carried) > 1:
             raise ValueError(
                 "determinant is not affine-linear in the fiber coordinates; "
@@ -307,13 +309,13 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
             f"determinant oracle needs N = kn; scroll {scroll} has N={scroll.N}, "
             f"kn={k * scroll.n}"
         )
-    charts: Dict[Tuple[str, int], sp.Expr] = {}
-    for base_chart in (BASE_ZERO, BASE_INF):
-        for fiber_chart in range(1, scroll.n + 1):
-            matrix = _symbolic_jet_matrix(scroll, k, base_chart, fiber_chart)
-            charts[(base_chart, fiber_chart)] = sp.expand(matrix.det(method="domain-ge"))
+    charts = {
+        (base_chart, fiber_chart): _chart_determinant(scroll, k, base_chart, fiber_chart)
+        for base_chart in (BASE_ZERO, BASE_INF)
+        for fiber_chart in range(1, scroll.n + 1)
+    }
 
-    zero = [key for key, delta in charts.items() if delta == 0]
+    zero = [key for key, delta in charts.items() if not delta]
     if zero:
         if len(zero) != len(charts):
             raise RuntimeError(
@@ -332,13 +334,13 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
 
     primary = charts[(BASE_ZERO, 1)]
     factors = tuple(
-        (sp.sstr(factor), int(mult)) for factor, mult in sp.factor_list(primary)[1]
+        (sp.sstr(factor.as_expr()), mult) for factor, mult in primary.factor_list()[1]
     )
     return DeterminantDivisor(
-        delta=primary,
+        delta=primary.as_expr(),
         divisor_class=DivisorClass(1, b),
         factors=factors,
-        charts={key: sp.sstr(delta) for key, delta in charts.items()},
+        charts={key: sp.sstr(delta.as_expr()) for key, delta in charts.items()},
     )
 
 
@@ -427,8 +429,15 @@ def scan_points(
     """
     if exact_int(samples, "the number of samples") < 1:
         raise ValueError(f"the number of samples must be positive, got {samples}")
-    rng = random.Random(seed)
     n = scroll.n
+    structured_u = [Fraction(x) for x in (0, 1, -1, 2, -2)]
+    structured = 2 * n * len(structured_u) * 2 ** (n - 1)
+    if structured > MAX_STRUCTURED_POINTS:
+        raise ValueError(
+            f"scroll {scroll} has {n} summands: its structured scan block of {structured} "
+            f"points exceeds the limit of {MAX_STRUCTURED_POINTS}"
+        )
+    rng = random.Random(seed)
     points: List[ScrollPoint] = []
     seen = set()
 
@@ -438,7 +447,6 @@ def scan_points(
             seen.add(key)
             points.append(point)
 
-    structured_u = [Fraction(x) for x in (0, 1, -1, 2, -2)]
     for base_chart in (BASE_ZERO, BASE_INF):
         for fiber_chart in range(1, n + 1):
             for u in structured_u:
@@ -692,18 +700,10 @@ def cross_validate(
                 {"error": str(failure)},
                 ["determinant vanishes identically: generic jet rank is below kn+1"],
             )
-        oracle_cls = result.divisor_class.to_chow(scroll.n)
-        summary = {
-            "oracle": "determinant-divisor",
-            "determinant": sp.sstr(result.delta),
-            "divisor_class": str(oracle_cls),
-            "factors": [{"factor": f, "multiplicity": m} for f, m in result.factors],
-            "charts": {f"{base},{iota}": text for (base, iota), text in result.charts.items()},
-        }
         return report(
             "determinant-divisor",
-            MATCH if oracle_cls == formula_cls else MISMATCH,
-            summary,
+            MATCH if result.divisor_class.to_chow(scroll.n) == formula_cls else MISMATCH,
+            result.to_dict(),
             [f"divisor class extracted in {2 * scroll.n} charts, all agreeing"],
         )
 

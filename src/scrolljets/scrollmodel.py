@@ -15,17 +15,17 @@ and every numeric, symbolic or Wronskian jet matrix evaluates it.
 Charts: two base charts ("0" and "inf", exchanging u with 1/u, which
 reverses the exponent m of a degree-a section to a - m) and n fiber charts
 (fiber chart i normalizes the i-th homogeneous fiber coordinate to 1).
-Everything is exact rational arithmetic; ranks come from fraction-free
-elimination with deterministic pivoting.
+Everything is exact rational arithmetic; ranks and determinants come from
+one fraction-free elimination with deterministic pivoting (:func:`bareiss`).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, perm
-from numbers import Integral
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -37,9 +37,16 @@ _BASE_CHARTS = (BASE_ZERO, BASE_INF)
 
 def exact_int(value, what: str) -> int:
     """The value as an int; bools, floats and non-integral values are rejected."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def exact_rational(value, what: str) -> Fraction:
+    """The value as a Fraction; bools, floats and other inexact values are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Rational):
+        raise ValueError(f"{what} must be an exact rational, got {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -130,10 +137,14 @@ class ScrollPoint:
     def __post_init__(self) -> None:
         if self.base_chart not in _BASE_CHARTS:
             raise ValueError(f"base chart must be one of {_BASE_CHARTS}")
-        object.__setattr__(self, "u", Fraction(self.u))
-        if not isinstance(self.fiber_chart, int) or self.fiber_chart < 1:
+        object.__setattr__(self, "u", exact_rational(self.u, "the base coordinate u"))
+        fiber_chart = exact_int(self.fiber_chart, "the fiber chart")
+        if fiber_chart < 1:
             raise ValueError("fiber chart must be a positive summand index")
-        object.__setattr__(self, "v", tuple(Fraction(x) for x in self.v))
+        object.__setattr__(self, "fiber_chart", fiber_chart)
+        object.__setattr__(
+            self, "v", tuple(exact_rational(x, "a fiber coordinate") for x in self.v)
+        )
 
 
 def _check_chart(scroll: DecomposableScroll, base_chart: str, fiber_chart: int) -> None:
@@ -270,11 +281,11 @@ def evaluate_jet_template(
     """The jet template of a chart with u and the fiber coordinates substituted.
 
     ``v`` maps every summand other than the chart summand to its fiber
-    coordinate.  Values may be Fractions (a point) or sympy symbols; the
-    powers of u are taken once, and every entry, zeros included, stays in
-    u's own number type.  (Powers are taken directly rather than by repeated
-    products, and the zero is 0 * u**0: with sympy, u * u and 1 - 1 would
-    build an Add, whose first use imports sympy's tensor module.)
+    coordinate.  Values may be Fractions (a point) or polynomial ring
+    generators; the powers of u are taken once, and every entry, zeros
+    included, stays in u's own number type.  (Tests also pass sympy symbols,
+    for which u * u or 1 - 1 would build an Add, whose first use imports
+    sympy's tensor module: hence u**e and the zero 0 * u**0.)
     """
     template = jet_template(scroll, k, base_chart, fiber_chart)
     powers = [u**e for e in range(max(scroll.degrees) + 1)]
@@ -324,17 +335,19 @@ def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMat
     return JetMatrix(scroll=scroll, k=k, point=point, columns=cols, entries=entries)
 
 
-def _bareiss_rank(rows: List[List[int]]) -> int:
-    """Rank by one-step fraction-free (Bareiss) elimination over the integers.
+def bareiss(rows: List[list]) -> Tuple[int, object]:
+    """Rank and determinant by one-step fraction-free (Bareiss) elimination.
 
-    Pivoting is deterministic: first nonzero entry in column order.  All
-    divisions are exact.
+    Entries are ints or elements of one sympy polynomial ring over ZZ; every
+    ``//`` is exact.  Pivoting is deterministic: first nonzero entry in column
+    order.  Reduces the rows in place; the determinant is 0 unless full rank.
     """
     if not rows:
-        return 0
+        return 0, 1
     nrows, ncols = len(rows), len(rows[0])
     rank = 0
     prev = 1
+    sign = 1
     for col in range(ncols):
         pivot_row = None
         for r in range(rank, nrows):
@@ -345,6 +358,7 @@ def _bareiss_rank(rows: List[List[int]]) -> int:
             continue
         if pivot_row != rank:
             rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+            sign = -sign
         pivot = rows[rank][col]
         for r in range(rank + 1, nrows):
             factor = rows[r][col]
@@ -355,7 +369,7 @@ def _bareiss_rank(rows: List[List[int]]) -> int:
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, sign * prev if rank == nrows == ncols else 0
 
 
 def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
@@ -365,7 +379,7 @@ def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
         fracs = [Fraction(x) for x in row]
         scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
         cleared.append([int(f * scale) for f in fracs])
-    return _bareiss_rank(cleared)
+    return bareiss(cleared)[0]
 
 
 def jet_rank(matrix: JetMatrix) -> int:

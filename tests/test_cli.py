@@ -148,6 +148,10 @@ def test_invalid_input_is_one_line_diagnostic(capsys):
         ("degree", "--n", "2", "--ambient", "2"),
         ("scan", "--scroll", "2,2", "--samples", "0"),
         ("scan", "--scroll", "2,2", "--samples", "-5"),
+        ("scan", "--scroll", ",".join(["1"] * 20), "--samples", "1"),
+        ("wronskian", "--basis", "/nonexistent", "--k", "3"),
+        ("verify-theorem3", "--max-n", "0"),
+        ("verify-theorem3", "--max-k", "-3"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1

@@ -12,7 +12,6 @@ from scrolljets.scanner import (
     MATCH,
     DivisorClass,
     GenericRankFailure,
-    _symbolic_jet_matrix,
     cross_validate,
     determinant_divisor,
     rank_scan,
@@ -24,6 +23,7 @@ from scrolljets.scrollmodel import (
     BASE_ZERO,
     DecomposableScroll,
     ScrollPoint,
+    evaluate_jet_template,
     exact_rank,
     fiber_coordinate,
     jet_columns,
@@ -154,6 +154,52 @@ def test_determinant_divisor_affine_linear_in_fibers():
             assert sp.degree(delta, symbol) <= 1
 
 
+def differentiated_jet_matrix(scroll, k, base, iota, u, vs):
+    """The reduced jet matrix of a chart by differentiating the section monomials."""
+    return sp.Matrix(
+        [
+            [
+                sp.diff(f, u, col[1], *([vs[col[2]]] if col[0] == "uv" else []))
+                for col in jet_columns(scroll.n, k, iota)
+            ]
+            for f in (vs.get(s.summand, 1) * u**s.exponent for s in scroll.section_basis(base, iota))
+        ]
+    )
+
+
+def reference_chart_determinants(scroll, k):
+    """Every chart determinant by sympy's own elimination over symbols."""
+    texts = {}
+    for base in (BASE_ZERO, BASE_INF):
+        for iota in range(1, scroll.n + 1):
+            vs = {j: sp.Symbol(f"v{j}") for j in range(1, scroll.n + 1) if j != iota}
+            matrix = differentiated_jet_matrix(scroll, k, base, iota, sp.Symbol("u"), vs)
+            texts[(base, iota)] = sp.sstr(sp.expand(matrix.det(method="domain-ge")))
+    return texts
+
+
+def test_determinant_divisor_matches_sympy_determinants():
+    # the oracle is checked against an independent elimination, not only
+    # against its own; (1, 4) and (1, 3, 3) are generic-rank failures
+    failures = 0
+    for degrees in ((1, 2), (2, 3), (1, 4), (3, 4), (1, 1, 2), (2, 2, 3), (1, 3, 3), (1, 1, 1, 2)):
+        X = DecomposableScroll(degrees)
+        k = X.N // X.n
+        reference = reference_chart_determinants(X, k)
+        if set(reference.values()) == {"0"}:
+            with pytest.raises(GenericRankFailure):
+                determinant_divisor(X, k)
+            failures += 1
+            continue
+        result = determinant_divisor(X, k)
+        assert result.charts == reference, degrees
+        assert sp.sstr(result.delta) == reference[(BASE_ZERO, 1)]
+        summary = result.to_dict()
+        assert summary["determinant"] == reference[(BASE_ZERO, 1)]
+        assert summary["divisor_class"] == str(result.divisor_class.to_chow(X.n))
+    assert failures == 2
+
+
 def test_determinant_divisor_requires_square_case():
     with pytest.raises(ValueError):
         determinant_divisor(DecomposableScroll((2, 2)), 2)
@@ -219,20 +265,10 @@ def test_numeric_jet_matrix_is_symbolic_one_at_the_point(degrees, k, u, v):
     v = tuple(v[: X.n - 1])
     for base in (BASE_ZERO, BASE_INF):
         for iota in range(1, X.n + 1):
-            matrix = _symbolic_jet_matrix(X, k, base, iota)
             usym = sp.Symbol("u")
             vs = {j: sp.Symbol(f"v{j}") for j in range(1, X.n + 1) if j != iota}
-            differentiated = [
-                [
-                    sp.diff(f, usym, col[1], *([vs[col[2]]] if col[0] == "uv" else []))
-                    for col in jet_columns(X.n, k, iota)
-                ]
-                for f in (
-                    vs.get(s.summand, 1) * usym**s.exponent
-                    for s in X.section_basis(base, iota)
-                )
-            ]
-            assert matrix == sp.Matrix(differentiated)
+            matrix = sp.Matrix(evaluate_jet_template(X, k, base, iota, usym, vs))
+            assert matrix == differentiated_jet_matrix(X, k, base, iota, usym, vs)
             at_point = {usym: u, **{vs[j]: x for j, x in zip(sorted(vs), v)}}
             numeric = jet_matrix(X, k, ScrollPoint(base, u, iota, v)).entries
             assert matrix.subs(at_point) == sp.Matrix(numeric)
@@ -308,6 +344,10 @@ def test_rank_scan_rejects_large_order():
     for samples in (0, -5, 2.5, True):
         with pytest.raises(ValueError):
             rank_scan(DecomposableScroll((2, 2)), samples=samples)
+    # the structured block alone would hold 10 n 2^(n-1) points
+    for n in (8, 20):
+        with pytest.raises(ValueError):
+            scan_points(DecomposableScroll((1,) * n), 1, seed=0)
 
 
 # ---------------------------------------------------------------------------

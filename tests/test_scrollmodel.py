@@ -8,6 +8,7 @@ from scrolljets.scrollmodel import (
     BASE_ZERO,
     DecomposableScroll,
     ScrollPoint,
+    bareiss,
     exact_rank,
     fiber_coordinate,
     is_inflected,
@@ -148,6 +149,17 @@ def test_jet_matrix_rejects_bad_input():
         jet_matrix(X, 2, pt(1, (1,), fiber_chart=3))
     with pytest.raises(ValueError):
         jet_matrix(X, 2, pt(1, ()))
+    # points are exact: no binary expansion of floats, no bool as a number
+    for args in (
+        (BASE_ZERO, 0.1),
+        (BASE_ZERO, True),
+        (BASE_ZERO, Fraction(1), True),
+        (BASE_ZERO, Fraction(1), 1.0),
+        (BASE_ZERO, Fraction(1), 1, (0.5,)),
+    ):
+        with pytest.raises(ValueError):
+            ScrollPoint(*args)
+    assert ScrollPoint(BASE_ZERO, 1, 2, (Fraction(1, 2),)).u == Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +190,13 @@ def test_exact_rank_matches_float_free_reference():
             [[sp.Rational(x.numerator, x.denominator) for x in row] for row in entries]
         ).rank()
         assert exact_rank(entries) == reference
+    # the determinant, sign included, on square integer matrices
+    for _ in range(60):
+        size = rng.randint(1, 5)
+        entries = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+        rank, det = bareiss([list(row) for row in entries])
+        assert rank == sp.Matrix(entries).rank()
+        assert det == sp.Matrix(entries).det()
 
 
 def test_jet_rank_balanced_everywhere_full():
