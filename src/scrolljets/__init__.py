@@ -37,6 +37,7 @@ from .scanner import (
     DeterminantDivisor,
     DivisorClass,
     GenericRankFailure,
+    InconsistentCharts,
     InflectedSample,
     ScanReport,
     WronskianReport,
@@ -58,6 +59,7 @@ from .scrollmodel import (
     jet_matrix,
     jet_rank,
     osculating_dim,
+    point_rank,
     to_fiber_chart,
     to_other_base_chart,
 )
@@ -78,6 +80,7 @@ __all__ = [
     "G",
     "GenericRankFailure",
     "HYPOTHESIS_VIOLATED",
+    "InconsistentCharts",
     "InflectedSample",
     "JetMatrix",
     "MATCH",
@@ -104,6 +107,7 @@ __all__ = [
     "line_twist_factor",
     "osculating_chern",
     "osculating_dim",
+    "point_rank",
     "rank_profile",
     "rank_scan",
     "scan_points",

@@ -26,6 +26,7 @@ from .formulas import (
 from .scanner import (
     DEFAULT_SEED,
     MISMATCH,
+    InconsistentCharts,
     cross_validate,
     rank_scan,
     wronskian_weights,
@@ -342,7 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, InconsistentCharts) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

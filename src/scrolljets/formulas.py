@@ -15,6 +15,7 @@ from typing import Optional, Tuple, Union
 
 from .chern import segre_closed_form
 from .chow import ChowClass, CoeffPoly, D, G
+from .scrollmodel import exact_int, exact_rational
 
 Numeric = Union[int, Fraction]
 Value = Union[Fraction, CoeffPoly]
@@ -45,17 +46,21 @@ class ScrollParams:
     g: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        n = exact_int(self.n, "dimension n")
+        if n < 1:
             raise ValueError("dimension n must be a positive integer")
-        if not isinstance(self.ambient, int) or self.ambient <= self.n:
+        ambient = exact_int(self.ambient, "ambient dimension")
+        if ambient <= n:
             raise ValueError(
                 "ambient dimension must exceed the scroll dimension "
-                f"(got ambient={self.ambient}, n={self.n})"
+                f"(got ambient={ambient}, n={n})"
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ambient", ambient)
         for name in ("d", "g"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, Fraction(value))
+                object.__setattr__(self, name, exact_rational(value, name))
 
     @property
     def k(self) -> int:

@@ -27,10 +27,11 @@ wrong dimension, so the expected-codimension hypothesis behind the class
 formula fails).
 
 All three oracles read one jet template,
-:func:`scrolljets.scrollmodel.jet_template`: the scan evaluates it at
-rational points, the determinant oracle over ZZ[u, v_j], and the Wronskian
-combines the basis coefficients with the template of the monomial curve
-over ZZ[u], so nothing here differentiates.  One fraction-free elimination,
+:func:`scrolljets.scrollmodel.jet_template`: the scan ranks it at the
+integer numerators of each point (and evaluates it at the rational point
+only for a certificate), the determinant oracle evaluates it over
+ZZ[u, v_j], and the Wronskian combines the basis coefficients with the
+template of the monomial curve over ZZ[u], so nothing here differentiates.  One fraction-free elimination,
 :func:`scrolljets.scrollmodel.bareiss`, gives every rank and determinant;
 sympy supplies only the polynomial rings, factorization and printing.
 """
@@ -57,7 +58,8 @@ from .scrollmodel import (
     exact_rank,
     fiber_coordinate,
     jet_matrix,
-    jet_rank,
+    jet_order,
+    point_rank,
 )
 
 #: Fixed default seed so runs are reproducible; override per call.
@@ -73,6 +75,10 @@ _ZZ_U, _U = sp.ring("u", sp.ZZ)
 
 class GenericRankFailure(Exception):
     """The jet matrix is singular everywhere: the generic-rank hypothesis fails."""
+
+
+class InconsistentCharts(RuntimeError):
+    """The chart determinants disagree on vanishing identically: the model is broken."""
 
 
 @dataclass(frozen=True)
@@ -171,8 +177,7 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
     explicit list of k+1 integer coefficient rows, constant term first.
     A linearly dependent basis is reported as degenerate, not as a weight.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("jet order k must be a positive integer")
+    k = jet_order(k)
     rows = _basis_rows(curve)
     if isinstance(curve, DecomposableScroll) and k != curve.d:
         raise ValueError(
@@ -299,11 +304,11 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
 
     Requires N = kn so the matrix is square.  Raises
     :class:`GenericRankFailure` when the determinant vanishes identically
-    (then the generic rank is below kn+1 and no divisor exists), and
+    (then the generic rank is below kn+1 and no divisor exists),
+    :class:`InconsistentCharts` when it vanishes in some charts only, and
     ValueError when the per-chart class extractions disagree.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("jet order k must be a positive integer")
+    k = jet_order(k)
     if scroll.N != k * scroll.n:
         raise ValueError(
             f"determinant oracle needs N = kn; scroll {scroll} has N={scroll.N}, "
@@ -318,7 +323,7 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
     zero = [key for key, delta in charts.items() if not delta]
     if zero:
         if len(zero) != len(charts):
-            raise RuntimeError(
+            raise InconsistentCharts(
                 "determinant vanishes in some charts but not all; inconsistent model"
             )
         raise GenericRankFailure(
@@ -493,12 +498,13 @@ def rank_scan(
 ) -> ScanReport:
     """Probe the k-th inflectional locus by exact ranks at sampled points.
 
-    Every inflected sample is reported together with its exact jet matrix,
-    which is an independently checkable certificate.  A clean scan proves
-    nothing beyond "no inflected sample found".
+    Every point is ranked on integer rows
+    (:func:`scrolljets.scrollmodel.point_rank`); every inflected sample is
+    reported together with its exact Fraction jet matrix, which is an
+    independently checkable certificate.  A clean scan proves nothing
+    beyond "no inflected sample found".
     """
-    if k is None:
-        k = scroll.N // scroll.n
+    k = scroll.N // scroll.n if k is None else jet_order(k)
     if k * scroll.n > scroll.N:
         raise ValueError(f"jet order {k} exceeds kn <= N for scroll {scroll}")
     full_rank = k * scroll.n + 1
@@ -506,15 +512,14 @@ def rank_scan(
     inflected: List[InflectedSample] = []
     clean = 0
     for point in points:
-        matrix = jet_matrix(scroll, k, point)
-        rank = jet_rank(matrix)
+        rank = point_rank(scroll, k, point)
         if rank < full_rank:
             inflected.append(
                 InflectedSample(
                     point=point,
                     rank=rank,
                     corank=full_rank - rank,
-                    matrix=matrix.entries,
+                    matrix=jet_matrix(scroll, k, point).entries,
                 )
             )
         else:
@@ -661,8 +666,7 @@ def cross_validate(
     subsystems of sections.
     """
     derived = scroll.N // scroll.n
-    if k is None:
-        k = derived
+    k = derived if k is None else jet_order(k)
     if scroll.n == 1:
         if k > scroll.N:
             raise ValueError(f"jet order {k} exceeds the curve degree {scroll.N}")

@@ -17,6 +17,9 @@ reverses the exponent m of a degree-a section to a - m) and n fiber charts
 (fiber chart i normalizes the i-th homogeneous fiber coordinate to 1).
 Everything is exact rational arithmetic; ranks and determinants come from
 one fraction-free elimination with deterministic pivoting (:func:`bareiss`).
+A point's rank needs no fractions at all: :func:`point_rank` ranks the
+template at the numerators of its coordinates, an integer matrix that
+differs from the rational jet matrix by invertible row and column scalings.
 """
 
 from __future__ import annotations
@@ -40,6 +43,14 @@ def exact_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def jet_order(k) -> int:
+    """The jet order as an int; it must be a positive integer, not a bool or float."""
+    k = exact_int(k, "jet order k")
+    if k < 1:
+        raise ValueError("jet order k must be a positive integer")
+    return k
 
 
 def exact_rational(value, what: str) -> Fraction:
@@ -256,8 +267,7 @@ def jet_template(
     numeric, symbolic and Wronskian jet matrix is this template evaluated.
     The cache is bounded: a scan needs at most 2n charts.
     """
-    if exact_int(k, "jet order k") < 1:
-        raise ValueError("jet order k must be a positive integer")
+    jet_order(k)
     basis = scroll.section_basis(base_chart, fiber_chart)
     cols = jet_columns(scroll.n, k, fiber_chart)
     rows = []
@@ -324,12 +334,17 @@ class JetMatrix:
         return len(self.columns)
 
 
+def _fiber_values(scroll: DecomposableScroll, point: ScrollPoint) -> dict:
+    """The point's fiber coordinates, keyed by summand (the chart summand omitted)."""
+    others = [j for j in range(1, scroll.n + 1) if j != point.fiber_chart]
+    return dict(zip(others, point.v))
+
+
 def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMatrix:
     """Evaluate all reduced partials of the section basis at the point."""
     _check_point(scroll, point)
-    others = [j for j in range(1, scroll.n + 1) if j != point.fiber_chart]
     entries = evaluate_jet_template(
-        scroll, k, point.base_chart, point.fiber_chart, point.u, dict(zip(others, point.v))
+        scroll, k, point.base_chart, point.fiber_chart, point.u, _fiber_values(scroll, point)
     )
     cols = jet_columns(scroll.n, k, point.fiber_chart)
     return JetMatrix(scroll=scroll, k=k, point=point, columns=cols, entries=entries)
@@ -373,23 +388,49 @@ def bareiss(rows: List[list]) -> Tuple[int, object]:
 
 
 def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
-    """Exact rank of a rational matrix (rows are scaled integral first)."""
+    """Exact rank of a rational matrix; each row is cleared of denominators first.
+
+    Entries are ints or other exact rationals (Fractions); bools and floats
+    are rejected rather than read as 1 or binary-expanded.
+    """
     cleared: List[List[int]] = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        cleared.append([int(f * scale) for f in fracs])
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, numbers.Rational):
+                raise ValueError(f"a matrix entry must be an exact rational, got {x!r}")
+        scale = lcm(*(x.denominator for x in row))
+        cleared.append([x.numerator * (scale // x.denominator) for x in row])
     return bareiss(cleared)[0]
 
 
 def jet_rank(matrix: JetMatrix) -> int:
-    """Exact rank of a jet matrix."""
+    """Exact rank of a jet matrix, from its Fraction entries."""
     return exact_rank(matrix.entries)
+
+
+def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
+    """Rank of the k-jet matrix at a point, on integer rows.
+
+    With u = p/q and v_j = r_j/s_j, the Fraction jet matrix equals
+    D_row * M * D_col, where M is the chart's template at the integers u = p,
+    v_j = r_j, the rows of a section u^e carry q^(-e) (times s_j^(-1) on
+    summand j), and the columns of order h carry q^h (times s_j on the
+    mixed column of summand j, whose only nonzero rows are summand j's).
+    The diagonal factors are invertible, so M has the same rank, and no
+    Fraction is built.  :func:`jet_rank` of :func:`jet_matrix` is the
+    independent Fraction check.
+    """
+    _check_point(scroll, point)
+    numerators = {j: x.numerator for j, x in _fiber_values(scroll, point).items()}
+    rows = evaluate_jet_template(
+        scroll, k, point.base_chart, point.fiber_chart, point.u.numerator, numerators
+    )
+    return bareiss([list(row) for row in rows])[0]
 
 
 def osculating_dim(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
     """Dimension of the k-th osculating space at the point: jet rank - 1."""
-    return jet_rank(jet_matrix(scroll, k, point)) - 1
+    return point_rank(scroll, k, point) - 1
 
 
 def is_inflected(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> bool:
@@ -401,4 +442,4 @@ def is_inflected(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> bool
         raise ValueError(
             f"jet order {k} exceeds the range kn <= N for scroll {scroll} (N={scroll.N})"
         )
-    return jet_rank(jet_matrix(scroll, k, point)) < k * scroll.n + 1
+    return point_rank(scroll, k, point) < k * scroll.n + 1

@@ -1,4 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrolljets.cli import main
 
@@ -24,6 +31,17 @@ def test_degree_verb_formal(capsys):
     code, out, _ = run(capsys, "degree", "--n", "2", "--ambient", "5")
     assert code == 0
     assert "3*d + 12*g - 12" in out
+
+
+def test_class_verb_with_rational_values(capsys):
+    # numeric d and g are read as exact rationals, never as floats
+    code, out, _ = run(capsys, "class", "--n", "2", "--ambient", "4", "--d", "3/2", "--g", "-7")
+    assert code == 0
+    assert out == "scroll: n=2 in P^4 (k=2, ell=1)\ninflectional locus class: L - 61*F\n"
+    code, doc, _ = run_json(capsys, "class", "--n", "3", "--ambient", "7", "--d", "3/2")
+    assert code == 0
+    assert doc["inputs"]["d"] == "3/2"
+    assert doc["result"]["class"] == "L^2 + (14*g - 11)*L*F"
 
 
 def test_class_verb_json(capsys):
@@ -159,7 +177,107 @@ def test_invalid_input_is_one_line_diagnostic(capsys):
         assert err.count("\n") == 1 and err.startswith("error:")
 
 
+def test_inconsistent_determinant_charts_are_one_line_diagnostic(capsys, monkeypatch):
+    import scrolljets.scanner as scanner_mod
+
+    def disagreeing(scroll, k):
+        raise scanner_mod.InconsistentCharts(
+            "determinant vanishes in some charts but not all; inconsistent model"
+        )
+
+    monkeypatch.setattr(scanner_mod, "determinant_divisor", disagreeing)
+    code, out, err = run(capsys, "cross-validate", "--scroll", "1,2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: determinant vanishes in some charts but not all; inconsistent model\n"
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "scan", "--scroll", "1,3", "--samples", "60", "--json")
     second = run(capsys, "scan", "--scroll", "1,3", "--samples", "60", "--json")
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# random argv: every verb ends in an exit code, never in a traceback
+# ---------------------------------------------------------------------------
+
+
+def mostly(valid, invalid):
+    """Valid values three times in four."""
+    return st.integers(0, 3).flatmap(lambda i: invalid if i == 3 else valid)
+
+
+junk = st.sampled_from(["", "x", "1.5", "3/2", "1/0", "True", "-0", "2e1"])
+small = mostly(st.integers(1, 3).map(str), st.one_of(st.integers(-1, 0).map(str), junk))
+ambient = mostly(st.integers(2, 8).map(str), st.one_of(st.integers(-1, 1).map(str), junk))
+bound = mostly(st.integers(1, 3).map(str), st.sampled_from(["0", "-1", "x"]))
+samples = mostly(st.integers(1, 20).map(str), st.sampled_from(["0", "-1", "2.5", "x"]))
+rational = mostly(
+    st.sampled_from(["0", "3", "-7", "3/2", "-7/3", "1.7"]), st.sampled_from(["1/0", "x", ""])
+)
+scroll_spec = mostly(
+    st.lists(st.integers(1, 4), min_size=1, max_size=3).map(lambda a: ",".join(map(str, a))),
+    st.one_of(st.sampled_from(["0", "-1,2", "1,,2"]), junk),
+)
+
+# verb -> option -> (value strategy, chance in ten that the option is given)
+OPTIONS = {
+    "class": {"--n": (small, 9), "--ambient": (ambient, 9), "--d": (rational, 5),
+              "--g": (rational, 5)},
+    "degree": {"--n": (small, 9), "--ambient": (ambient, 9), "--d": (rational, 5),
+               "--g": (rational, 5)},
+    "verify-theorem3": {"--max-n": (bound, 5), "--max-k": (bound, 5)},
+    "classify": {"--n": (small, 9), "--k": (small, 9), "--ell": (small, 9)},
+    "scan": {"--scroll": (scroll_spec, 9), "--k": (small, 3), "--samples": (samples, 7),
+             "--seed": (small, 3)},
+    "cross-validate": {"--scroll": (scroll_spec, 9), "--k": (small, 3),
+                       "--samples": (samples, 7), "--seed": (small, 3)},
+    "ranks": {"--n": (small, 9), "--k": (small, 9)},
+}
+
+
+@st.composite
+def argvs(draw):
+    """A random command line; a wronskian basis is a list of rows, written out by the test."""
+    verb = draw(st.sampled_from(sorted(OPTIONS) + ["wronskian"]))
+    argv = [verb]
+    if verb == "wronskian":
+        k = draw(st.integers(1, 4))
+        argv += ["--k", draw(mostly(st.just(str(k)), small))]
+        source = draw(st.sampled_from(["--degrees", "--basis", "--basis", "both", "neither"]))
+        if source in ("--degrees", "both"):
+            argv += ["--degrees", draw(mostly(st.just(str(k)), scroll_spec))]
+        if source in ("--basis", "both"):
+            count = draw(mostly(st.just(k + 1), st.integers(1, 5)))
+            row = st.lists(st.integers(-3, 3), min_size=1, max_size=5)
+            argv += ["--basis", draw(st.lists(row, min_size=count, max_size=count))]
+    else:
+        for option, (values, chance) in OPTIONS[verb].items():
+            if draw(st.integers(0, 9)) < chance:
+                argv += [option, draw(values)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_random_argv_never_raises(argv):
+    argv = list(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if "--basis" in argv:
+            at = argv.index("--basis") + 1
+            path = Path(tmp) / "basis.txt"
+            path.write_text("".join(" ".join(map(str, row)) + "\n" for row in argv[at]))
+            argv[at] = str(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:  # argparse: usage errors exit 2
+                code = exit_.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and "--json" in argv:
+        json.loads(out.getvalue())

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from scrolljets.chern import segre_term
@@ -30,6 +32,24 @@ def test_params_reject_degenerate_ambient():
         ScrollParams(n=3, ambient=1)
     with pytest.raises(ValueError):
         ScrollParams(n=0, ambient=3)
+
+
+def test_params_reject_inexact_values():
+    # no binary expansion of a float degree, no bool read as 1
+    for kwargs in (
+        dict(n=2, ambient=4, d=1.7, g=0),
+        dict(n=2, ambient=4, d=3, g=0.5),
+        dict(n=True, ambient=4),
+        dict(n=2, ambient=4.0),
+        dict(n=2.0, ambient=4),
+        dict(n=2, ambient=4, d=True),
+        dict(n=2, ambient=4, d="3"),
+    ):
+        with pytest.raises(ValueError):
+            ScrollParams(**kwargs)
+    p = ScrollParams(n=2, ambient=4, d=Fraction(3, 2), g=-7)
+    assert (p.d, p.g) == (Fraction(3, 2), Fraction(-7))
+    assert str(inflectional_class(p)) == "L - 61*F"
 
 
 def test_params_codim_always_in_range():

@@ -344,6 +344,10 @@ def test_rank_scan_rejects_large_order():
     for samples in (0, -5, 2.5, True):
         with pytest.raises(ValueError):
             rank_scan(DecomposableScroll((2, 2)), samples=samples)
+    # the jet order is checked before any point is built
+    for k in (True, 1.0, 2.5, 0, -1):
+        with pytest.raises(ValueError):
+            rank_scan(DecomposableScroll((2, 2)), k=k)
     # the structured block alone would hold 10 n 2^(n-1) points
     for n in (8, 20):
         with pytest.raises(ValueError):
@@ -401,6 +405,13 @@ def test_cross_validate_balanced_scan():
 def test_cross_validate_rejects_explicit_order_on_surfaces():
     with pytest.raises(ValueError):
         cross_validate(DecomposableScroll((1, 2)), k=1)
+
+
+def test_cross_validate_rejects_inexact_order():
+    for degrees in ((3,), (1, 2), (2, 2)):
+        for k in (True, 1.0, 2.5, 0, -1):
+            with pytest.raises(ValueError):
+                cross_validate(DecomposableScroll(degrees), k=k)
 
 
 def test_cross_validate_deterministic():

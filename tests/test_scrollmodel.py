@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scrolljets.scrollmodel import (
     BASE_INF,
@@ -14,8 +16,10 @@ from scrolljets.scrollmodel import (
     is_inflected,
     jet_columns,
     jet_matrix,
+    jet_order,
     jet_rank,
     osculating_dim,
+    point_rank,
     to_fiber_chart,
     to_other_base_chart,
 )
@@ -197,6 +201,59 @@ def test_exact_rank_matches_float_free_reference():
         rank, det = bareiss([list(row) for row in entries])
         assert rank == sp.Matrix(entries).rank()
         assert det == sp.Matrix(entries).det()
+
+
+def test_exact_rank_rejects_inexact_entries():
+    # a float would be binary-expanded and a bool read as 1
+    for rows in ([[0.1, 0.2], [1, 2]], [[True, 2], [1, 2]], [[1, 2], [Fraction(1), 2.0]]):
+        with pytest.raises(ValueError):
+            exact_rank(rows)
+    assert exact_rank([[Fraction(1, 10), Fraction(1, 5)], [1, 2]]) == 1
+
+
+def test_jet_order_is_a_positive_integer():
+    assert jet_order(3) == 3
+    for k in (0, -1, True, 1.0, 2.5, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            jet_order(k)
+
+
+def sympy_rank(entries) -> int:
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [[QQ(x.numerator, x.denominator) for x in row] for row in entries]
+    return DomainMatrix(rows, (len(rows), len(rows[0])), QQ).rank()
+
+
+coordinates = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6, max_denominator=5)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    coordinates,
+    st.lists(coordinates, min_size=3, max_size=3),
+)
+@example([1, 3], Fraction(3, 2), [Fraction(0)] * 3)
+@example([2, 3, 4], Fraction(0), [Fraction(5, 3), Fraction(-2, 5), Fraction(0)])
+@example([1, 1, 2, 4], Fraction(-4, 5), [Fraction(1, 2), Fraction(0), Fraction(3, 4)])
+def test_point_rank_is_the_fraction_rank(degrees, u, v):
+    # the integer rows differ from the Fraction jet matrix by invertible row
+    # and column scalings, in every chart, at every order and on every stratum
+    X = DecomposableScroll(tuple(degrees))
+    v = tuple(v[: X.n - 1])
+    for k in range(1, X.N // X.n + 1):
+        for base in (BASE_ZERO, BASE_INF):
+            for iota in range(1, X.n + 1):
+                p = ScrollPoint(base, u, iota, v)
+                entries = jet_matrix(X, k, p).entries
+                rank = exact_rank(entries)
+                assert point_rank(X, k, p) == rank == sympy_rank(entries)
+                assert osculating_dim(X, k, p) == rank - 1
+                assert is_inflected(X, k, p) == (rank < k * X.n + 1)
 
 
 def test_jet_rank_balanced_everywhere_full():
