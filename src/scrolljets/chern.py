@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .chow import ChowClass, CoeffPoly, D, G
+from .scrollmodel import exact_int, jet_order, scroll_dimension
 
 
 @dataclass(frozen=True)
@@ -40,10 +41,7 @@ class RankProfile:
 
 
 def rank_profile(n: int, k: int) -> RankProfile:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("dimension n must be a positive integer")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("jet order k must be a positive integer")
+    n, k = scroll_dimension(n), jet_order(k)
     return RankProfile(
         n=n,
         k=k,
@@ -61,7 +59,8 @@ def curve_factor(n: int, i: int, inverse: bool = False) -> ChowClass:
     multiplicative inverse 1 + (d + 2in(g-1))F is returned (they agree up
     to the sign of the F term because F*F = 0).
     """
-    if not isinstance(i, int) or i < 0:
+    n = scroll_dimension(n)
+    if exact_int(i, "twist index i") < 0:
         raise ValueError("twist index i must be a nonnegative integer")
     coeff = D + (2 * i * n) * (G - 1)
     sign = 1 if inverse else -1
@@ -70,7 +69,7 @@ def curve_factor(n: int, i: int, inverse: bool = False) -> ChowClass:
 
 def line_twist_factor(n: int, k: int) -> ChowClass:
     """Total Chern class of the line-bundle factor: 1 - 2k(g-1)F - L."""
-    if not isinstance(k, int) or k < 0:
+    if exact_int(k, "jet order k") < 0:
         raise ValueError("jet order k must be a nonnegative integer")
     return ChowClass(n, [(0, 1, 0), (1, -1, (-2 * k) * (G - 1))])
 
@@ -81,20 +80,24 @@ def osculating_chern(n: int, k: int) -> ChowClass:
     Product of the k curve factors (twist indices 0..k-1) and the line
     twist factor at k.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("dimension n must be a positive integer")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("jet order k must be a positive integer")
+    n, k = scroll_dimension(n), jet_order(k)
     total = ChowClass.unit(n)
     for i in range(k):
         total = total * curve_factor(n, i)
     return total * line_twist_factor(n, k)
 
 
+def _segre_codimension(n: int, j) -> int:
+    """A Segre term's codimension j as an int in 1..n (n already checked)."""
+    if not 1 <= exact_int(j, "codimension j") <= n:
+        raise ValueError(f"codimension j must lie in 1..{n}")
+    return int(j)
+
+
 def segre_term(n: int, k: int, j: int) -> ChowClass:
     """Codimension-j piece of the inverse total Chern class, via the product."""
-    if not isinstance(j, int) or j < 1 or j > n:
-        raise ValueError(f"codimension j must lie in 1..{n}")
+    n = scroll_dimension(n)
+    j = _segre_codimension(n, j)
     inv = osculating_chern(n, k).inverse()
     alpha, beta = inv.term(j)
     return ChowClass(n, [(j, alpha, beta)])
@@ -105,11 +108,7 @@ def segre_closed_form(n: int, k: int, j: int) -> ChowClass:
 
     L^j + k*(d + (n(k-1) + 2j)(g-1)) * L^(j-1)*F
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("dimension n must be a positive integer")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("jet order k must be a positive integer")
-    if not isinstance(j, int) or j < 1 or j > n:
-        raise ValueError(f"codimension j must lie in 1..{n}")
+    n, k = scroll_dimension(n), jet_order(k)
+    j = _segre_codimension(n, j)
     beta: CoeffPoly = k * (D + (n * (k - 1) + 2 * j) * (G - 1))
     return ChowClass(n, [(j, 1, beta)])

@@ -12,6 +12,15 @@ degree of the scroll) and g (the genus of the base curve), with exact
 integer or rational coefficients.  Keeping d and g formal lets identities
 between classes be established as polynomial identities instead of by
 sampling numeric values.  No floating point is used anywhere.
+
+A CoeffPoly stores no zero coefficient and every integral Fraction as an
+int, so equal objects have equal terms and hashes.  Public constructors
+validate their input; arithmetic builds results through the trusted
+``_make`` constructors, which only normalise the coefficients they produce.
+As F*F = 0, codimension pieces multiply by the pair rule
+(a, b)*(a', b') = (aa', ab' + ba') on the (L^j, L^(j-1)F) coefficients, and
+a class 1 + x_1 + ... + x_n is inverted by the power-series recurrence
+y_0 = 1, y_m = -sum_{i=1..m} x_i*y_(m-i).
 """
 
 from __future__ import annotations
@@ -19,15 +28,26 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
+from .scrollmodel import exact_int, exact_rational, scroll_dimension
+
 Scalar = Union[int, Fraction]
 CoeffLike = Union["CoeffPoly", int, Fraction]
 
 
-def _normalize_scalar(c: Scalar) -> Scalar:
-    """Collapse Fractions with denominator 1 to plain ints."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
+def _tidy(terms: dict) -> dict:
+    """Drop zero coefficients and store integral Fractions as ints, in place."""
+    for key, c in list(terms.items()):
+        if not c:
+            del terms[key]
+        elif type(c) is Fraction and c.denominator == 1:
+            terms[key] = c.numerator
+    return terms
+
+
+def _signed_sum(parts: list) -> str:
+    """Join (sign, body) pairs as "a - b + c", dropping a leading "+"."""
+    text = " ".join(f"{sign} {body}" for sign, body in parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 class CoeffPoly:
@@ -43,16 +63,21 @@ class CoeffPoly:
 
     def __init__(self, terms: Optional[Mapping[Tuple[int, int], Scalar]] = None):
         clean: dict[Tuple[int, int], Scalar] = {}
-        if terms:
-            for (ed, eg), c in terms.items():
-                if ed < 0 or eg < 0:
-                    raise ValueError("monomial exponents must be nonnegative")
-                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                    raise TypeError(f"coefficient {c!r} is not an exact number")
-                c = _normalize_scalar(c)
-                if c:
-                    clean[(int(ed), int(eg))] = c
-        self._terms = clean
+        for (ed, eg), c in (terms or {}).items():
+            ed, eg = exact_int(ed, "an exponent of d"), exact_int(eg, "an exponent of g")
+            if ed < 0 or eg < 0:
+                raise ValueError("monomial exponents must be nonnegative")
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an exact number")
+            clean[(ed, eg)] = c
+        self._terms = _tidy(clean)
+
+    @classmethod
+    def _make(cls, terms: dict) -> "CoeffPoly":
+        """Trusted constructor: ``terms`` is already in canonical form and is not copied."""
+        poly = object.__new__(cls)
+        poly._terms = terms
+        return poly
 
     @classmethod
     def const(cls, c: Scalar) -> "CoeffPoly":
@@ -65,7 +90,7 @@ class CoeffPoly:
         if isinstance(value, bool):
             raise TypeError("booleans are not coefficients")
         if isinstance(value, (int, Fraction)):
-            return CoeffPoly.const(value)
+            return CoeffPoly._make(_tidy({(0, 0): value}))
         raise TypeError(f"cannot interpret {value!r} as a d/g polynomial")
 
     def terms(self) -> dict[Tuple[int, int], Scalar]:
@@ -86,16 +111,21 @@ class CoeffPoly:
         return bool(self._terms)
 
     def __add__(self, other: CoeffLike) -> "CoeffPoly":
-        other = CoeffPoly.coerce(other)
+        if type(other) is not CoeffPoly:
+            other = CoeffPoly.coerce(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         merged = dict(self._terms)
         for key, c in other._terms.items():
             merged[key] = merged.get(key, 0) + c
-        return CoeffPoly(merged)
+        return CoeffPoly._make(_tidy(merged))
 
     __radd__ = __add__
 
     def __neg__(self) -> "CoeffPoly":
-        return CoeffPoly({key: -c for key, c in self._terms.items()})
+        return CoeffPoly._make({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other: CoeffLike) -> "CoeffPoly":
         return self + (-CoeffPoly.coerce(other))
@@ -104,18 +134,21 @@ class CoeffPoly:
         return CoeffPoly.coerce(other) + (-self)
 
     def __mul__(self, other: CoeffLike) -> "CoeffPoly":
-        other = CoeffPoly.coerce(other)
+        if type(other) is not CoeffPoly:
+            other = CoeffPoly.coerce(other)
+        if not self._terms or not other._terms:
+            return _ZERO
         prod: dict[Tuple[int, int], Scalar] = {}
         for (ed1, eg1), c1 in self._terms.items():
             for (ed2, eg2), c2 in other._terms.items():
                 key = (ed1 + ed2, eg1 + eg2)
                 prod[key] = prod.get(key, 0) + c1 * c2
-        return CoeffPoly(prod)
+        return CoeffPoly._make(_tidy(prod))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CoeffPoly":
-        if not isinstance(exponent, int) or exponent < 0:
+        if exact_int(exponent, "an exponent") < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = CoeffPoly.const(1)
         for _ in range(exponent):
@@ -130,7 +163,8 @@ class CoeffPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset((key, Fraction(c)) for key, c in self._terms.items()))
+        # canonical terms: an integral Fraction is stored as an int, which hashes alike
+        return hash(frozenset(self._terms.items()))
 
     def substitute(
         self,
@@ -138,15 +172,17 @@ class CoeffPoly:
         g: Optional[Scalar] = None,
     ) -> "CoeffPoly":
         """Plug exact values into d and/or g; omitted parameters stay formal."""
+        d = None if d is None else exact_rational(d, "d")
+        g = None if g is None else exact_rational(g, "g")
         out: dict[Tuple[int, int], Scalar] = {}
         for (ed, eg), c in self._terms.items():
             value: Scalar = c
             key_d, key_g = ed, eg
             if d is not None:
-                value = value * Fraction(d) ** ed
+                value = value * d**ed
                 key_d = 0
             if g is not None:
-                value = value * Fraction(g) ** eg
+                value = value * g**eg
                 key_g = 0
             key = (key_d, key_g)
             out[key] = out.get(key, 0) + value
@@ -155,8 +191,8 @@ class CoeffPoly:
     def evaluate(self, d: Scalar, g: Scalar) -> Fraction:
         """Evaluate at exact rational values; this is a ring homomorphism."""
         total = Fraction(0)
-        d = Fraction(d)
-        g = Fraction(g)
+        d = exact_rational(d, "d")
+        g = exact_rational(g, "g")
         for (ed, eg), c in self._terms.items():
             total += Fraction(c) * d**ed * g**eg
         return total
@@ -192,19 +228,17 @@ class CoeffPoly:
                 body = str(mag)
             sign = "-" if c < 0 else "+"
             parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"CoeffPoly({self})"
 
 
-#: The formal degree and genus parameters.
+#: The formal degree and genus parameters, and the shared zero and one.
 D = CoeffPoly({(1, 0): 1})
 G = CoeffPoly({(0, 1): 1})
+_ZERO = CoeffPoly()
+_ONE = CoeffPoly.const(1)
 
 
 _PIECE_NAMES = {0: "1", 1: "L"}
@@ -219,6 +253,14 @@ def _fiber_name(j: int) -> str:
     return _FIBER_NAMES.get(j, f"L^{j - 1}*F")
 
 
+def _codimension(j, n: int) -> int:
+    """The codimension as an int in 0..n; bools, floats and others are rejected."""
+    j = exact_int(j, "a codimension")
+    if j < 0 or j > n:
+        raise ValueError(f"codimension {j} outside 0..{n}")
+    return j
+
+
 class ChowClass:
     """Graded class on an n-dimensional scroll, in the {L^j, L^(j-1)F} basis.
 
@@ -231,22 +273,24 @@ class ChowClass:
     __slots__ = ("_n", "_alpha", "_beta")
 
     def __init__(self, n: int, terms: Iterable[Tuple[int, CoeffLike, CoeffLike]] = ()):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("scroll dimension must be a positive integer")
-        alpha = [CoeffPoly() for _ in range(n + 1)]
-        beta = [CoeffPoly() for _ in range(n + 1)]
+        n = scroll_dimension(n)
+        alpha = [_ZERO] * (n + 1)
+        beta = [_ZERO] * (n + 1)
         for j, a, b in terms:
-            if not isinstance(j, int) or j < 0 or j > n:
-                raise ValueError(f"codimension {j} outside 0..{n}")
-            a = CoeffPoly.coerce(a)
-            b = CoeffPoly.coerce(b)
+            j = _codimension(j, n)
+            a, b = CoeffPoly.coerce(a), CoeffPoly.coerce(b)
             if j == 0 and not b.is_zero():
                 raise ValueError("codimension 0 admits no fiber term")
-            alpha[j] = alpha[j] + a
-            beta[j] = beta[j] + b
-        self._n = n
-        self._alpha = tuple(alpha)
-        self._beta = tuple(beta)
+            alpha[j] += a
+            beta[j] += b
+        self._n, self._alpha, self._beta = n, tuple(alpha), tuple(beta)
+
+    @classmethod
+    def _make(cls, n: int, alpha: tuple, beta: tuple) -> "ChowClass":
+        """Trusted constructor from the (alpha_j) and (beta_j) tuples, j = 0..n."""
+        chow = object.__new__(cls)
+        chow._n, chow._alpha, chow._beta = n, alpha, beta
+        return chow
 
     @property
     def n(self) -> int:
@@ -268,18 +312,13 @@ class ChowClass:
 
     def term(self, j: int) -> Tuple[CoeffPoly, CoeffPoly]:
         """The coefficient pair (alpha_j, beta_j) in codimension j."""
-        if not isinstance(j, int) or j < 0 or j > self._n:
-            raise ValueError(f"codimension {j} outside 0..{self._n}")
+        j = _codimension(j, self._n)
         return self._alpha[j], self._beta[j]
 
     def pieces(self) -> list[Tuple[int, CoeffPoly, CoeffPoly]]:
         """Nonzero graded pieces as (codim, alpha, beta), ascending codim."""
-        out = []
-        for j in range(self._n + 1):
-            a, b = self._alpha[j], self._beta[j]
-            if not a.is_zero() or not b.is_zero():
-                out.append((j, a, b))
-        return out
+        pairs = enumerate(zip(self._alpha, self._beta))
+        return [(j, a, b) for j, (a, b) in pairs if a._terms or b._terms]
 
     def is_zero(self) -> bool:
         return not self.pieces()
@@ -306,18 +345,15 @@ class ChowClass:
         if not isinstance(other, ChowClass):
             return NotImplemented
         self._require_same_ring(other)
-        return ChowClass(
+        return ChowClass._make(
             self._n,
-            [
-                (j, self._alpha[j] + other._alpha[j], self._beta[j] + other._beta[j])
-                for j in range(self._n + 1)
-            ],
+            tuple(a + a2 for a, a2 in zip(self._alpha, other._alpha)),
+            tuple(b + b2 for b, b2 in zip(self._beta, other._beta)),
         )
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass(
-            self._n,
-            [(j, -self._alpha[j], -self._beta[j]) for j in range(self._n + 1)],
+        return ChowClass._make(
+            self._n, tuple(-a for a in self._alpha), tuple(-b for b in self._beta)
         )
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
@@ -328,37 +364,32 @@ class ChowClass:
     def __mul__(self, other: Union["ChowClass", CoeffLike]) -> "ChowClass":
         if not isinstance(other, ChowClass):
             scalar = CoeffPoly.coerce(other)
-            return ChowClass(
+            return ChowClass._make(
                 self._n,
-                [
-                    (j, self._alpha[j] * scalar, self._beta[j] * scalar)
-                    for j in range(self._n + 1)
-                ],
+                tuple(a * scalar for a in self._alpha),
+                tuple(b * scalar for b in self._beta),
             )
         self._require_same_ring(other)
         n = self._n
-        alpha = [CoeffPoly() for _ in range(n + 1)]
-        beta = [CoeffPoly() for _ in range(n + 1)]
-        for p in range(n + 1):
-            ap, bp = self._alpha[p], self._beta[p]
-            if ap.is_zero() and bp.is_zero():
-                continue
-            for q in range(n + 1 - p):
-                aq, bq = other._alpha[q], other._beta[q]
-                if aq.is_zero() and bq.is_zero():
-                    continue
+        alpha = [_ZERO] * (n + 1)
+        beta = [_ZERO] * (n + 1)
+        right = other.pieces()
+        for p, ap, bp in self.pieces():
+            for q, aq, bq in right:
                 j = p + q
-                # L^p * L^q and the two mixed terms; the beta*beta product
-                # carries F*F and dies.
-                alpha[j] = alpha[j] + ap * aq
-                beta[j] = beta[j] + ap * bq + bp * aq
-        return ChowClass(n, [(j, alpha[j], beta[j]) for j in range(n + 1)])
+                if j > n:
+                    break
+                # pair rule: L^p * L^q and the two mixed terms; the beta*beta
+                # product carries F*F and dies.
+                alpha[j] += ap * aq
+                beta[j] += ap * bq + bp * aq
+        return ChowClass._make(n, tuple(alpha), tuple(beta))
 
     def __rmul__(self, other: CoeffLike) -> "ChowClass":
         return self * other
 
     def __pow__(self, exponent: int) -> "ChowClass":
-        if not isinstance(exponent, int) or exponent < 0:
+        if exact_int(exponent, "an exponent") < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = ChowClass.unit(self._n)
         for _ in range(exponent):
@@ -368,22 +399,29 @@ class ChowClass:
     def inverse(self) -> "ChowClass":
         """Multiplicative inverse, as a power series truncated beyond codim n.
 
-        Requires constant term exactly 1.  The result y satisfies
+        Requires constant term exactly 1, so self = 1 + x_1 + ... + x_n with
+        x_i of codimension i.  The inverse y is the recurrence y_0 = 1,
+        y_m = -sum_{i=1..m} x_i * y_(m-i), each product by the pair rule
+        (a_i, b_i) * (a_r, b_r) = (a_i a_r, a_i b_r + b_i a_r) as F*F = 0:
+        O(n^2) coefficient pair products.  The result satisfies
         self * y == 1 on the nose (truncation included).
         """
-        a0, b0 = self.term(0)
-        if a0 != 1 or not b0.is_zero():
+        if self._alpha[0] != 1 or self._beta[0]:
             raise ValueError("inverse requires constant term 1")
-        one = ChowClass.unit(self._n)
-        nilpotent = self - one
-        result = one
-        power = one
-        sign = 1
-        for _ in range(self._n):
-            power = power * nilpotent
-            sign = -sign
-            result = result + power * sign
-        return result
+        n = self._n
+        alpha = [_ONE] + [_ZERO] * n
+        beta = [_ZERO] * (n + 1)
+        xs = self.pieces()[1:]
+        for m in range(1, n + 1):
+            a = b = _ZERO
+            for i, a_i, b_i in xs:
+                if i > m:
+                    break
+                a_r, b_r = alpha[m - i], beta[m - i]
+                a += a_i * a_r
+                b += a_i * b_r + b_i * a_r
+            alpha[m], beta[m] = -a, -b
+        return ChowClass._make(n, tuple(alpha), tuple(beta))
 
     def evaluate(
         self,
@@ -391,12 +429,10 @@ class ChowClass:
         g: Optional[Scalar] = None,
     ) -> "ChowClass":
         """Substitute exact values for d and/or g in every coefficient."""
-        return ChowClass(
+        return ChowClass._make(
             self._n,
-            [
-                (j, self._alpha[j].substitute(d, g), self._beta[j].substitute(d, g))
-                for j in range(self._n + 1)
-            ],
+            tuple(a.substitute(d, g) for a in self._alpha),
+            tuple(b.substitute(d, g) for b in self._beta),
         )
 
     def degree_poly(self) -> CoeffPoly:
@@ -449,11 +485,7 @@ class ChowClass:
                 chunks.append((sign, body))
         if not chunks:
             return "0"
-        first_sign, first_body = chunks[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _signed_sum(chunks)
 
     def __repr__(self) -> str:
         return f"ChowClass(n={self._n}, {self})"

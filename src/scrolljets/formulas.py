@@ -15,7 +15,7 @@ from typing import Optional, Tuple, Union
 
 from .chern import segre_closed_form
 from .chow import ChowClass, CoeffPoly, D, G
-from .scrollmodel import exact_int, exact_rational
+from .scrollmodel import exact_int, exact_rational, jet_order, scroll_dimension
 
 Numeric = Union[int, Fraction]
 Value = Union[Fraction, CoeffPoly]
@@ -46,9 +46,7 @@ class ScrollParams:
     g: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        n = exact_int(self.n, "dimension n")
-        if n < 1:
-            raise ValueError("dimension n must be a positive integer")
+        n = scroll_dimension(self.n)
         ambient = exact_int(self.ambient, "ambient dimension")
         if ambient <= n:
             raise ValueError(
@@ -107,8 +105,7 @@ def curve_inflection_degree(
 ) -> Value:
     """Weighted number of inflection points of a degree-d genus-g curve
     spanning projective k-space: (k+1)(d + k(g-1))."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("jet order k must be a positive integer")
+    k = jet_order(k)
     poly = (k + 1) * (D + k * (G - 1))
     return _as_value(poly.substitute(d=d, g=g))
 
@@ -116,8 +113,8 @@ def curve_inflection_degree(
 def double_point_check(n: int, d: Numeric, g: Numeric) -> bool:
     """Self-intersection identity for a smooth n-dimensional scroll living
     in projective 2n-space: (d-n)(d-n-1) = n(n+1)g."""
-    d = Fraction(d)
-    g = Fraction(g)
+    n = scroll_dimension(n)
+    d, g = exact_rational(d, "d"), exact_rational(g, "g")
     return (d - n) * (d - n - 1) == n * (n + 1) * g
 
 
@@ -147,11 +144,8 @@ def classify_uninflected(n: int, k: int, ell: int) -> Optional[UninflectedDescri
     answer is the balanced scroll: genus 0, degree kn, splitting degrees
     (k, ..., k), in projective ((k+1)n - 1)-space.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("dimension n must be a positive integer")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("jet order k must be a positive integer")
-    if not isinstance(ell, int) or ell < 1 or ell > n:
+    n, k, ell = scroll_dimension(n), jet_order(k), exact_int(ell, "expected codimension ell")
+    if ell < 1 or ell > n:
         raise ValueError(f"expected codimension ell must lie in 1..{n}")
     if ell < n:
         return None

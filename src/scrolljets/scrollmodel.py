@@ -53,6 +53,14 @@ def jet_order(k) -> int:
     return k
 
 
+def scroll_dimension(n) -> int:
+    """The dimension n as an int; it must be a positive integer, not a bool or float."""
+    n = exact_int(n, "dimension n")
+    if n < 1:
+        raise ValueError("dimension n must be a positive integer")
+    return n
+
+
 def exact_rational(value, what: str) -> Fraction:
     """The value as a Fraction; bools, floats and other inexact values are rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Rational):

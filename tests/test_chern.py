@@ -153,8 +153,9 @@ def test_total_chern_multiplicative_step():
 
 
 def test_segre_pipeline_matches_closed_form_grid():
-    for n in range(1, 5):
-        for k in range(1, 5):
+    # n up to the benchmark's SEGRE_MAX_N
+    for n in range(1, 13):
+        for k in range(1, 7):
             for j in range(1, n + 1):
                 assert segre_term(n, k, j) == segre_closed_form(n, k, j)
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
 from scrolljets.chow import ChowClass, CoeffPoly, D, G
 
@@ -288,3 +290,105 @@ def test_degree_of_zero_class():
     zero = ChowClass(3)
     assert zero.degree_poly().is_zero()
     assert zero.degree(4, 2) == 0
+
+
+# ---------------------------------------------------------------------------
+# independent reference model: QQ[d, g][L, F] / (F^2, codim > n) on sympy rings
+# ---------------------------------------------------------------------------
+
+REF, REF_D, REF_G, REF_L, REF_F = ring("d,g,L,F", QQ)
+
+ref_coeffs = st.dictionaries(
+    monomials, st.one_of(scalars, small_fractions), max_size=3
+).map(CoeffPoly)
+ref_slots = st.one_of(st.just(CoeffPoly()), ref_coeffs)
+
+
+@st.composite
+def ref_classes(draw, count=2, unit=False):
+    n = draw(st.integers(min_value=1, max_value=6))
+    out = []
+    for _ in range(count):
+        head = 1 if unit else draw(ref_slots)
+        terms = [(0, head, 0)]
+        terms += [(j, draw(ref_slots), draw(ref_slots)) for j in range(1, n + 1)]
+        out.append(ChowClass(n, terms))
+    return out
+
+
+def ref_reduce(p, n):
+    """Kill F^2 and everything of codimension beyond n."""
+    return REF.from_dict({m: c for m, c in p.items() if m[3] < 2 and m[2] + m[3] <= n})
+
+
+def ref_coeff(poly):
+    out = REF.zero
+    for (ed, eg), c in poly.terms().items():
+        c = Fraction(c)
+        out += QQ(c.numerator, c.denominator) * REF_D**ed * REF_G**eg
+    return out
+
+
+def to_ref(x):
+    out = REF.zero
+    for j, a, b in x.pieces():
+        out += ref_coeff(a) * REF_L**j
+        if j:
+            out += ref_coeff(b) * REF_L ** (j - 1) * REF_F
+    return out
+
+
+def ref_inverse(p, n):
+    """Neumann series sum_m (1 - p)^m, exact as 1 - p is nilpotent."""
+    nilpotent = REF.one - p
+    total, power = REF.one, REF.one
+    for _ in range(n):
+        power = ref_reduce(power * nilpotent, n)
+        total += power
+    return total
+
+
+def assert_canonical(x):
+    for _, a, b in x.pieces():
+        for poly in (a, b):
+            for c in poly.terms().values():
+                assert c != 0
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_classes(count=2))
+def test_products_match_reference_model(classes):
+    x, y = classes
+    n = x.n
+    prod = x * y
+    assert to_ref(prod) == ref_reduce(to_ref(x) * to_ref(y), n)
+    assert to_ref(x + y) == to_ref(x) + to_ref(y)
+    assert to_ref(x - y) == to_ref(x) - to_ref(y)
+    for z in (prod, x + y, x - y, -x, x * Fraction(3, 2)):
+        assert_canonical(z)
+    rebuilt = ChowClass(n, prod.pieces())
+    assert y * x == prod == rebuilt
+    assert hash(y * x) == hash(prod) == hash(rebuilt)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ref_classes(count=1, unit=True))
+def test_inverse_matches_reference_model(classes):
+    (x,) = classes
+    n = x.n
+    inv = x.inverse()
+    assert to_ref(inv) == ref_inverse(to_ref(x), n)
+    assert ref_reduce(to_ref(x) * to_ref(inv), n) == REF.one
+    assert_canonical(inv)
+    assert hash(inv) == hash(ChowClass(n, inv.pieces()))
+
+
+def test_arithmetic_collapses_integral_fractions():
+    half = CoeffPoly.const(Fraction(1, 2)) * D
+    assert (half + half).terms() == {(1, 0): 1}
+    assert type((half * 2).terms()[(1, 0)]) is int
+    assert (half - half).terms() == {}
+    x = ChowClass(2, [(0, 1, 0), (1, Fraction(1, 2), Fraction(3, 2))])
+    assert type((x * 2).term(1)[1].terms()[(0, 0)]) is int
+    assert hash(half + half) == hash(D)

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -281,3 +284,14 @@ def test_random_argv_never_raises(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0 and "--json" in argv:
         json.loads(out.getvalue())
+
+
+def test_module_runs_from_a_checkout(tmp_path):
+    # python -m scrolljets needs no install: src on PYTHONPATH is enough
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "scrolljets", "verify-theorem3", "--max-n", "2", "--max-k", "2"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "0 failed" in done.stdout

@@ -1,9 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scrolljets.chern import segre_term
-from scrolljets.chow import ChowClass, D, G
+from scrolljets.chern import (
+    curve_factor,
+    line_twist_factor,
+    osculating_chern,
+    rank_profile,
+    segre_closed_form,
+    segre_term,
+)
+from scrolljets.chow import ChowClass, CoeffPoly, D, G
 from scrolljets.formulas import (
     ScrollParams,
     UninflectedDescriptor,
@@ -236,3 +245,67 @@ def test_classification_is_unique_zero_of_count():
                 if (k + 1) * (d + n * k * (g - 1)) == 0
             ]
             assert zeros == [(n * k, 0)]
+
+
+# Every formula entry point takes its integers and rationals exactly: a bool,
+# a float or a non-integral value is a ValueError, never a TypeError, a
+# truncation or a binary expansion.
+INTEGER_SLOTS = [
+    lambda v: classify_uninflected(v, 1, 1),
+    lambda v: classify_uninflected(2, v, 2),
+    lambda v: classify_uninflected(2, 2, v),
+    lambda v: segre_term(v, 1, 1),
+    lambda v: segre_term(2, v, 1),
+    lambda v: segre_term(2, 2, v),
+    lambda v: segre_closed_form(v, 1, 1),
+    lambda v: segre_closed_form(2, v, 1),
+    lambda v: segre_closed_form(2, 2, v),
+    lambda v: rank_profile(v, 2),
+    lambda v: rank_profile(2, v),
+    lambda v: curve_factor(v, 1),
+    lambda v: curve_factor(2, v),
+    lambda v: line_twist_factor(v, 1),
+    lambda v: line_twist_factor(2, v),
+    lambda v: osculating_chern(v, 2),
+    lambda v: osculating_chern(2, v),
+    lambda v: curve_inflection_degree(4, 0, v),
+    lambda v: double_point_check(v, 3, 0),
+    lambda v: CoeffPoly({(v, 0): 1}),
+    lambda v: CoeffPoly({(0, v): 1}),
+    lambda v: D**v,
+    lambda v: ChowClass(v),
+    lambda v: ChowClass(2, [(v, 1, 0)]),
+    lambda v: ChowClass.unit(2).term(v),
+    lambda v: ChowClass.hyperplane(2) ** v,
+]
+RATIONAL_SLOTS = [
+    lambda v: curve_inflection_degree(v, 0, 2),
+    lambda v: curve_inflection_degree(4, v, 2),
+    lambda v: double_point_check(2, v, 0),
+    lambda v: double_point_check(2, 4, v),
+    lambda v: (D + G).substitute(d=v),
+    lambda v: (D + G).substitute(g=v),
+    lambda v: (D + G).evaluate(v, 1),
+    lambda v: (D + G).evaluate(1, v),
+    lambda v: ChowClass.hyperplane(2).evaluate(d=v),
+    lambda v: ChowClass.hyperplane(2).degree(v, 0),
+]
+inexact = st.one_of(st.booleans(), st.floats())
+non_integers = st.one_of(
+    inexact,
+    st.fractions(max_denominator=9).filter(lambda q: q.denominator > 1),
+    st.integers(-3, 3).map(Fraction),
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(range(len(INTEGER_SLOTS))), non_integers)
+def test_integer_slots_reject_inexact_values(slot, value):
+    with pytest.raises(ValueError):
+        INTEGER_SLOTS[slot](value)
+
+
+@given(st.sampled_from(range(len(RATIONAL_SLOTS))), inexact)
+def test_rational_slots_reject_inexact_values(slot, value):
+    with pytest.raises(ValueError):
+        RATIONAL_SLOTS[slot](value)
