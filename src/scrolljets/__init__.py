@@ -55,6 +55,7 @@ from .scrollmodel import (
     ScrollPoint,
     exact_rank,
     fiber_coordinate,
+    full_support_rank,
     is_inflected,
     jet_matrix,
     jet_rank,
@@ -99,6 +100,7 @@ __all__ = [
     "double_point_check",
     "exact_rank",
     "fiber_coordinate",
+    "full_support_rank",
     "inflectional_class",
     "inflectional_degree",
     "is_inflected",

@@ -10,9 +10,14 @@ Three oracles are provided:
 
 * Determinant-divisor extraction for the square case N = kn: the k-jet
   matrix of the full section basis is square, and the inflectional locus
-  is the zero divisor of its determinant.  The divisor class L + bF is
-  read off from the u-degrees of the determinant's coefficients against
-  the summand degrees, in every chart, and the charts must agree.
+  is the zero divisor of its determinant.  Whether the generic rank
+  reaches kn+1 is decided first, exactly, by the integer rank at the
+  full-support point u = 0, v_j = 1 of every chart: GL_2 x (C*)^n acts on
+  the scroll preserving its sections, and the points with every fiber
+  coordinate nonzero form one open orbit.  Only then are the chart
+  determinants built; the divisor class L + bF is read off from the
+  u-degrees of their coefficients against the summand degrees, in every
+  chart, and the charts must agree.
 
 * Seeded exact-rank scans otherwise: deterministic pseudo-random rational
   sample points (plus structured points with fiber coordinates zeroed in
@@ -57,6 +62,7 @@ from .scrollmodel import (
     exact_int,
     exact_rank,
     fiber_coordinate,
+    full_support_rank,
     jet_matrix,
     jet_order,
     point_rank,
@@ -74,11 +80,18 @@ _ZZ_U, _U = sp.ring("u", sp.ZZ)
 
 
 class GenericRankFailure(Exception):
-    """The jet matrix is singular everywhere: the generic-rank hypothesis fails."""
+    """The jet matrix is singular everywhere: the generic-rank hypothesis fails.
+
+    Decided by the full-support rank, which is the generic rank: the points
+    with every fiber coordinate nonzero form one open orbit of GL_2 x (C*)^n.
+    """
 
 
 class InconsistentCharts(RuntimeError):
     """The chart determinants disagree on vanishing identically: the model is broken."""
+
+
+_INCONSISTENT = "determinant vanishes in some charts but not all; inconsistent model"
 
 
 @dataclass(frozen=True)
@@ -302,11 +315,15 @@ def _section_twist(scroll: DecomposableScroll, fiber_chart: int, delta) -> int:
 def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDivisor:
     """Zero divisor of the determinant of the square k-jet matrix.
 
-    Requires N = kn so the matrix is square.  Raises
-    :class:`GenericRankFailure` when the determinant vanishes identically
-    (then the generic rank is below kn+1 and no divisor exists),
-    :class:`InconsistentCharts` when it vanishes in some charts only, and
-    ValueError when the per-chart class extractions disagree.
+    Requires N = kn so the matrix is square.  The determinant vanishes
+    identically iff the generic rank is below kn+1, which the rank at each
+    chart's full-support point decides without building it
+    (:func:`scrolljets.scrollmodel.full_support_rank`; the points with every
+    fiber coordinate nonzero form one open orbit of GL_2 x (C*)^n).  Raises
+    :class:`GenericRankFailure` when that rank is short in every chart,
+    :class:`InconsistentCharts` when it is short in some charts only or a
+    determinant built after it vanishes identically, and ValueError when
+    the per-chart class extractions disagree.
     """
     k = jet_order(k)
     if scroll.N != k * scroll.n:
@@ -314,22 +331,18 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
             f"determinant oracle needs N = kn; scroll {scroll} has N={scroll.N}, "
             f"kn={k * scroll.n}"
         )
-    charts = {
-        (base_chart, fiber_chart): _chart_determinant(scroll, k, base_chart, fiber_chart)
-        for base_chart in (BASE_ZERO, BASE_INF)
-        for fiber_chart in range(1, scroll.n + 1)
-    }
-
-    zero = [key for key, delta in charts.items() if not delta]
-    if zero:
-        if len(zero) != len(charts):
-            raise InconsistentCharts(
-                "determinant vanishes in some charts but not all; inconsistent model"
-            )
+    keys = [(base, iota) for base in (BASE_ZERO, BASE_INF) for iota in range(1, scroll.n + 1)]
+    singular = [key for key in keys if full_support_rank(scroll, k, *key) < k * scroll.n + 1]
+    if singular:
+        if len(singular) != len(keys):
+            raise InconsistentCharts(_INCONSISTENT)
         raise GenericRankFailure(
             f"jet matrix of {scroll} at order {k} is singular everywhere: "
             "the generic-rank hypothesis fails"
         )
+    charts = {key: _chart_determinant(scroll, k, *key) for key in keys}
+    if not all(charts.values()):
+        raise InconsistentCharts(_INCONSISTENT)
 
     twists = {key: _section_twist(scroll, key[1], delta) for key, delta in charts.items()}
     distinct = set(twists.values())
@@ -337,15 +350,16 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
         raise ValueError(f"chart extractions of the divisor twist disagree: {twists}")
     b = distinct.pop()
 
-    primary = charts[(BASE_ZERO, 1)]
     factors = tuple(
-        (sp.sstr(factor.as_expr()), mult) for factor, mult in primary.factor_list()[1]
+        (sp.sstr(factor.as_expr()), mult)
+        for factor, mult in charts[(BASE_ZERO, 1)].factor_list()[1]
     )
+    exprs = {key: delta.as_expr() for key, delta in charts.items()}
     return DeterminantDivisor(
-        delta=primary.as_expr(),
+        delta=exprs[(BASE_ZERO, 1)],
         divisor_class=DivisorClass(1, b),
         factors=factors,
-        charts={key: sp.sstr(delta.as_expr()) for key, delta in charts.items()},
+        charts={key: sp.sstr(expr) for key, expr in exprs.items()},
     )
 
 
@@ -711,13 +725,20 @@ def cross_validate(
             [f"divisor class extracted in {2 * scroll.n} charts, all agreeing"],
         )
 
+    generic_rank = full_support_rank(scroll, k, BASE_ZERO, 1)
     scan = rank_scan(scroll, k, samples=samples, seed=seed)
     summary = scan.to_dict()
     summary["inflected"] = summary["inflected"][:10]  # keep the summary bounded
     notes = list(scan.notes)
     verdict = MATCH
     distinct_bases = {_geometric_base(sample.point) for sample in scan.inflected}
-    if not scan.inflected:
+    if generic_rank < scan.full_rank:
+        verdict = HYPOTHESIS_VIOLATED
+        notes.append(
+            f"generic jet rank {generic_rank} is below kn+1 = {scan.full_rank} "
+            "(exact, at the full-support point): the whole scroll is inflected"
+        )
+    elif not scan.inflected:
         notes.append(
             "clean scan is consistent with an empty locus"
             if formula_deg == 0

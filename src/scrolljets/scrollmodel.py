@@ -436,6 +436,22 @@ def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
     return bareiss([list(row) for row in rows])[0]
 
 
+def full_support_rank(
+    scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int
+) -> int:
+    """The generic k-jet rank, as :func:`point_rank` at u = 0 and every v_j = 1 of a chart.
+
+    This is exact, not a sample.  GL_2 x (C*)^n acts on
+    P(O(a_1) + ... + O(a_n)) and preserves the complete linear system, so
+    it moves osculating spaces to osculating spaces and the jet rank is
+    constant on its orbits.  The points whose fiber coordinates are all
+    nonzero form one orbit, which is open and dense, and this point lies in
+    it; so its rank is the generic rank.
+    """
+    point = ScrollPoint(base_chart, Fraction(0), fiber_chart, (Fraction(1),) * (scroll.n - 1))
+    return point_rank(scroll, k, point)
+
+
 def osculating_dim(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
     """Dimension of the k-th osculating space at the point: jet rank - 1."""
     return point_rank(scroll, k, point) - 1

@@ -7,10 +7,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrolljets.cli import main
+from scrolljets.scrollmodel import DecomposableScroll
 
 
 def run(capsys, *argv):
@@ -189,6 +191,26 @@ def test_inconsistent_determinant_charts_are_one_line_diagnostic(capsys, monkeyp
         )
 
     monkeypatch.setattr(scanner_mod, "determinant_divisor", disagreeing)
+    code, out, err = run(capsys, "cross-validate", "--scroll", "1,2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: determinant vanishes in some charts but not all; inconsistent model\n"
+
+
+def test_full_support_rank_dropping_in_one_chart_is_inconsistent(capsys, monkeypatch):
+    # the model self-check: charts that disagree on the generic rank stop
+    # the oracle before any ring determinant, and the CLI prints one line
+    import scrolljets.scanner as scanner_mod
+
+    original = scanner_mod.full_support_rank
+
+    def drops_at_infinity(scroll, k, base_chart, fiber_chart):
+        rank = original(scroll, k, base_chart, fiber_chart)
+        return rank - 1 if (base_chart, fiber_chart) == ("inf", 2) else rank
+
+    monkeypatch.setattr(scanner_mod, "full_support_rank", drops_at_infinity)
+    with pytest.raises(scanner_mod.InconsistentCharts):
+        scanner_mod.determinant_divisor(DecomposableScroll((1, 2)), 2)
     code, out, err = run(capsys, "cross-validate", "--scroll", "1,2")
     assert code == 1
     assert out == ""

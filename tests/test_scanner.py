@@ -216,6 +216,19 @@ def test_determinant_divisor_generic_rank_failure():
         determinant_divisor(DecomposableScroll((2, 5)), 4)
 
 
+def test_generic_rank_failure_builds_no_ring_determinant(monkeypatch):
+    # the full-support ranks decide a failure before any chart determinant
+    import scrolljets.scanner as scanner_mod
+
+    def refuse(*args):
+        raise AssertionError("a ring determinant was built")
+
+    monkeypatch.setattr(scanner_mod, "_chart_determinant", refuse)
+    for degrees, k in (((1, 4), 3), ((2, 5), 4)):
+        with pytest.raises(GenericRankFailure):
+            determinant_divisor(DecomposableScroll(degrees), k)
+
+
 def test_determinant_divisor_square_census():
     # all g=0 scrolls with n <= 3, d <= 8 and N = kn: the extraction must
     # agree with the formula whenever the generic-rank hypothesis holds.
@@ -393,6 +406,26 @@ def test_cross_validate_generic_rank_failure_is_violation():
     report = cross_validate(DecomposableScroll((1, 4)))
     assert report.verdict == HYPOTHESIS_VIOLATED
     assert report.oracle == "determinant-divisor"
+
+
+def test_cross_validate_generic_rank_failure_off_square():
+    # a generic jet rank below kn+1 inflects the whole scroll, whatever the
+    # scan's sample count; the scan summary still carries certificates
+    for degrees in (
+        (1, 1, 6), (1, 2, 5), (1, 3, 4), (1, 4, 6), (1, 5, 5),
+        (2, 3, 6), (2, 4, 5), (2, 6, 6), (3, 5, 6),
+    ):
+        report = cross_validate(DecomposableScroll(degrees), samples=20)
+        assert report.verdict == HYPOTHESIS_VIOLATED, degrees
+        assert report.oracle == "rank-scan"
+        assert any("the whole scroll is inflected" in note for note in report.notes)
+        assert report.oracle_summary["clean_count"] == 0
+        assert report.oracle_summary["inflected"]
+    # the section P(O(a_1)) is the locus, of the expected class
+    for degrees in ((1, 2, 2), (2, 3, 3), (3, 4, 4), (4, 5, 5), (5, 6, 6)):
+        report = cross_validate(DecomposableScroll(degrees), samples=20)
+        assert report.verdict == MATCH, degrees
+        assert not any("whole scroll" in note for note in report.notes)
 
 
 def test_cross_validate_balanced_scan():

@@ -13,6 +13,7 @@ from scrolljets.scrollmodel import (
     bareiss,
     exact_rank,
     fiber_coordinate,
+    full_support_rank,
     is_inflected,
     jet_columns,
     jet_matrix,
@@ -381,3 +382,22 @@ def test_rank_is_chart_independent():
             for iota in range(1, X.n + 1):
                 q = to_fiber_chart(X, p, iota)
                 assert jet_rank(jet_matrix(X, k, q)) == rank
+
+
+nonzero_coordinates = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_full_support_rank_is_the_rank_on_the_open_orbit(data):
+    # GL_2 x (C*)^n acts on the scroll and preserves its sections, and the
+    # points with every fiber coordinate nonzero form one orbit: the rank
+    # there is that of the representative u = 0, v_j = 1, in every chart
+    X = DecomposableScroll(tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))))
+    k = data.draw(st.integers(1, X.N // X.n))
+    base = data.draw(st.sampled_from((BASE_ZERO, BASE_INF)))
+    iota = data.draw(st.integers(1, X.n))
+    u = data.draw(st.fractions(min_value=-6, max_value=6, max_denominator=5))
+    v = tuple(data.draw(st.lists(nonzero_coordinates, min_size=X.n - 1, max_size=X.n - 1)))
+    rank = point_rank(X, k, ScrollPoint(base, u, iota, v))
+    assert rank == full_support_rank(X, k, base, iota) == full_support_rank(X, k, BASE_ZERO, 1)
