@@ -35,7 +35,6 @@ from .scanner import (
     MISMATCH,
     CrossValidationReport,
     DeterminantDivisor,
-    DivisorClass,
     GenericRankFailure,
     InconsistentCharts,
     InflectedSample,
@@ -77,7 +76,6 @@ __all__ = [
     "DEFAULT_SEED",
     "DecomposableScroll",
     "DeterminantDivisor",
-    "DivisorClass",
     "G",
     "GenericRankFailure",
     "HYPOTHESIS_VIOLATED",

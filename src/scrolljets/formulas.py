@@ -68,10 +68,6 @@ class ScrollParams:
     def ell(self) -> int:
         return self.ambient + 1 - self.k * self.n
 
-    @property
-    def is_formal(self) -> bool:
-        return self.d is None or self.g is None
-
 
 def inflectional_class(params: ScrollParams) -> ChowClass:
     """Class of the inflectional locus: the codimension-ell Segre term.

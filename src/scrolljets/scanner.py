@@ -4,9 +4,10 @@ rational scrolls, independently of the symbolic class formulas.
 Three oracles are provided:
 
 * Wronskian counting for curves (n = 1): the Wronskian of a basis of
-  sections is computed in both base charts; its vanishing orders are the
-  inflection weights, with the weight at infinity read off from the second
-  chart rather than from a degree defect.
+  sections is the curve case of the chart determinant, the coefficient
+  rows times the jet matrix of the monomial curve, in both base charts;
+  its vanishing orders are the inflection weights, with the weight at
+  infinity read off from the second chart rather than from a degree defect.
 
 * Determinant-divisor extraction for the square case N = kn: the k-jet
   matrix of the full section basis is square, and the inflectional locus
@@ -26,7 +27,7 @@ Three oracles are provided:
   a scan never claims emptiness, only "no inflected sample found".
 
 ``cross_validate`` picks the applicable oracle for a scroll, compares it
-with the closed formulas and returns MATCH, MISMATCH or
+with the closed formulas and builds one report with MATCH, MISMATCH or
 HYPOTHESIS-VIOLATED (the latter when the oracle certifies a locus of the
 wrong dimension, so the expected-codimension hypothesis behind the class
 formula fails).
@@ -34,11 +35,11 @@ formula fails).
 All three oracles read one jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it at the
 integer numerators of each point (and evaluates it at the rational point
-only for a certificate), the determinant oracle evaluates it over
-ZZ[u, v_j], and the Wronskian combines the basis coefficients with the
-template of the monomial curve over ZZ[u], so nothing here differentiates.  One fraction-free elimination,
-:func:`scrolljets.scrollmodel.bareiss`, gives every rank and determinant;
-sympy supplies only the polynomial rings, factorization and printing.
+only for a certificate), and the Wronskian and determinant oracles share
+one chart determinant over ZZ[u, v_j], so nothing here differentiates.
+One fraction-free elimination, :func:`scrolljets.scrollmodel.bareiss`, gives
+every rank and determinant; sympy supplies only the polynomial rings,
+factorization and printing.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ DEFAULT_SEED = 1729
 #: points whatever the sample count, so this admits scrolls with n <= 7.
 MAX_STRUCTURED_POINTS = 10_000
 
-#: The integer polynomials in the base coordinate, where Wronskians live.
-_ZZ_U, _U = sp.ring("u", sp.ZZ)
+#: Seeded generic bases a curve is probed with when k is below its degree.
+CURVE_TRIALS = 20
 
 
 class GenericRankFailure(Exception):
@@ -92,21 +93,6 @@ class InconsistentCharts(RuntimeError):
 
 
 _INCONSISTENT = "determinant vanishes in some charts but not all; inconsistent model"
-
-
-@dataclass(frozen=True)
-class DivisorClass:
-    """A codimension-1 class a*L + b*F with integer coefficients."""
-
-    a: int
-    b: int
-
-    def to_chow(self, n: int) -> ChowClass:
-        return ChowClass(n, [(1, self.a, self.b)])
-
-    def __str__(self) -> str:
-        # printing does not depend on the ambient dimension for codim 1
-        return str(ChowClass(2, [(1, self.a, self.b)]))
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +152,6 @@ def _basis_rows(curve) -> Tuple[Tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _wronskian(rows, k: int, degree: int, base_chart: str):
-    """Wronskian of the basis in one base chart, as an element of ZZ[u].
-
-    Coefficient m of a basis polynomial multiplies section m of the monomial
-    curve of the basis degree, so the Wronskian matrix is the coefficient
-    rows times that curve's jet matrix; in chart "inf" the template already
-    carries the reversed exponents.
-    """
-    jets = evaluate_jet_template(DecomposableScroll((degree,)), k, base_chart, 1, _U, {})
-    matrix = [
-        [sum((c * jet for c, jet in zip(row, column)), _ZZ_U.zero) for column in zip(*jets)]
-        for row in rows
-    ]
-    return bareiss(matrix)[1]
-
-
 def wronskian_weights(curve, k: int) -> WronskianReport:
     """Inflection weights of a rational curve from both-chart Wronskians.
 
@@ -203,7 +173,9 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
     if k > degree:
         raise ValueError(f"jet order {k} exceeds the basis degree {degree}")
 
-    wronskian = _wronskian(rows, k, degree, BASE_ZERO)
+    # coefficient m of a basis polynomial multiplies section m of the monomial curve
+    monomial_curve = DecomposableScroll((degree,))
+    wronskian = _chart_determinant(monomial_curve, k, BASE_ZERO, 1, rows)
     if not wronskian:
         return WronskianReport(
             k=k,
@@ -218,14 +190,13 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
             total=0,
             notes=("basis is linearly dependent; weights are undefined",),
         )
-    wronskian_inf = _wronskian(rows, k, degree, BASE_INF)
+    wronskian_inf = _chart_determinant(monomial_curve, k, BASE_INF, 1, rows)
 
     finite_total = wronskian.degree()
     rational_points = []
     for factor, mult in wronskian.factor_list()[1]:
         if factor.degree() == 1:
-            c0, c1 = int(factor.coeff(1)), int(factor.coeff(_U))
-            rational_points.append((-Fraction(c0, c1), mult))
+            rational_points.append((-Fraction(int(factor.coeff(1)), int(factor.LC)), mult))
     rational_points.sort(key=lambda item: item[0])
 
     infinity_weight = min(m[0] for m in wronskian_inf.monoms())
@@ -260,12 +231,14 @@ class DeterminantDivisor(NamedTuple):
     """Determinant of the square jet matrix and its extracted divisor class.
 
     ``delta`` is the determinant in the primary chart (base "0", fiber
-    chart 1); ``factors`` its irreducible factorization over the rationals
-    with multiplicities; ``charts`` the determinant in every chart.
+    chart 1); ``divisor_class`` the codimension-1 class L + bF as a
+    :class:`~scrolljets.chow.ChowClass` on the scroll, printed like
+    ``L - 2*F``; ``factors`` the irreducible factorization of ``delta`` over
+    the rationals with multiplicities; ``charts`` the determinant in every chart.
     """
 
     delta: sp.Expr
-    divisor_class: DivisorClass
+    divisor_class: ChowClass
     factors: Tuple[Tuple[str, int], ...]
     charts: Dict[Tuple[str, int], str]
 
@@ -279,11 +252,24 @@ class DeterminantDivisor(NamedTuple):
         }
 
 
-def _chart_determinant(scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int):
-    """Determinant of the square jet matrix of a chart, in ZZ[u, v_j (j != chart)]."""
+def _chart_determinant(
+    scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int, rows=None
+):
+    """Determinant of the jet matrix of a chart, in ZZ[u, v_j (j != chart)].
+
+    Without ``rows`` the jet matrix must be square (N = kn).  With ``rows``,
+    a list of integer coefficient rows over the section basis, it is the
+    determinant of rows x jet matrix: the Wronskian of those combinations
+    of sections when the scroll is a curve.
+    """
     others = [j for j in range(1, scroll.n + 1) if j != fiber_chart]
-    _, u, *vs = sp.ring(["u"] + [f"v{j}" for j in others], sp.ZZ)
+    ring, u, *vs = sp.ring(["u"] + [f"v{j}" for j in others], sp.ZZ)
     matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, u, dict(zip(others, vs)))
+    if rows is not None:
+        matrix = [
+            [sum((c * jet for c, jet in zip(row, column)), ring.zero) for column in zip(*matrix)]
+            for row in rows
+        ]
     return bareiss([list(row) for row in matrix])[1]
 
 
@@ -357,7 +343,7 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
     exprs = {key: delta.as_expr() for key, delta in charts.items()}
     return DeterminantDivisor(
         delta=exprs[(BASE_ZERO, 1)],
-        divisor_class=DivisorClass(1, b),
+        divisor_class=ChowClass(scroll.n, [(1, 1, b)]),
         factors=factors,
         charts={key: sp.sstr(expr) for key, expr in exprs.items()},
     )
@@ -435,6 +421,14 @@ def _random_rational(
             return value
 
 
+def _zero_pattern(rng: random.Random, n: int, pattern: int) -> Tuple[Fraction, ...]:
+    """Fiber coordinates zeroed where ``pattern`` has a bit, random nonzero elsewhere."""
+    return tuple(
+        Fraction(0) if pattern & (1 << slot) else _random_rational(rng, nonzero=True)
+        for slot in range(n - 1)
+    )
+
+
 def scan_points(
     scroll: DecomposableScroll, samples: int, seed: int
 ) -> List[ScrollPoint]:
@@ -470,13 +464,7 @@ def scan_points(
         for fiber_chart in range(1, n + 1):
             for u in structured_u:
                 for pattern in range(2 ** (n - 1)):
-                    v = tuple(
-                        Fraction(0)
-                        if pattern & (1 << slot)
-                        else _random_rational(rng, nonzero=True)
-                        for slot in range(n - 1)
-                    )
-                    push(ScrollPoint(base_chart, u, fiber_chart, v))
+                    push(ScrollPoint(base_chart, u, fiber_chart, _zero_pattern(rng, n, pattern)))
 
     toggle = False
     attempts = 0
@@ -490,13 +478,7 @@ def scan_points(
         fiber_chart = rng.randint(1, n)
         u = _random_rational(rng, wide=True)
         if toggle and n > 1:
-            pattern = rng.randint(1, 2 ** (n - 1) - 1)
-            v = tuple(
-                Fraction(0)
-                if pattern & (1 << slot)
-                else _random_rational(rng, nonzero=True)
-                for slot in range(n - 1)
-            )
+            v = _zero_pattern(rng, n, rng.randint(1, 2 ** (n - 1) - 1))
         else:
             v = tuple(_random_rational(rng) for _ in range(n - 1))
         push(ScrollPoint(base_chart, u, fiber_chart, v))
@@ -607,20 +589,9 @@ class CrossValidationReport:
         }
 
 
-def _geometric_base(point: ScrollPoint):
-    """Canonical label of the base point (chart-independent)."""
-    if point.base_chart == BASE_ZERO:
-        return ("finite", point.u)
-    if point.u == 0:
-        return ("infinity", Fraction(0))
-    return ("finite", 1 / point.u)
-
-
-def _curve_cross_validate(
-    scroll: DecomposableScroll, k: int, seed: int, trials: int
-) -> CrossValidationReport:
+def _curve_oracle(scroll: DecomposableScroll, k: int, seed: int, expected):
+    """Wronskian totals of a curve against the formula count ``expected``."""
     d = scroll.d
-    expected = curve_inflection_degree(d, 0, k)
     notes: List[str] = []
     if k == scroll.N:
         report = wronskian_weights(scroll, k)
@@ -633,29 +604,19 @@ def _curve_cross_validate(
         rng = random.Random(seed)
         totals = set()
         summary = {}
-        for trial in range(trials):
+        for trial in range(CURVE_TRIALS):
             rows = _random_spanning_basis(rng, d, k)
             report = wronskian_weights(rows, k)
             totals.add(report.total)
             if not summary:
                 summary = report.to_dict()
-        summary["trials"] = trials
+        summary["trials"] = CURVE_TRIALS
         notes.append(
-            f"{trials} seeded generic bases of k+1 sections of the degree-{d} system"
+            f"{CURVE_TRIALS} seeded generic bases of k+1 sections of the degree-{d} system"
         )
     verdict = MATCH if totals == {expected} else MISMATCH
     notes.append(f"oracle totals {sorted(totals)} vs formula {expected}")
-    return CrossValidationReport(
-        scroll=scroll,
-        k=k,
-        ell=1,
-        oracle="wronskian",
-        verdict=verdict,
-        formula_class=None,
-        formula_degree=str(expected),
-        oracle_summary=summary,
-        notes=tuple(notes),
-    )
+    return "wronskian", verdict, summary, notes
 
 
 def _random_spanning_basis(rng: random.Random, d: int, k: int) -> List[List[int]]:
@@ -666,72 +627,33 @@ def _random_spanning_basis(rng: random.Random, d: int, k: int) -> List[List[int]
                 return rows
 
 
-def cross_validate(
-    scroll: DecomposableScroll,
-    k: Optional[int] = None,
-    samples: int = 200,
-    seed: int = DEFAULT_SEED,
-    trials: int = 20,
-) -> CrossValidationReport:
-    """Run the applicable oracle and compare with the closed formulas.
-
-    The jet order defaults to the largest k with kn <= N.  An explicit
-    lower order is allowed for curves only, where it means probing generic
-    subsystems of sections.
-    """
-    derived = scroll.N // scroll.n
-    k = derived if k is None else jet_order(k)
-    if scroll.n == 1:
-        if k > scroll.N:
-            raise ValueError(f"jet order {k} exceeds the curve degree {scroll.N}")
-        return _curve_cross_validate(scroll, k, seed, trials)
-    if k != derived:
-        raise ValueError(
-            f"for n >= 2 the jet order is pinned to floor(N/n) = {derived}"
-        )
-
-    params = ScrollParams(n=scroll.n, ambient=scroll.N, d=scroll.d, g=0)
-    formula_cls = inflectional_class(params)
-    formula_deg = inflectional_degree(params)
-    ell = params.ell
-
-    def report(oracle: str, verdict: str, summary: dict, notes: List[str]) -> CrossValidationReport:
-        return CrossValidationReport(
-            scroll=scroll,
-            k=k,
-            ell=ell,
-            oracle=oracle,
-            verdict=verdict,
-            formula_class=str(formula_cls),
-            formula_degree=str(formula_deg),
-            oracle_summary=summary,
-            notes=tuple(notes),
-        )
-
-    if scroll.N == k * scroll.n:
-        try:
-            result = determinant_divisor(scroll, k)
-        except GenericRankFailure as failure:
-            return report(
-                "determinant-divisor",
-                HYPOTHESIS_VIOLATED,
-                {"error": str(failure)},
-                ["determinant vanishes identically: generic jet rank is below kn+1"],
-            )
-        return report(
+def _square_oracle(scroll: DecomposableScroll, k: int, formula_cls: ChowClass):
+    """The determinant divisor's class against the formula class (N = kn)."""
+    try:
+        result = determinant_divisor(scroll, k)
+    except GenericRankFailure as failure:
+        return (
             "determinant-divisor",
-            MATCH if result.divisor_class.to_chow(scroll.n) == formula_cls else MISMATCH,
-            result.to_dict(),
-            [f"divisor class extracted in {2 * scroll.n} charts, all agreeing"],
+            HYPOTHESIS_VIOLATED,
+            {"error": str(failure)},
+            ["determinant vanishes identically: generic jet rank is below kn+1"],
         )
+    return (
+        "determinant-divisor",
+        MATCH if result.divisor_class == formula_cls else MISMATCH,
+        result.to_dict(),
+        [f"divisor class extracted in {2 * scroll.n} charts, all agreeing"],
+    )
 
+
+def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, formula_deg):
+    """A rank scan, after the exact generic rank, against the formula degree (N > kn)."""
     generic_rank = full_support_rank(scroll, k, BASE_ZERO, 1)
     scan = rank_scan(scroll, k, samples=samples, seed=seed)
     summary = scan.to_dict()
     summary["inflected"] = summary["inflected"][:10]  # keep the summary bounded
     notes = list(scan.notes)
     verdict = MATCH
-    distinct_bases = {_geometric_base(sample.point) for sample in scan.inflected}
     if generic_rank < scan.full_rank:
         verdict = HYPOTHESIS_VIOLATED
         notes.append(
@@ -751,12 +673,50 @@ def cross_validate(
             "expected degree is 0 yet inflected points are certified: "
             "the locus has the wrong dimension"
         )
-    elif ell == scroll.n and len(distinct_bases) > formula_deg:
-        verdict = HYPOTHESIS_VIOLATED
-        notes.append(
-            f"{len(distinct_bases)} distinct certified points exceed the expected "
-            f"finite count {formula_deg}"
-        )
     else:
         notes.append("certified points are consistent with the expected locus")
-    return report("rank-scan", verdict, summary, notes)
+    return "rank-scan", verdict, summary, notes
+
+
+def cross_validate(
+    scroll: DecomposableScroll,
+    k: Optional[int] = None,
+    samples: int = 200,
+    seed: int = DEFAULT_SEED,
+) -> CrossValidationReport:
+    """Run the applicable oracle and compare with the closed formulas.
+
+    The jet order defaults to the largest k with kn <= N.  An explicit
+    lower order is allowed for curves only, where it means probing
+    :data:`CURVE_TRIALS` generic subsystems of sections.
+    """
+    derived = scroll.N // scroll.n
+    k = derived if k is None else jet_order(k)
+    if scroll.n == 1:
+        if k > scroll.N:
+            raise ValueError(f"jet order {k} exceeds the curve degree {scroll.N}")
+        ell, formula_cls = 1, None
+        formula_deg = curve_inflection_degree(scroll.d, 0, k)
+        oracle, verdict, summary, notes = _curve_oracle(scroll, k, seed, formula_deg)
+    elif k != derived:
+        raise ValueError(f"for n >= 2 the jet order is pinned to floor(N/n) = {derived}")
+    else:
+        params = ScrollParams(n=scroll.n, ambient=scroll.N, d=scroll.d, g=0)
+        ell = params.ell
+        formula_cls = inflectional_class(params)
+        formula_deg = inflectional_degree(params)
+        if scroll.N == k * scroll.n:
+            oracle, verdict, summary, notes = _square_oracle(scroll, k, formula_cls)
+        else:
+            oracle, verdict, summary, notes = _scan_oracle(scroll, k, samples, seed, formula_deg)
+    return CrossValidationReport(
+        scroll=scroll,
+        k=k,
+        ell=ell,
+        oracle=oracle,
+        verdict=verdict,
+        formula_class=None if formula_cls is None else str(formula_cls),
+        formula_degree=str(formula_deg),
+        oracle_summary=summary,
+        notes=tuple(notes),
+    )

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from scrolljets.chern import rank_profile, segre_closed_form, segre_term
-from scrolljets.chow import D, G
+from scrolljets.chow import ChowClass, D, G
 from scrolljets.formulas import (
     ScrollParams,
     classify_uninflected,
@@ -21,7 +21,6 @@ from scrolljets.formulas import (
 from scrolljets.scanner import (
     DEFAULT_SEED,
     HYPOTHESIS_VIOLATED,
-    DivisorClass,
     cross_validate,
     determinant_divisor,
     rank_scan,
@@ -161,8 +160,8 @@ def test_criterion_06_case_i_oracle_match():
     formula = inflectional_class(ScrollParams(n=2, ambient=4, d=3, g=0))
     ok = (
         result.factors == (("v2", 1),)
-        and result.divisor_class == DivisorClass(1, -2)
-        and result.divisor_class.to_chow(2) == formula
+        and result.divisor_class == ChowClass(2, [(1, 1, -2)])
+        and result.divisor_class == formula
     )
     Y = DecomposableScroll((1, 1, 2))
     ok = ok and Y.d == 4 and Y.N == 6 == 2 * Y.n
@@ -171,8 +170,8 @@ def test_criterion_06_case_i_oracle_match():
     ok = (
         ok
         and result.factors == (("v3", 1),)
-        and result.divisor_class == DivisorClass(1, -2)
-        and result.divisor_class.to_chow(3) == formula
+        and result.divisor_class == ChowClass(3, [(1, 1, -2)])
+        and result.divisor_class == formula
     )
     _criterion(
         6,
@@ -238,8 +237,8 @@ def test_criterion_08_semibalanced_scan():
         and certified
         and report.clean_count == len(points) - len(on_section) > 0
         and result.factors == (("v2", 1),)
-        and result.divisor_class == DivisorClass(1, -3)
-        and result.divisor_class.to_chow(2) == inflectional_class(params)
+        and result.divisor_class == ChowClass(2, [(1, 1, -3)])
+        and result.divisor_class == inflectional_class(params)
         and inflectional_degree(params) == 2
         and classify_uninflected(2, 3, 1) is None
         and own_order.points_examined == 200

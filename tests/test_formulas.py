@@ -22,6 +22,7 @@ from scrolljets.formulas import (
     inflectional_class,
     inflectional_degree,
 )
+from scrolljets.scrollmodel import DecomposableScroll
 
 
 def test_params_derive_jet_order_and_codim():
@@ -143,6 +144,19 @@ def test_degree_specializes_to_finite_count_form():
             p = ScrollParams(n=n, ambient=ambient)
             assert p.k == k and p.ell == n
             assert inflectional_degree(p) == (k + 1) * (D + n * k * (G - 1))
+
+
+def test_degree_vanishes_on_rational_scrolls_with_finite_expected_locus():
+    # a linearly normal rational scroll has N = d + n - 1, so ell = n forces
+    # N = (k+1)n - 1 and d = kn, and then the expected finite count is 0:
+    # no such scroll can have more certified inflected points than expected
+    for n in range(2, 8):
+        for k in range(1, 9):
+            ambient = (k + 1) * n - 1
+            assert DecomposableScroll((k,) * n).N == ambient
+            p = ScrollParams(n=n, ambient=ambient, d=k * n, g=0)
+            assert p.ell == n
+            assert inflectional_degree(p) == 0
 
 
 def test_degree_specializes_to_curve_formula():

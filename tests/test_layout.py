@@ -1,0 +1,38 @@
+"""Source layout: sympy is confined to rings, factorization and printing.
+
+Every module of the package is parsed, not imported, so a sympy call on a
+path no test runs is still seen.
+"""
+
+import ast
+from pathlib import Path
+
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "scrolljets").glob("*.py"))
+FORBIDDEN = {"Matrix", "diff"}
+
+
+def test_sympy_is_imported_by_the_scanner_only_and_never_differentiates():
+    assert len(MODULES) >= 7
+    importers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "sympy":
+                        importers.add(path.name)
+                        aliases.add(alias.asname or alias.name)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
+                importers.add(path.name)
+                names = {alias.name for alias in node.names}
+                assert not names & FORBIDDEN, f"{path.name}:{node.lineno} imports {names}"
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            assert node.func.attr != "det", f"{where} calls .det("
+            owner = node.func.value
+            if isinstance(owner, ast.Name) and owner.id in aliases:
+                assert node.func.attr not in FORBIDDEN, f"{where} calls {owner.id}.{node.func.attr}"
+    assert importers == {"scanner.py"}

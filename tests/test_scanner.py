@@ -6,11 +6,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrolljets.chow import ChowClass
 from scrolljets.formulas import ScrollParams, inflectional_class
 from scrolljets.scanner import (
     HYPOTHESIS_VIOLATED,
     MATCH,
-    DivisorClass,
     GenericRankFailure,
     cross_validate,
     determinant_divisor,
@@ -118,6 +118,19 @@ def test_wronskian_weight_shift_under_translation():
     assert report.total == 4
 
 
+def test_wronskian_rational_roots_off_the_integers():
+    # the basis 1, t, t^2, t^4 in t = 2u - 1 resp. t = 3u + 2: a root is
+    # -(constant term)/(leading coefficient) of its linear factor
+    for rows, root, text in (
+        ([[1], [-1, 2], [1, -4, 4], [1, -8, 24, -32, 16]], Fraction(1, 2), "6144*u - 3072"),
+        ([[1], [2, 3], [4, 12, 9], [16, 96, 216, 216, 81]], Fraction(-2, 3), "104976*u + 69984"),
+    ):
+        report = wronskian_weights(rows, 3)
+        assert report.rational_points == ((root, 1),)
+        assert report.wronskian == text
+        assert report.total == 4
+
+
 # ---------------------------------------------------------------------------
 # determinant divisor
 # ---------------------------------------------------------------------------
@@ -127,7 +140,7 @@ def test_determinant_divisor_case_i_surface():
     X = DecomposableScroll((1, 2))
     result = determinant_divisor(X, 2)
     assert result.factors == (("v2", 1),)
-    assert result.divisor_class == DivisorClass(1, -2)
+    assert result.divisor_class == ChowClass(2, [(1, 1, -2)])
     assert sp.expand(result.delta / sp.Symbol("v2")).is_number
 
 
@@ -140,9 +153,9 @@ def test_determinant_divisor_case_i_family():
         last = f"v{X.n}"
         assert result.factors == ((last, 1),)
         assert all(type(mult) is int for _, mult in result.factors)
-        assert result.divisor_class == DivisorClass(1, -k)
+        assert result.divisor_class == ChowClass(X.n, [(1, 1, -k)])
         formula = inflectional_class(ScrollParams(n=X.n, ambient=X.N, d=X.d, g=0))
-        assert result.divisor_class.to_chow(X.n) == formula
+        assert result.divisor_class == formula
 
 
 def test_determinant_divisor_affine_linear_in_fibers():
@@ -196,7 +209,7 @@ def test_determinant_divisor_matches_sympy_determinants():
         assert sp.sstr(result.delta) == reference[(BASE_ZERO, 1)]
         summary = result.to_dict()
         assert summary["determinant"] == reference[(BASE_ZERO, 1)]
-        assert summary["divisor_class"] == str(result.divisor_class.to_chow(X.n))
+        assert summary["divisor_class"] == str(result.divisor_class)
     assert failures == 2
 
 
@@ -254,7 +267,7 @@ def test_determinant_divisor_square_census():
                 formula = inflectional_class(
                     ScrollParams(n=n, ambient=X.N, d=X.d, g=0)
                 )
-                assert result.divisor_class.to_chow(n) == formula, degrees
+                assert result.divisor_class == formula, degrees
             else:
                 with pytest.raises(GenericRankFailure):
                     determinant_divisor(X, k)
