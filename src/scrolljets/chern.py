@@ -7,6 +7,12 @@ curve and one line-bundle twist factor; inverting the product and reading
 off graded terms produces the classes of the inflectional loci.  All
 arithmetic happens in the exact L/F algebra of :mod:`scrolljets.chow`.
 
+Each curve factor is 1 - c_i F, and F*F = 0, so the k of them multiply to
+1 - (sum of the c_i)F: the total class is built as that one sum and one
+class product.  No class is cached, because the Segre terms read off its
+inverse are checked against an independent closed form, and a cached
+answer would only repeat itself.
+
 The ranks of the sheaves appearing along the way are pure combinatorics
 and are tracked by :class:`RankProfile`.
 """
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .chow import ChowClass, CoeffPoly, D, G
+from .chow import _ONE, _ZERO, ChowClass, CoeffPoly, D, G
 from .scrollmodel import exact_int, jet_order, scroll_dimension
 
 
@@ -52,6 +58,27 @@ def rank_profile(n: int, k: int) -> RankProfile:
     )
 
 
+def _curve_coeff(n: int, i: int) -> CoeffPoly:
+    """d + 2in(g-1), the F coefficient of the curve factor at twist index i."""
+    twist = 2 * i * n
+    if not twist:
+        return D
+    return CoeffPoly._make({(1, 0): 1, (0, 1): twist, (0, 0): -twist})
+
+
+def _twist_coeff(k: int) -> CoeffPoly:
+    """-2k(g-1), the F coefficient of the line twist factor at order k."""
+    if not k:
+        return _ZERO
+    return CoeffPoly._make({(0, 1): -2 * k, (0, 0): 2 * k})
+
+
+def _linear_class(n: int, a: CoeffPoly, b: CoeffPoly) -> ChowClass:
+    """The class 1 + a*L + b*F."""
+    pad = (_ZERO,) * (n - 1)
+    return ChowClass._make(n, (_ONE, a) + pad, (_ZERO, b) + pad)
+
+
 def curve_factor(n: int, i: int, inverse: bool = False) -> ChowClass:
     """Chern factor pulled back from the base curve, for twist index i.
 
@@ -60,31 +87,36 @@ def curve_factor(n: int, i: int, inverse: bool = False) -> ChowClass:
     to the sign of the F term because F*F = 0).
     """
     n = scroll_dimension(n)
-    if exact_int(i, "twist index i") < 0:
+    i = exact_int(i, "twist index i")
+    if i < 0:
         raise ValueError("twist index i must be a nonnegative integer")
-    coeff = D + (2 * i * n) * (G - 1)
-    sign = 1 if inverse else -1
-    return ChowClass(n, [(0, 1, 0), (1, 0, coeff * sign)])
+    coeff = _curve_coeff(n, i)
+    return _linear_class(n, _ZERO, coeff if inverse else -coeff)
 
 
 def line_twist_factor(n: int, k: int) -> ChowClass:
     """Total Chern class of the line-bundle factor: 1 - 2k(g-1)F - L."""
-    if exact_int(k, "jet order k") < 0:
+    k = exact_int(k, "jet order k")
+    if k < 0:
         raise ValueError("jet order k must be a nonnegative integer")
-    return ChowClass(n, [(0, 1, 0), (1, -1, (-2 * k) * (G - 1))])
+    return _linear_class(scroll_dimension(n), -_ONE, _twist_coeff(k))
 
 
 def osculating_chern(n: int, k: int) -> ChowClass:
     """Total Chern class of the rank kn+1 osculating bundle at order k.
 
-    Product of the k curve factors (twist indices 0..k-1) and the line
-    twist factor at k.
+    Product of the k curve factors 1 - c_i F, c_i = d + 2in(g-1) for twist
+    indices i = 0..k-1, and the line twist factor at k.  As F*F = 0 the
+    curve factors multiply to 1 - (c_0 + ... + c_(k-1))F, so one class
+    product remains.  Nothing is cached: ``segre_term`` builds and inverts
+    this product on every call, which keeps its check against
+    ``segre_closed_form`` independent of earlier answers.
     """
     n, k = scroll_dimension(n), jet_order(k)
-    total = ChowClass.unit(n)
+    total = _ZERO
     for i in range(k):
-        total = total * curve_factor(n, i)
-    return total * line_twist_factor(n, k)
+        total = total + _curve_coeff(n, i)
+    return _linear_class(n, _ZERO, -total) * _linear_class(n, -_ONE, _twist_coeff(k))
 
 
 def _segre_codimension(n: int, j) -> int:

@@ -135,9 +135,21 @@ class CoeffPoly:
 
     def __mul__(self, other: CoeffLike) -> "CoeffPoly":
         if type(other) is not CoeffPoly:
+            if isinstance(other, ChowClass):
+                return NotImplemented  # ChowClass.__rmul__ scales the class
             other = CoeffPoly.coerce(other)
         if not self._terms or not other._terms:
             return _ZERO
+        # a constant factor (alpha_m = +-1 in most pair products of an
+        # inverse) scales the other operand's coefficients
+        if len(self._terms) == 1 and (0, 0) in self._terms:
+            self, other = other, self
+        if len(other._terms) == 1 and (0, 0) in other._terms:
+            c = other._terms[(0, 0)]
+            if c == 1:
+                return self
+            # nonzero times nonzero stays nonzero, but may turn integral
+            return CoeffPoly._make(_tidy({key: v * c for key, v in self._terms.items()}))
         prod: dict[Tuple[int, int], Scalar] = {}
         for (ed1, eg1), c1 in self._terms.items():
             for (ed2, eg2), c2 in other._terms.items():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrolljets.chern import (
     curve_factor,
@@ -100,8 +102,18 @@ def test_line_twist_values():
 
 
 def test_total_chern_curve_order_one():
-    expected = curve_factor(1, 0) * line_twist_factor(1, 1)
-    assert osculating_chern(1, 1) == expected
+    # the collapsed sum against the explicit product of every factor,
+    # from the curve at order one up to the benchmark's largest cells
+    for n in range(1, 13):
+        for k in range(1, 31):
+            expected = ChowClass.unit(n)
+            for i in range(k):
+                expected = expected * curve_factor(n, i)
+            expected = expected * line_twist_factor(n, k)
+            total = osculating_chern(n, k)
+            assert total == expected
+            assert str(total) == str(expected)
+            assert hash(total) == hash(expected)
 
 
 def test_total_chern_constant_term():
@@ -130,6 +142,27 @@ def test_inverse_curve_factor_product_collapses():
                 product = product * curve_factor(n, i, inverse=True)
             a = k * (D + (n * (k - 1)) * (G - 1))
             assert product == ChowClass(n, [(0, 1, 0), (1, 0, a)])
+
+
+fiber_coeffs = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(
+        st.integers(-9, 9),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    ),
+    max_size=3,
+).map(CoeffPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.lists(fiber_coeffs, max_size=6))
+def test_fiber_factors_multiply_to_their_sum(n, coeffs):
+    # F*F = 0: the product of the 1 + c_i F is 1 + (c_0 + ... )F
+    product = ChowClass.unit(n)
+    for c in coeffs:
+        product = product * ChowClass(n, [(0, 1, 0), (1, 0, c)])
+    total = sum(coeffs, CoeffPoly())
+    assert product == ChowClass(n, [(0, 1, 0), (1, 0, total)])
 
 
 def test_total_chern_multiplicative_step():

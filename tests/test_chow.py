@@ -163,6 +163,25 @@ def test_mul_mismatched_dimension():
         ChowClass.unit(2) * ChowClass.unit(3)
 
 
+def test_coefficient_times_class_either_order():
+    classes = (
+        ChowClass.hyperplane(2),
+        ChowClass(3, [(0, 1, 0), (1, D, G - 1), (3, Fraction(1, 2), 4)]),
+    )
+    for x in classes:
+        for c in (D, G - 1, CoeffPoly.const(Fraction(2, 3)), 2 * D * G):
+            assert c * x == x * c
+            assert hash(c * x) == hash(x * c)
+    assert str(D * ChowClass.hyperplane(2)) == "(d)*L"
+    for bad in (True, 1.5):
+        with pytest.raises(TypeError):
+            ChowClass.hyperplane(2) * bad
+        with pytest.raises(TypeError):
+            bad * ChowClass.hyperplane(2)
+        with pytest.raises(TypeError):
+            D * bad
+
+
 @settings(max_examples=80)
 @given(chow_pairs(count=3))
 def test_chow_ring_axioms(classes):
@@ -349,11 +368,11 @@ def ref_inverse(p, n):
 
 
 def assert_canonical(x):
-    for _, a, b in x.pieces():
-        for poly in (a, b):
-            for c in poly.terms().values():
-                assert c != 0
-                assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    polys = [x] if isinstance(x, CoeffPoly) else [p for _, a, b in x.pieces() for p in (a, b)]
+    for poly in polys:
+        for c in poly.terms().values():
+            assert c != 0
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -382,6 +401,24 @@ def test_inverse_matches_reference_model(classes):
     assert ref_reduce(to_ref(x) * to_ref(inv), n) == REF.one
     assert_canonical(inv)
     assert hash(inv) == hash(ChowClass(n, inv.pieces()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ref_coeffs,
+    coeff_polys,
+    st.sampled_from([1, -1, 0, 7, -4, Fraction(2, 3), Fraction(-5, 4)]),
+)
+def test_constant_factor_matches_reference_model(p, q, c):
+    # 6q has integer coefficients, so scaling it by 1/6 or -1/3 comes out integral
+    for poly, const in ((p, c), (6 * q, Fraction(1, 6)), (6 * q, Fraction(-1, 3))):
+        boxed = CoeffPoly.const(const)
+        expected = ref_coeff(poly) * ref_coeff(boxed)
+        for prod in (poly * const, const * poly, poly * boxed, boxed * poly):
+            assert ref_coeff(prod) == expected
+            assert_canonical(prod)
+            rebuilt = CoeffPoly(prod.terms())
+            assert prod == rebuilt and hash(prod) == hash(rebuilt)
 
 
 def test_arithmetic_collapses_integral_fractions():
