@@ -1,6 +1,6 @@
 """Exact inflection calculator for scrolls over smooth curves.
 
-Symbolic side: an exact L/F intersection algebra with polynomial
+Formula side: an exact L/F intersection algebra with polynomial
 coefficients in the formal degree and genus, the Chern/Segre product
 pipeline for the osculating bundle, and the closed-form class, degree and
 classification results.  Oracle side: explicit decomposable scrolls over

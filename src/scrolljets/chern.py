@@ -79,19 +79,16 @@ def _linear_class(n: int, a: CoeffPoly, b: CoeffPoly) -> ChowClass:
     return ChowClass._make(n, (_ONE, a) + pad, (_ZERO, b) + pad)
 
 
-def curve_factor(n: int, i: int, inverse: bool = False) -> ChowClass:
-    """Chern factor pulled back from the base curve, for twist index i.
+def curve_factor(n: int, i: int) -> ChowClass:
+    """Chern factor 1 - (d + 2in(g-1))F pulled back from the base curve, for twist index i.
 
-    The direct class is 1 - (d + 2in(g-1))F; with ``inverse=True`` the
-    multiplicative inverse 1 + (d + 2in(g-1))F is returned (they agree up
-    to the sign of the F term because F*F = 0).
+    As F*F = 0 its inverse, ``curve_factor(n, i).inverse()``, is 1 + (d + 2in(g-1))F.
     """
     n = scroll_dimension(n)
     i = exact_int(i, "twist index i")
     if i < 0:
         raise ValueError("twist index i must be a nonnegative integer")
-    coeff = _curve_coeff(n, i)
-    return _linear_class(n, _ZERO, coeff if inverse else -coeff)
+    return _linear_class(n, _ZERO, -_curve_coeff(n, i))
 
 
 def line_twist_factor(n: int, k: int) -> ChowClass:

@@ -44,6 +44,23 @@ def _tidy(terms: dict) -> dict:
     return terms
 
 
+def _monomial(*powers: Tuple[str, int]) -> str:
+    """The name of a product of (symbol, exponent) powers, like "d^2*g" or "L*F"; "" for 1."""
+    return "*".join(symbol if e == 1 else f"{symbol}^{e}" for symbol, e in powers if e)
+
+
+def _term(c: Scalar, name: str) -> Tuple[str, str]:
+    """The (sign, body) pair of the constant c times the monomial ``name`` ("" for 1)."""
+    mag = abs(c)
+    if not name:
+        body = str(mag)
+    elif mag == 1:
+        body = name
+    else:
+        body = f"{mag}*{name}"
+    return ("-" if c < 0 else "+"), body
+
+
 def _signed_sum(parts: list) -> str:
     """Join (sign, body) pairs as "a - b + c", dropping a leading "+"."""
     text = " ".join(f"{sign} {body}" for sign, body in parts)
@@ -202,12 +219,8 @@ class CoeffPoly:
 
     def evaluate(self, d: Scalar, g: Scalar) -> Fraction:
         """Evaluate at exact rational values; this is a ring homomorphism."""
-        total = Fraction(0)
-        d = exact_rational(d, "d")
-        g = exact_rational(g, "g")
-        for (ed, eg), c in self._terms.items():
-            total += Fraction(c) * d**ed * g**eg
-        return total
+        d, g = exact_rational(d, "d"), exact_rational(g, "g")
+        return Fraction(self.substitute(d, g).constant_value())
 
     def _sorted_terms(self) -> list[Tuple[Tuple[int, int], Scalar]]:
         # canonical printing order: degree-lexicographic, d before g
@@ -221,25 +234,7 @@ class CoeffPoly:
             return "0"
         parts = []
         for (ed, eg), c in self._sorted_terms():
-            factors = []
-            if ed == 1:
-                factors.append("d")
-            elif ed > 1:
-                factors.append(f"d^{ed}")
-            if eg == 1:
-                factors.append("g")
-            elif eg > 1:
-                factors.append(f"g^{eg}")
-            mono = "*".join(factors)
-            mag = abs(c)
-            if mono and mag == 1:
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = str(mag)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
+            parts.append(_term(c, _monomial(("d", ed), ("g", eg))))
         return _signed_sum(parts)
 
     def __repr__(self) -> str:
@@ -251,18 +246,6 @@ D = CoeffPoly({(1, 0): 1})
 G = CoeffPoly({(0, 1): 1})
 _ZERO = CoeffPoly()
 _ONE = CoeffPoly.const(1)
-
-
-_PIECE_NAMES = {0: "1", 1: "L"}
-_FIBER_NAMES = {1: "F", 2: "L*F"}
-
-
-def _piece_name(j: int) -> str:
-    return _PIECE_NAMES.get(j, f"L^{j}")
-
-
-def _fiber_name(j: int) -> str:
-    return _FIBER_NAMES.get(j, f"L^{j - 1}*F")
 
 
 def _codimension(j, n: int) -> int:
@@ -478,23 +461,14 @@ class ChowClass:
     def __str__(self) -> str:
         chunks: list[Tuple[str, str]] = []  # (sign, body)
         for j, a, b in self.pieces():
-            for coeff, name in ((a, _piece_name(j)), (b, _fiber_name(j) if j else "")):
+            # codimension 0 has no fiber term, so L^(-1)*F is never printed
+            for coeff, name in ((a, _monomial(("L", j))), (b, _monomial(("L", j - 1), ("F", 1)))):
                 if coeff.is_zero():
                     continue
                 if coeff.is_constant():
-                    c = coeff.constant_value()
-                    sign = "-" if c < 0 else "+"
-                    mag = abs(c)
-                    if name == "1":
-                        body = str(mag)
-                    elif mag == 1:
-                        body = name
-                    else:
-                        body = f"{mag}*{name}"
+                    chunks.append(_term(coeff.constant_value(), name))
                 else:
-                    sign = "+"
-                    body = f"({coeff})" if name == "1" else f"({coeff})*{name}"
-                chunks.append((sign, body))
+                    chunks.append(("+", f"({coeff})*{name}" if name else f"({coeff})"))
         if not chunks:
             return "0"
         return _signed_sum(chunks)

@@ -6,6 +6,9 @@ single document with a schema marker, the inputs and the result, plus a
 certificate where one exists.  Identical inputs and seed give identical
 output.  Invalid input exits nonzero with a one-line diagnostic, and so
 does a cross-validate MISMATCH, which is a correctness alarm.
+
+Each verb's handler returns its document fields, its text lines and its
+exit status; :func:`main` alone assembles and prints the document.
 """
 
 from __future__ import annotations
@@ -48,19 +51,9 @@ def _scroll(text: str) -> DecomposableScroll:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _document(verb: str, inputs: dict, result: dict, certificate: Optional[dict] = None) -> dict:
-    doc = {"schema": 1, "verb": verb, "inputs": inputs, "result": result}
-    if certificate is not None:
-        doc["certificate"] = certificate
-    return doc
-
-
-def _emit(args, doc: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+#: What a verb's handler returns: the document fields ("inputs", "result"
+#: and possibly "certificate"), the text lines and the exit status.
+Outcome = Tuple[dict, list[str], int]
 
 
 def _params(args) -> Tuple[ScrollParams, dict, str]:
@@ -76,7 +69,7 @@ def _params(args) -> Tuple[ScrollParams, dict, str]:
     return params, inputs, header
 
 
-def _cmd_class(args) -> int:
+def _cmd_class(args) -> Outcome:
     params, inputs, header = _params(args)
     cls = inflectional_class(params)
     result = {
@@ -86,20 +79,18 @@ def _cmd_class(args) -> int:
         "source": "segre-closed-form",
     }
     lines = [header, f"inflectional locus class: {cls}"]
-    _emit(args, _document("class", inputs, result), lines)
-    return 0
+    return {"inputs": inputs, "result": result}, lines, 0
 
 
-def _cmd_degree(args) -> int:
+def _cmd_degree(args) -> Outcome:
     params, inputs, header = _params(args)
     value = inflectional_degree(params)
     result = {"degree": str(value), "source": "inflectional-degree-closed-form"}
     lines = [header, f"inflectional locus degree: {value}"]
-    _emit(args, _document("degree", inputs, result), lines)
-    return 0
+    return {"inputs": inputs, "result": result}, lines, 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Outcome:
     if args.max_n < 1 or args.max_k < 1:
         raise ValueError(
             f"--max-n and --max-k must be at least 1, got {args.max_n} and {args.max_k}"
@@ -127,11 +118,10 @@ def _cmd_verify(args) -> int:
         "all_pass": not failures,
         "source": "segre-pipeline-vs-closed-form",
     }
-    _emit(args, _document("verify-theorem3", inputs, result), lines)
-    return 1 if failures else 0
+    return {"inputs": inputs, "result": result}, lines, 1 if failures else 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Outcome:
     descriptor = classify_uninflected(args.n, args.k, args.ell)
     inputs = {"n": args.n, "k": args.k, "ell": args.ell}
     if descriptor is None:
@@ -152,15 +142,14 @@ def _cmd_classify(args) -> int:
             f"({','.join(str(a) for a in descriptor.splitting_degrees)}), "
             f"in P^{descriptor.ambient_dim}",
         ]
-    _emit(args, _document("classify", inputs, result), lines)
-    return 0
+    return {"inputs": inputs, "result": result}, lines, 0
 
 
 def _scan_inputs(args, k: int) -> dict:
     return {"scroll": list(args.scroll.degrees), "k": k, "samples": args.samples, "seed": args.seed}
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> Outcome:
     report = rank_scan(args.scroll, k=args.k, samples=args.samples, seed=args.seed)
     inputs = _scan_inputs(args, report.k)
     payload = report.to_dict()
@@ -182,8 +171,7 @@ def _cmd_scan(args) -> int:
         lines.append(f"    ... {len(report.inflected) - 20} more")
     for note in report.notes:
         lines.append(f"  note: {note}")
-    _emit(args, _document("scan", inputs, payload, certificate), lines)
-    return 0
+    return {"inputs": inputs, "result": payload, "certificate": certificate}, lines, 0
 
 
 def _read_basis(path: str) -> list[list[int]]:
@@ -199,7 +187,7 @@ def _read_basis(path: str) -> list[list[int]]:
     return rows
 
 
-def _cmd_wronskian(args) -> int:
+def _cmd_wronskian(args) -> Outcome:
     if (args.degrees is None) == (args.basis is None):
         raise ValueError("provide exactly one of --degrees or --basis")
     if args.degrees is not None:
@@ -226,11 +214,10 @@ def _cmd_wronskian(args) -> int:
         lines.append(f"  total weight: {report.total}")
     for note in report.notes:
         lines.append(f"  note: {note}")
-    _emit(args, _document("wronskian", inputs, payload), lines)
-    return 0
+    return {"inputs": inputs, "result": payload}, lines, 0
 
 
-def _cmd_cross_validate(args) -> int:
+def _cmd_cross_validate(args) -> Outcome:
     report = cross_validate(
         args.scroll, k=args.k, samples=args.samples, seed=args.seed
     )
@@ -250,11 +237,10 @@ def _cmd_cross_validate(args) -> int:
     for note in report.notes:
         lines.append(f"  note: {note}")
     lines.append(f"  verdict: {report.verdict}")
-    _emit(args, _document("cross-validate", inputs, payload), lines)
-    return 1 if report.verdict == MISMATCH else 0
+    return {"inputs": inputs, "result": payload}, lines, 1 if report.verdict == MISMATCH else 0
 
 
-def _cmd_ranks(args) -> int:
+def _cmd_ranks(args) -> Outcome:
     profile = rank_profile(args.n, args.k)
     inputs = {"n": args.n, "k": args.k}
     result = {
@@ -271,8 +257,7 @@ def _cmd_ranks(args) -> int:
         f"  cokernel dual:     {profile.rank_cokernel}",
         f"  order step:        {profile.rank_order_step}",
     ]
-    _emit(args, _document("ranks", inputs, result), lines)
-    return 0
+    return {"inputs": inputs, "result": result}, lines, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,10 +327,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        fields, lines, status = args.func(args)
+        if args.json:
+            doc = {"schema": 1, "verb": args.verb, **fields}
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
     except (ValueError, OSError, InconsistentCharts) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -38,8 +38,8 @@ integer numerators of each point (and evaluates it at the rational point
 only for a certificate), and the Wronskian and determinant oracles share
 one chart determinant over ZZ[u, v_j], so nothing here differentiates.
 One fraction-free elimination, :func:`scrolljets.scrollmodel.bareiss`, gives
-every rank and determinant; sympy supplies only the polynomial rings,
-factorization and printing.
+every rank and determinant; sympy supplies only the polynomial rings and
+factorization, and ring elements print themselves.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-import sympy as sp
+from sympy import ZZ, ring
+from sympy.polys.rings import PolyElement
 
 from .chow import ChowClass
 from .formulas import ScrollParams, curve_inflection_degree, inflectional_class, inflectional_degree
@@ -66,6 +67,7 @@ from .scrollmodel import (
     full_support_rank,
     jet_matrix,
     jet_order,
+    other_summands,
     point_rank,
 )
 
@@ -212,8 +214,8 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
         coefficients=rows,
         degree=degree,
         degenerate=False,
-        wronskian=sp.sstr(wronskian.as_expr()),
-        wronskian_at_infinity=sp.sstr(wronskian_inf.as_expr()),
+        wronskian=str(wronskian),
+        wronskian_at_infinity=str(wronskian_inf),
         finite_total=finite_total,
         rational_points=tuple(rational_points),
         infinity_weight=infinity_weight,
@@ -231,13 +233,15 @@ class DeterminantDivisor(NamedTuple):
     """Determinant of the square jet matrix and its extracted divisor class.
 
     ``delta`` is the determinant in the primary chart (base "0", fiber
-    chart 1); ``divisor_class`` the codimension-1 class L + bF as a
+    chart 1), an element of the ring ZZ[u, v_2, ..., v_n];
+    ``divisor_class`` the codimension-1 class L + bF as a
     :class:`~scrolljets.chow.ChowClass` on the scroll, printed like
     ``L - 2*F``; ``factors`` the irreducible factorization of ``delta`` over
-    the rationals with multiplicities; ``charts`` the determinant in every chart.
+    the rationals with multiplicities; ``charts`` the printed determinant in
+    every chart.
     """
 
-    delta: sp.Expr
+    delta: PolyElement
     divisor_class: ChowClass
     factors: Tuple[Tuple[str, int], ...]
     charts: Dict[Tuple[str, int], str]
@@ -262,12 +266,12 @@ def _chart_determinant(
     determinant of rows x jet matrix: the Wronskian of those combinations
     of sections when the scroll is a curve.
     """
-    others = [j for j in range(1, scroll.n + 1) if j != fiber_chart]
-    ring, u, *vs = sp.ring(["u"] + [f"v{j}" for j in others], sp.ZZ)
+    others = other_summands(scroll.n, fiber_chart)
+    R, u, *vs = ring(["u"] + [f"v{j}" for j in others], ZZ)
     matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, u, dict(zip(others, vs)))
     if rows is not None:
         matrix = [
-            [sum((c * jet for c, jet in zip(row, column)), ring.zero) for column in zip(*matrix)]
+            [sum((c * jet for c, jet in zip(row, column)), R.zero) for column in zip(*matrix)]
             for row in rows
         ]
     return bareiss([list(row) for row in matrix])[1]
@@ -281,7 +285,7 @@ def _section_twist(scroll: DecomposableScroll, fiber_chart: int, delta) -> int:
     e - a_iota resp. e - a_j over the monomials.  Anything nonlinear in the
     fiber coordinates cannot come from a hyperplane-linear divisor.
     """
-    others = [j for j in range(1, scroll.n + 1) if j != fiber_chart]
+    others = other_summands(scroll.n, fiber_chart)
     candidates = []
     for monom in delta.monoms():
         e_u = monom[0]
@@ -336,16 +340,12 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
         raise ValueError(f"chart extractions of the divisor twist disagree: {twists}")
     b = distinct.pop()
 
-    factors = tuple(
-        (sp.sstr(factor.as_expr()), mult)
-        for factor, mult in charts[(BASE_ZERO, 1)].factor_list()[1]
-    )
-    exprs = {key: delta.as_expr() for key, delta in charts.items()}
+    delta = charts[(BASE_ZERO, 1)]
     return DeterminantDivisor(
-        delta=exprs[(BASE_ZERO, 1)],
+        delta=delta,
         divisor_class=ChowClass(scroll.n, [(1, 1, b)]),
-        factors=factors,
-        charts={key: sp.sstr(expr) for key, expr in exprs.items()},
+        factors=tuple((str(factor), mult) for factor, mult in delta.factor_list()[1]),
+        charts={key: str(chart) for key, chart in charts.items()},
     )
 
 

@@ -68,6 +68,19 @@ def exact_rational(value, what: str) -> Fraction:
     return Fraction(value)
 
 
+def summand_index(j, n: int, what: str = "summand index") -> int:
+    """A summand index as an int in 1..n; bools, floats and non-integral values are rejected."""
+    j = exact_int(j, what)
+    if not 1 <= j <= n:
+        raise ValueError(f"{what} {j} outside 1..{n}")
+    return j
+
+
+def other_summands(n: int, fiber_chart: int) -> List[int]:
+    """The summands other than the chart summand, ascending: the order of a chart's v_j."""
+    return [j for j in range(1, n + 1) if j != fiber_chart]
+
+
 @dataclass(frozen=True)
 class DecomposableScroll:
     """P(O(a_1) + ... + O(a_n)) over the projective line."""
@@ -105,9 +118,7 @@ class DecomposableScroll:
 
     def degree_of(self, summand: int) -> int:
         """Degree of a summand, indexed 1..n."""
-        if not 1 <= summand <= self.n:
-            raise ValueError(f"summand index {summand} outside 1..{self.n}")
-        return self.degrees[summand - 1]
+        return self.degrees[summand_index(summand, self.n) - 1]
 
     def section_basis(
         self, base_chart: str, fiber_chart: int
@@ -119,7 +130,9 @@ class DecomposableScroll:
         itself normalized away).  In base chart "inf" the exponents
         reverse, m -> a_j - m.
         """
-        _check_chart(self, base_chart, fiber_chart)
+        if base_chart not in _BASE_CHARTS:
+            raise ValueError(f"base chart must be one of {_BASE_CHARTS}")
+        summand_index(fiber_chart, self.n, "fiber chart")
         basis: List[SectionMonomial] = []
         for summand, a in enumerate(self.degrees, start=1):
             for m in range(a + 1):
@@ -166,17 +179,11 @@ class ScrollPoint:
         )
 
 
-def _check_chart(scroll: DecomposableScroll, base_chart: str, fiber_chart: int) -> None:
-    if base_chart not in _BASE_CHARTS:
-        raise ValueError(f"base chart must be one of {_BASE_CHARTS}")
-    if not 1 <= fiber_chart <= scroll.n:
-        raise ValueError(
-            f"fiber chart {fiber_chart} invalid for a {scroll.n}-dimensional scroll"
-        )
-
-
 def _check_point(scroll: DecomposableScroll, point: ScrollPoint) -> None:
-    _check_chart(scroll, point.base_chart, point.fiber_chart)
+    # ScrollPoint has checked its base chart and made its fiber chart an int,
+    # so a range check suffices and a scan's per-point cost stays flat
+    if not 1 <= point.fiber_chart <= scroll.n:
+        raise ValueError(f"fiber chart {point.fiber_chart} outside 1..{scroll.n}")
     if len(point.v) != scroll.n - 1:
         raise ValueError(
             f"point carries {len(point.v)} fiber coordinates, expected {scroll.n - 1}"
@@ -188,8 +195,7 @@ def fiber_coordinate(
 ) -> Fraction:
     """Chart value of the fiber coordinate of a summand (1 on the chart summand)."""
     _check_point(scroll, point)
-    if not 1 <= summand <= scroll.n:
-        raise ValueError(f"summand index {summand} outside 1..{scroll.n}")
+    summand = summand_index(summand, scroll.n)
     if summand == point.fiber_chart:
         return Fraction(1)
     slot = summand - 1 if summand < point.fiber_chart else summand - 2
@@ -206,10 +212,9 @@ def to_other_base_chart(scroll: DecomposableScroll, point: ScrollPoint) -> Scrol
     if point.u == 0:
         raise ValueError("the point lies outside the other base chart")
     a_iota = scroll.degree_of(point.fiber_chart)
-    others = [j for j in range(1, scroll.n + 1) if j != point.fiber_chart]
     new_v = tuple(
         fiber_coordinate(scroll, point, j) * point.u ** (a_iota - scroll.degree_of(j))
-        for j in others
+        for j in other_summands(scroll.n, point.fiber_chart)
     )
     new_base = BASE_INF if point.base_chart == BASE_ZERO else BASE_ZERO
     return ScrollPoint(new_base, 1 / point.u, point.fiber_chart, new_v)
@@ -220,8 +225,7 @@ def to_fiber_chart(
 ) -> ScrollPoint:
     """The same geometric point, normalized on another fiber summand."""
     _check_point(scroll, point)
-    if not 1 <= fiber_chart <= scroll.n:
-        raise ValueError(f"summand index {fiber_chart} outside 1..{scroll.n}")
+    fiber_chart = summand_index(fiber_chart, scroll.n)
     if fiber_chart == point.fiber_chart:
         return point
     pivot = fiber_coordinate(scroll, point, fiber_chart)
@@ -229,8 +233,9 @@ def to_fiber_chart(
         raise ValueError(
             f"fiber coordinate {fiber_chart} vanishes; the point misses that chart"
         )
-    others = [j for j in range(1, scroll.n + 1) if j != fiber_chart]
-    new_v = tuple(fiber_coordinate(scroll, point, j) / pivot for j in others)
+    new_v = tuple(
+        fiber_coordinate(scroll, point, j) / pivot for j in other_summands(scroll.n, fiber_chart)
+    )
     return ScrollPoint(point.base_chart, point.u, fiber_chart, new_v)
 
 
@@ -241,8 +246,8 @@ Column = Tuple
 
 def jet_columns(n: int, k: int, fiber_chart: int) -> Tuple[Column, ...]:
     """The kn+1 reduced derivative columns, graded by total order."""
+    others = other_summands(n, summand_index(fiber_chart, n, "fiber chart"))
     cols: List[Column] = [("u", 0)]
-    others = [j for j in range(1, n + 1) if j != fiber_chart]
     for h in range(1, k + 1):
         cols.append(("u", h))
         for j in others:
@@ -344,8 +349,7 @@ class JetMatrix:
 
 def _fiber_values(scroll: DecomposableScroll, point: ScrollPoint) -> dict:
     """The point's fiber coordinates, keyed by summand (the chart summand omitted)."""
-    others = [j for j in range(1, scroll.n + 1) if j != point.fiber_chart]
-    return dict(zip(others, point.v))
+    return dict(zip(other_summands(scroll.n, point.fiber_chart), point.v))
 
 
 def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMatrix:

@@ -76,13 +76,13 @@ def test_curve_factor_untwisted():
 
 def test_curve_factor_inverse_example():
     expected = ChowClass(2, [(0, 1, 0), (1, 0, D + 4 * (G - 1))])
-    assert curve_factor(2, 1, inverse=True) == expected
+    assert curve_factor(2, 1).inverse() == expected
 
 
 def test_curve_factor_direct_times_inverse_is_one():
     for n in (1, 2, 4):
         for i in (0, 1, 3):
-            product = curve_factor(n, i) * curve_factor(n, i, inverse=True)
+            product = curve_factor(n, i) * curve_factor(n, i).inverse()
             assert product == ChowClass.unit(n)
 
 
@@ -139,7 +139,7 @@ def test_inverse_curve_factor_product_collapses():
         for k in (1, 2, 4, 6):
             product = ChowClass.unit(n)
             for i in range(k):
-                product = product * curve_factor(n, i, inverse=True)
+                product = product * curve_factor(n, i).inverse()
             a = k * (D + (n * (k - 1)) * (G - 1))
             assert product == ChowClass(n, [(0, 1, 0), (1, 0, a)])
 

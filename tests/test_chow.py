@@ -114,6 +114,17 @@ def test_make_case_i_class():
     assert str(cls) == "L - 2*F"
 
 
+def test_class_str_pins_every_printer_branch():
+    # a negative codim-0 Fraction, +-1 on L and on L^2*F, a Fraction on F,
+    # a magnitude on L*F and a d/g polynomial with a negative lead on L^2
+    terms = [(0, Fraction(-3, 2), 0), (1, 1, Fraction(5, 3)), (2, 2 * G - D, 3), (3, 0, -1)]
+    assert str(ChowClass(3, terms)) == "-3/2 + L + 5/3*F + (-d + 2*g)*L^2 + 3*L*F - L^2*F"
+    flipped = [(0, Fraction(-3, 2), 0), (1, -1, Fraction(5, 3)), (2, 2 * G - D, 3), (3, 0, 1)]
+    assert str(ChowClass(3, flipped)) == "-3/2 - L + 5/3*F + (-d + 2*g)*L^2 + 3*L*F + L^2*F"
+    # a polynomial in codimension 0 is printed bare
+    assert str(ChowClass(2, [(0, D - 1, 0), (1, 0, -2)])) == "(d - 1) - 2*F"
+
+
 def test_make_fiber_class():
     f = ChowClass(2, [(1, 0, 1)])
     assert f == ChowClass.fiber(2)

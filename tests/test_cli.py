@@ -75,6 +75,48 @@ def test_verify_theorem3_default_grid(capsys):
     assert doc["result"]["all_pass"] is True
 
 
+def test_verify_theorem3_failure_exits_nonzero(capsys, monkeypatch):
+    import scrolljets.cli as cli_mod
+    from scrolljets.chow import ChowClass
+
+    monkeypatch.setattr(cli_mod, "segre_term", lambda n, k, j: ChowClass.unit(n))
+    code, doc, _ = run_json(capsys, "verify-theorem3", "--max-n", "2", "--max-k", "1")
+    assert code == 1
+    assert doc["result"]["all_pass"] is False
+    assert doc["result"]["failures"] == [
+        {"n": 1, "k": 1, "j": 1}, {"n": 2, "k": 1, "j": 1}, {"n": 2, "k": 1, "j": 2}
+    ]
+    code, out, _ = run(capsys, "verify-theorem3", "--max-n", "2", "--max-k", "1")
+    assert code == 1
+    assert out.endswith("3 identities checked, 3 failed\n")
+
+
+# one valid command line per verb
+VERB_ARGVS = [
+    ("class", "--n", "2", "--ambient", "4"),
+    ("degree", "--n", "2", "--ambient", "5", "--d", "4"),
+    ("verify-theorem3", "--max-n", "2", "--max-k", "2"),
+    ("classify", "--n", "2", "--k", "2", "--ell", "2"),
+    ("scan", "--scroll", "1,3", "--samples", "20"),
+    ("wronskian", "--degrees", "3", "--k", "3"),
+    ("cross-validate", "--scroll", "1,2"),
+    ("ranks", "--n", "2", "--k", "2"),
+]
+
+
+def test_every_verb_builds_the_same_document(capsys):
+    assert {argv[0] for argv in VERB_ARGVS} == set(OPTIONS) | {"wronskian"}
+    for argv in VERB_ARGVS:
+        code, doc, err = run_json(capsys, *argv)
+        assert code == 0 and err == "", argv
+        expected = {"schema", "verb", "inputs", "result"}
+        if argv[0] == "scan":
+            expected.add("certificate")
+        assert set(doc) == expected, argv
+        assert doc["schema"] == 1
+        assert doc["verb"] == argv[0]
+
+
 def test_cross_validate_mismatch_exits_nonzero(capsys, monkeypatch):
     import scrolljets.cli as cli_mod
     from scrolljets.scanner import CrossValidationReport

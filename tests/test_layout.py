@@ -1,7 +1,8 @@
-"""Source layout: sympy is confined to rings, factorization and printing.
+"""Source layout: sympy is confined to rings and factorization.
 
 Every module of the package is parsed, not imported, so a sympy call on a
-path no test runs is still seen.
+path no test runs is still seen.  Ring elements print themselves, so no
+module turns one into a sympy expression.
 """
 
 import ast
@@ -9,6 +10,8 @@ from pathlib import Path
 
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "scrolljets").glob("*.py"))
 FORBIDDEN = {"Matrix", "diff"}
+EXPRESSION_NAMES = {"as_expr", "sstr", "sympify", "Symbol", "Expr"}
+SCANNER_SYMPY_NAMES = {"ring", "ZZ", "PolyElement"}
 
 
 def test_sympy_is_imported_by_the_scanner_only_and_never_differentiates():
@@ -36,3 +39,20 @@ def test_sympy_is_imported_by_the_scanner_only_and_never_differentiates():
             if isinstance(owner, ast.Name) and owner.id in aliases:
                 assert node.func.attr not in FORBIDDEN, f"{where} calls {owner.id}.{node.func.attr}"
     assert importers == {"scanner.py"}
+
+
+def test_no_module_builds_sympy_expressions():
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in EXPRESSION_NAMES, f"{where} uses .{node.attr}"
+            elif isinstance(node, ast.Name):
+                assert node.id not in EXPRESSION_NAMES, f"{where} names {node.id}"
+            elif isinstance(node, ast.Import):
+                modules = {alias.name.split(".")[0] for alias in node.names}
+                assert "sympy" not in modules, f"{where} imports sympy as a module"
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sympy"):
+                names = {alias.name for alias in node.names}
+                assert names <= SCANNER_SYMPY_NAMES, f"{where} imports {names} from sympy"

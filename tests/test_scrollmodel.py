@@ -212,6 +212,33 @@ def test_exact_rank_rejects_inexact_entries():
     assert exact_rank([[Fraction(1, 10), Fraction(1, 5)], [1, 2]]) == 1
 
 
+# Every summand or fiber-chart index is an exact int in 1..n: a bool, a
+# float, a Fraction or an index out of range is a ValueError, never a
+# TypeError or a silent read of True as summand 1.
+INDEX_SCROLL = DecomposableScroll((1, 2, 3))
+INDEX_POINT = pt(1, (2, 3))
+INDEX_SLOTS = [
+    lambda v: INDEX_SCROLL.degree_of(v),
+    lambda v: INDEX_SCROLL.section_basis(BASE_ZERO, v),
+    lambda v: fiber_coordinate(INDEX_SCROLL, INDEX_POINT, v),
+    lambda v: to_fiber_chart(INDEX_SCROLL, INDEX_POINT, v),
+    lambda v: jet_columns(3, 2, v),
+]
+bad_indices = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.fractions(max_denominator=9),
+    st.sampled_from([0, -1, 4]),
+)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(range(len(INDEX_SLOTS))), bad_indices)
+def test_index_slots_reject_inexact_or_outside_values(slot, value):
+    with pytest.raises(ValueError):
+        INDEX_SLOTS[slot](value)
+
+
 def test_jet_order_is_a_positive_integer():
     assert jet_order(3) == 3
     for k in (0, -1, True, 1.0, 2.5, Fraction(1, 2)):
