@@ -84,18 +84,13 @@ def curve_factor(n: int, i: int) -> ChowClass:
 
     As F*F = 0 its inverse, ``curve_factor(n, i).inverse()``, is 1 + (d + 2in(g-1))F.
     """
-    n = scroll_dimension(n)
-    i = exact_int(i, "twist index i")
-    if i < 0:
-        raise ValueError("twist index i must be a nonnegative integer")
+    n, i = scroll_dimension(n), exact_int(i, "twist index i", 0)
     return _linear_class(n, _ZERO, -_curve_coeff(n, i))
 
 
 def line_twist_factor(n: int, k: int) -> ChowClass:
     """Total Chern class of the line-bundle factor: 1 - 2k(g-1)F - L."""
-    k = exact_int(k, "jet order k")
-    if k < 0:
-        raise ValueError("jet order k must be a nonnegative integer")
+    k = exact_int(k, "jet order k", 0)
     return _linear_class(scroll_dimension(n), -_ONE, _twist_coeff(k))
 
 
@@ -116,17 +111,10 @@ def osculating_chern(n: int, k: int) -> ChowClass:
     return _linear_class(n, _ZERO, -total) * _linear_class(n, -_ONE, _twist_coeff(k))
 
 
-def _segre_codimension(n: int, j) -> int:
-    """A Segre term's codimension j as an int in 1..n (n already checked)."""
-    if not 1 <= exact_int(j, "codimension j") <= n:
-        raise ValueError(f"codimension j must lie in 1..{n}")
-    return int(j)
-
-
 def segre_term(n: int, k: int, j: int) -> ChowClass:
     """Codimension-j piece of the inverse total Chern class, via the product."""
     n = scroll_dimension(n)
-    j = _segre_codimension(n, j)
+    j = exact_int(j, "codimension j", 1, n)
     inv = osculating_chern(n, k).inverse()
     alpha, beta = inv.term(j)
     return ChowClass(n, [(j, alpha, beta)])
@@ -138,6 +126,6 @@ def segre_closed_form(n: int, k: int, j: int) -> ChowClass:
     L^j + k*(d + (n(k-1) + 2j)(g-1)) * L^(j-1)*F
     """
     n, k = scroll_dimension(n), jet_order(k)
-    j = _segre_codimension(n, j)
+    j = exact_int(j, "codimension j", 1, n)
     beta: CoeffPoly = k * (D + (n * (k - 1) + 2 * j) * (G - 1))
     return ChowClass(n, [(j, 1, beta)])

@@ -81,9 +81,7 @@ class CoeffPoly:
     def __init__(self, terms: Optional[Mapping[Tuple[int, int], Scalar]] = None):
         clean: dict[Tuple[int, int], Scalar] = {}
         for (ed, eg), c in (terms or {}).items():
-            ed, eg = exact_int(ed, "an exponent of d"), exact_int(eg, "an exponent of g")
-            if ed < 0 or eg < 0:
-                raise ValueError("monomial exponents must be nonnegative")
+            ed, eg = exact_int(ed, "an exponent of d", 0), exact_int(eg, "an exponent of g", 0)
             if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficient {c!r} is not an exact number")
             clean[(ed, eg)] = c
@@ -177,10 +175,8 @@ class CoeffPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CoeffPoly":
-        if exact_int(exponent, "an exponent") < 0:
-            raise ValueError("exponent must be a nonnegative integer")
         result = CoeffPoly.const(1)
-        for _ in range(exponent):
+        for _ in range(exact_int(exponent, "an exponent", 0)):
             result = result * self
         return result
 
@@ -248,14 +244,6 @@ _ZERO = CoeffPoly()
 _ONE = CoeffPoly.const(1)
 
 
-def _codimension(j, n: int) -> int:
-    """The codimension as an int in 0..n; bools, floats and others are rejected."""
-    j = exact_int(j, "a codimension")
-    if j < 0 or j > n:
-        raise ValueError(f"codimension {j} outside 0..{n}")
-    return j
-
-
 class ChowClass:
     """Graded class on an n-dimensional scroll, in the {L^j, L^(j-1)F} basis.
 
@@ -272,7 +260,7 @@ class ChowClass:
         alpha = [_ZERO] * (n + 1)
         beta = [_ZERO] * (n + 1)
         for j, a, b in terms:
-            j = _codimension(j, n)
+            j = exact_int(j, "a codimension", 0, n)
             a, b = CoeffPoly.coerce(a), CoeffPoly.coerce(b)
             if j == 0 and not b.is_zero():
                 raise ValueError("codimension 0 admits no fiber term")
@@ -307,7 +295,7 @@ class ChowClass:
 
     def term(self, j: int) -> Tuple[CoeffPoly, CoeffPoly]:
         """The coefficient pair (alpha_j, beta_j) in codimension j."""
-        j = _codimension(j, self._n)
+        j = exact_int(j, "a codimension", 0, self._n)
         return self._alpha[j], self._beta[j]
 
     def pieces(self) -> list[Tuple[int, CoeffPoly, CoeffPoly]]:
@@ -384,10 +372,8 @@ class ChowClass:
         return self * other
 
     def __pow__(self, exponent: int) -> "ChowClass":
-        if exact_int(exponent, "an exponent") < 0:
-            raise ValueError("exponent must be a nonnegative integer")
         result = ChowClass.unit(self._n)
-        for _ in range(exponent):
+        for _ in range(exact_int(exponent, "an exponent", 0)):
             result = result * self
         return result
 

@@ -47,14 +47,8 @@ class ScrollParams:
 
     def __post_init__(self) -> None:
         n = scroll_dimension(self.n)
-        ambient = exact_int(self.ambient, "ambient dimension")
-        if ambient <= n:
-            raise ValueError(
-                "ambient dimension must exceed the scroll dimension "
-                f"(got ambient={ambient}, n={n})"
-            )
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "ambient", exact_int(self.ambient, "ambient dimension", n + 1))
         for name in ("d", "g"):
             value = getattr(self, name)
             if value is not None:
@@ -140,10 +134,8 @@ def classify_uninflected(n: int, k: int, ell: int) -> Optional[UninflectedDescri
     answer is the balanced scroll: genus 0, degree kn, splitting degrees
     (k, ..., k), in projective ((k+1)n - 1)-space.
     """
-    n, k, ell = scroll_dimension(n), jet_order(k), exact_int(ell, "expected codimension ell")
-    if ell < 1 or ell > n:
-        raise ValueError(f"expected codimension ell must lie in 1..{n}")
-    if ell < n:
+    n, k = scroll_dimension(n), jet_order(k)
+    if exact_int(ell, "expected codimension ell", 1, n) < n:
         return None
     return UninflectedDescriptor(
         genus=0,

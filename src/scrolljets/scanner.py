@@ -440,8 +440,8 @@ def scan_points(
     alternates fully random points with random points forced onto a random
     zero pattern, so low-dimensional strata keep getting sampled.
     """
-    if exact_int(samples, "the number of samples") < 1:
-        raise ValueError(f"the number of samples must be positive, got {samples}")
+    samples = exact_int(samples, "the number of samples", 1)
+    rng = random.Random(exact_int(seed, "the seed"))
     n = scroll.n
     structured_u = [Fraction(x) for x in (0, 1, -1, 2, -2)]
     structured = 2 * n * len(structured_u) * 2 ** (n - 1)
@@ -450,7 +450,6 @@ def scan_points(
             f"scroll {scroll} has {n} summands: its structured scan block of {structured} "
             f"points exceeds the limit of {MAX_STRUCTURED_POINTS}"
         )
-    rng = random.Random(seed)
     points: List[ScrollPoint] = []
     seen = set()
 
@@ -500,9 +499,8 @@ def rank_scan(
     independently checkable certificate.  A clean scan proves nothing
     beyond "no inflected sample found".
     """
-    k = scroll.N // scroll.n if k is None else jet_order(k)
-    if k * scroll.n > scroll.N:
-        raise ValueError(f"jet order {k} exceeds kn <= N for scroll {scroll}")
+    derived = scroll.N // scroll.n
+    k = derived if k is None else exact_int(k, "jet order k", 1, derived)
     full_rank = k * scroll.n + 1
     points = scan_points(scroll, samples, seed)
     inflected: List[InflectedSample] = []
@@ -690,11 +688,10 @@ def cross_validate(
     lower order is allowed for curves only, where it means probing
     :data:`CURVE_TRIALS` generic subsystems of sections.
     """
+    seed = exact_int(seed, "the seed")
     derived = scroll.N // scroll.n
-    k = derived if k is None else jet_order(k)
+    k = derived if k is None else exact_int(k, "jet order k", 1, derived)
     if scroll.n == 1:
-        if k > scroll.N:
-            raise ValueError(f"jet order {k} exceeds the curve degree {scroll.N}")
         ell, formula_cls = 1, None
         formula_deg = curve_inflection_degree(scroll.d, 0, k)
         oracle, verdict, summary, notes = _curve_oracle(scroll, k, seed, formula_deg)

@@ -38,27 +38,31 @@ BASE_INF = "inf"
 _BASE_CHARTS = (BASE_ZERO, BASE_INF)
 
 
-def exact_int(value, what: str) -> int:
-    """The value as an int; bools, floats and non-integral values are rejected."""
+def exact_int(value, what: str, low: Optional[int] = None, high: Optional[int] = None) -> int:
+    """The value as an int in low..high; bools, floats and non-integral values are rejected.
+
+    Both bounds are inclusive and a bound left as None is not checked; high
+    is only given together with low.  An int out of range is a ValueError
+    reading "{what} must be at least {low}, got {v}" or, with both bounds,
+    "{what} must lie in {low}..{high}, got {v}".
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = f"be at least {low}" if high is None else f"lie in {low}..{high}"
+        raise ValueError(f"{what} must {bound}, got {value}")
+    return value
 
 
 def jet_order(k) -> int:
     """The jet order as an int; it must be a positive integer, not a bool or float."""
-    k = exact_int(k, "jet order k")
-    if k < 1:
-        raise ValueError("jet order k must be a positive integer")
-    return k
+    return exact_int(k, "jet order k", 1)
 
 
 def scroll_dimension(n) -> int:
     """The dimension n as an int; it must be a positive integer, not a bool or float."""
-    n = exact_int(n, "dimension n")
-    if n < 1:
-        raise ValueError("dimension n must be a positive integer")
-    return n
+    return exact_int(n, "dimension n", 1)
 
 
 def exact_rational(value, what: str) -> Fraction:
@@ -66,14 +70,6 @@ def exact_rational(value, what: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, numbers.Rational):
         raise ValueError(f"{what} must be an exact rational, got {value!r}")
     return Fraction(value)
-
-
-def summand_index(j, n: int, what: str = "summand index") -> int:
-    """A summand index as an int in 1..n; bools, floats and non-integral values are rejected."""
-    j = exact_int(j, what)
-    if not 1 <= j <= n:
-        raise ValueError(f"{what} {j} outside 1..{n}")
-    return j
 
 
 def other_summands(n: int, fiber_chart: int) -> List[int]:
@@ -88,11 +84,9 @@ class DecomposableScroll:
     degrees: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        degrees = tuple(exact_int(a, "a summand degree") for a in self.degrees)
+        degrees = tuple(exact_int(a, "a summand degree", 1) for a in self.degrees)
         if not degrees:
             raise ValueError("a scroll needs at least one summand")
-        if any(a <= 0 for a in degrees):
-            raise ValueError("all summand degrees must be positive integers")
         object.__setattr__(self, "degrees", degrees)
 
     @classmethod
@@ -118,7 +112,7 @@ class DecomposableScroll:
 
     def degree_of(self, summand: int) -> int:
         """Degree of a summand, indexed 1..n."""
-        return self.degrees[summand_index(summand, self.n) - 1]
+        return self.degrees[exact_int(summand, "summand index", 1, self.n) - 1]
 
     def section_basis(
         self, base_chart: str, fiber_chart: int
@@ -132,7 +126,7 @@ class DecomposableScroll:
         """
         if base_chart not in _BASE_CHARTS:
             raise ValueError(f"base chart must be one of {_BASE_CHARTS}")
-        summand_index(fiber_chart, self.n, "fiber chart")
+        exact_int(fiber_chart, "fiber chart", 1, self.n)
         basis: List[SectionMonomial] = []
         for summand, a in enumerate(self.degrees, start=1):
             for m in range(a + 1):
@@ -170,10 +164,7 @@ class ScrollPoint:
         if self.base_chart not in _BASE_CHARTS:
             raise ValueError(f"base chart must be one of {_BASE_CHARTS}")
         object.__setattr__(self, "u", exact_rational(self.u, "the base coordinate u"))
-        fiber_chart = exact_int(self.fiber_chart, "the fiber chart")
-        if fiber_chart < 1:
-            raise ValueError("fiber chart must be a positive summand index")
-        object.__setattr__(self, "fiber_chart", fiber_chart)
+        object.__setattr__(self, "fiber_chart", exact_int(self.fiber_chart, "the fiber chart", 1))
         object.__setattr__(
             self, "v", tuple(exact_rational(x, "a fiber coordinate") for x in self.v)
         )
@@ -195,7 +186,7 @@ def fiber_coordinate(
 ) -> Fraction:
     """Chart value of the fiber coordinate of a summand (1 on the chart summand)."""
     _check_point(scroll, point)
-    summand = summand_index(summand, scroll.n)
+    summand = exact_int(summand, "summand index", 1, scroll.n)
     if summand == point.fiber_chart:
         return Fraction(1)
     slot = summand - 1 if summand < point.fiber_chart else summand - 2
@@ -225,7 +216,7 @@ def to_fiber_chart(
 ) -> ScrollPoint:
     """The same geometric point, normalized on another fiber summand."""
     _check_point(scroll, point)
-    fiber_chart = summand_index(fiber_chart, scroll.n)
+    fiber_chart = exact_int(fiber_chart, "summand index", 1, scroll.n)
     if fiber_chart == point.fiber_chart:
         return point
     pivot = fiber_coordinate(scroll, point, fiber_chart)
@@ -246,7 +237,7 @@ Column = Tuple
 
 def jet_columns(n: int, k: int, fiber_chart: int) -> Tuple[Column, ...]:
     """The kn+1 reduced derivative columns, graded by total order."""
-    others = other_summands(n, summand_index(fiber_chart, n, "fiber chart"))
+    others = other_summands(n, exact_int(fiber_chart, "fiber chart", 1, n))
     cols: List[Column] = [("u", 0)]
     for h in range(1, k + 1):
         cols.append(("u", h))
@@ -403,13 +394,14 @@ def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
     """Exact rank of a rational matrix; each row is cleared of denominators first.
 
     Entries are ints or other exact rationals (Fractions); bools and floats
-    are rejected rather than read as 1 or binary-expanded.
+    are rejected rather than read as 1 or binary-expanded, and so are rows
+    of unequal length.
     """
     cleared: List[List[int]] = []
     for row in rows:
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, numbers.Rational):
-                raise ValueError(f"a matrix entry must be an exact rational, got {x!r}")
+        row = [exact_rational(x, "a matrix entry") for x in row]
+        if cleared and len(row) != len(cleared[0]):
+            raise ValueError(f"matrix rows differ in length: {len(cleared[0])} and {len(row)}")
         scale = lcm(*(x.denominator for x in row))
         cleared.append([x.numerator * (scale // x.denominator) for x in row])
     return bareiss(cleared)[0]
@@ -464,10 +456,8 @@ def osculating_dim(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> in
 def is_inflected(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> bool:
     """Whether the k-jet rank at the point drops below the generic bound kn+1.
 
-    Only meaningful while kn does not exceed the ambient dimension N.
+    Only meaningful while kn does not exceed the ambient dimension N, so k
+    must lie in 1..N // n.
     """
-    if k * scroll.n > scroll.N:
-        raise ValueError(
-            f"jet order {k} exceeds the range kn <= N for scroll {scroll} (N={scroll.N})"
-        )
+    k = exact_int(k, "jet order k", 1, scroll.N // scroll.n)
     return point_rank(scroll, k, point) < k * scroll.n + 1

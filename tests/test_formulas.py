@@ -22,7 +22,8 @@ from scrolljets.formulas import (
     inflectional_class,
     inflectional_degree,
 )
-from scrolljets.scrollmodel import DecomposableScroll
+from scrolljets.scanner import rank_scan, scan_points
+from scrolljets.scrollmodel import DecomposableScroll, ScrollPoint, is_inflected
 
 
 def test_params_derive_jet_order_and_codim():
@@ -323,3 +324,34 @@ def test_integer_slots_reject_inexact_values(slot, value):
 def test_rational_slots_reject_inexact_values(slot, value):
     with pytest.raises(ValueError):
         RATIONAL_SLOTS[slot](value)
+
+
+# Every integer bound is one exactness gate: an int outside its range is a
+# ValueError in the gate's single message form, whatever the entry point.
+RANGE_SCROLL = DecomposableScroll((1, 2))  # N = 4, n = 2: the jet order runs in 1..2
+OUT_OF_RANGE = [
+    lambda: segre_term(2, 2, 0),
+    lambda: segre_term(2, 2, 3),
+    lambda: ChowClass.unit(2).term(3),
+    lambda: ChowClass(2, [(-1, 1, 0)]),
+    lambda: classify_uninflected(2, 2, 0),
+    lambda: classify_uninflected(2, 2, 3),
+    lambda: curve_factor(2, -1),
+    lambda: line_twist_factor(2, -1),
+    lambda: D**-1,
+    lambda: CoeffPoly({(-1, 0): 1}),
+    lambda: ScrollParams(n=2, ambient=2),
+    lambda: DecomposableScroll((0,)),
+    lambda: ScrollPoint("0", 0, 0),
+    lambda: rank_scan(RANGE_SCROLL, k=3),
+    lambda: is_inflected(RANGE_SCROLL, 3, ScrollPoint("0", 1, 1, (1,))),
+    lambda: scan_points(RANGE_SCROLL, 0, 1),
+    lambda: rank_profile(0, 2),
+]
+
+
+@pytest.mark.parametrize("slot", range(len(OUT_OF_RANGE)))
+def test_integer_slots_reject_out_of_range_values(slot):
+    gate_message = r"must (be at least -?\d+|lie in -?\d+\.\.\d+), got -?\d+$"
+    with pytest.raises(ValueError, match=gate_message):
+        OUT_OF_RANGE[slot]()

@@ -1,4 +1,5 @@
-"""Source layout: sympy is confined to rings and factorization.
+"""Source layout: sympy is confined to rings and factorization, and one
+gate decides what counts as an exact number.
 
 Every module of the package is parsed, not imported, so a sympy call on a
 path no test runs is still seen.  Ring elements print themselves, so no
@@ -12,6 +13,8 @@ MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "scrolljets").gl
 FORBIDDEN = {"Matrix", "diff"}
 EXPRESSION_NAMES = {"as_expr", "sstr", "sympify", "Symbol", "Expr"}
 SCANNER_SYMPY_NAMES = {"ring", "ZZ", "PolyElement"}
+EXACTNESS_GATES = {"exact_int", "exact_rational"}
+NUMBER_TYPES = {"Integral", "Rational"}
 
 
 def test_sympy_is_imported_by_the_scanner_only_and_never_differentiates():
@@ -56,3 +59,34 @@ def test_no_module_builds_sympy_expressions():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sympy"):
                 names = {alias.name for alias in node.names}
                 assert names <= SCANNER_SYMPY_NAMES, f"{where} imports {names} from sympy"
+
+
+def test_only_the_exactness_gates_test_number_types():
+    seen = 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases |= {a.asname or a.name for a in node.names if a.name == "numbers"}
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "numbers", f"{path.name}:{node.lineno} imports from numbers"
+        inside_gates = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in EXACTNESS_GATES
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in NUMBER_TYPES
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                assert id(node) in inside_gates, (
+                    f"{path.name}:{node.lineno} tests numbers.{node.attr} outside "
+                    f"{sorted(EXACTNESS_GATES)}"
+                )
+                seen += 1
+    assert seen >= len(EXACTNESS_GATES)  # the gates themselves are found

@@ -370,6 +370,9 @@ def test_rank_scan_rejects_large_order():
     for samples in (0, -5, 2.5, True):
         with pytest.raises(ValueError):
             rank_scan(DecomposableScroll((2, 2)), samples=samples)
+    for seed in (1.5, True):
+        with pytest.raises(ValueError):
+            rank_scan(DecomposableScroll((1, 3)), samples=20, seed=seed)
     # the jet order is checked before any point is built
     for k in (True, 1.0, 2.5, 0, -1):
         with pytest.raises(ValueError):
@@ -458,6 +461,10 @@ def test_cross_validate_rejects_inexact_order():
         for k in (True, 1.0, 2.5, 0, -1):
             with pytest.raises(ValueError):
                 cross_validate(DecomposableScroll(degrees), k=k)
+    for degrees, k in (((5,), 3), ((1, 3), None)):
+        for seed in (1.5, True):
+            with pytest.raises(ValueError):
+                cross_validate(DecomposableScroll(degrees), k=k, seed=seed)
 
 
 def test_cross_validate_deterministic():

@@ -206,7 +206,14 @@ def test_exact_rank_matches_float_free_reference():
 
 def test_exact_rank_rejects_inexact_entries():
     # a float would be binary-expanded and a bool read as 1
-    for rows in ([[0.1, 0.2], [1, 2]], [[True, 2], [1, 2]], [[1, 2], [Fraction(1), 2.0]]):
+    # and ragged rows would raise IndexError or drop entries
+    for rows in (
+        [[0.1, 0.2], [1, 2]],
+        [[True, 2], [1, 2]],
+        [[1, 2], [Fraction(1), 2.0]],
+        [[1, 2], [3]],
+        [[1], [3, 4]],
+    ):
         with pytest.raises(ValueError):
             exact_rank(rows)
     assert exact_rank([[Fraction(1, 10), Fraction(1, 5)], [1, 2]]) == 1
