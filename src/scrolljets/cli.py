@@ -8,7 +8,8 @@ output.  Invalid input exits nonzero with a one-line diagnostic, and so
 does a cross-validate MISMATCH, which is a correctness alarm.
 
 Each verb's handler returns its document fields, its text lines and its
-exit status; :func:`main` alone assembles and prints the document.
+exit status; an oracle verb reads its text lines from the ``result`` that
+--json prints.  :func:`main` alone assembles and prints the document.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -54,6 +56,11 @@ def _scroll(text: str) -> DecomposableScroll:
 #: What a verb's handler returns: the document fields ("inputs", "result"
 #: and possibly "certificate"), the text lines and the exit status.
 Outcome = Tuple[dict, list[str], int]
+
+_SUBSTITUTED = (
+    "exact rational; omitted means formal; the value is substituted into the formal "
+    "polynomial, with no check that a scroll of that degree or genus exists"
+)
 
 
 def _params(args) -> Tuple[ScrollParams, dict, str]:
@@ -125,23 +132,17 @@ def _cmd_classify(args) -> Outcome:
     descriptor = classify_uninflected(args.n, args.k, args.ell)
     inputs = {"n": args.n, "k": args.k, "ell": args.ell}
     if descriptor is None:
-        result = {"verdict": "necessarily inflected", "source": "uninflected-classification"}
+        result = {"verdict": "necessarily inflected"}
         lines = [f"n={args.n} k={args.k} ell={args.ell}: necessarily inflected"]
     else:
-        result = {
-            "verdict": "balanced",
-            "genus": descriptor.genus,
-            "degree": descriptor.degree,
-            "splitting_degrees": list(descriptor.splitting_degrees),
-            "ambient_dim": descriptor.ambient_dim,
-            "source": "uninflected-classification",
-        }
+        result = {"verdict": "balanced", **asdict(descriptor)}
         lines = [
             f"n={args.n} k={args.k} ell={args.ell}: only the balanced scroll is uninflected",
             f"  genus 0, degree {descriptor.degree}, splitting "
             f"({','.join(str(a) for a in descriptor.splitting_degrees)}), "
             f"in P^{descriptor.ambient_dim}",
         ]
+    result["source"] = "uninflected-classification"
     return {"inputs": inputs, "result": result}, lines, 0
 
 
@@ -149,29 +150,37 @@ def _scan_inputs(args, k: int) -> dict:
     return {"scroll": list(args.scroll.degrees), "k": k, "samples": args.samples, "seed": args.seed}
 
 
+def _oracle_result(report) -> dict:
+    """An oracle report's document, which names the oracle as its source."""
+    result = report.to_dict()
+    result["source"] = result["oracle"]
+    return result
+
+
+def _note_lines(result: dict) -> list[str]:
+    return [f"  note: {note}" for note in result["notes"]]
+
+
 def _cmd_scan(args) -> Outcome:
-    report = rank_scan(args.scroll, k=args.k, samples=args.samples, seed=args.seed)
-    inputs = _scan_inputs(args, report.k)
-    payload = report.to_dict()
-    certificate = {"inflected": payload.pop("inflected")}
-    payload["source"] = "rank-scan"
+    result = _oracle_result(rank_scan(args.scroll, k=args.k, samples=args.samples, seed=args.seed))
+    inflected = result.pop("inflected")
     lines = [
-        f"scan scroll={args.scroll} k={report.k} seed={report.seed}",
-        f"  points examined: {report.points_examined}",
-        f"  full rank: {report.full_rank}",
-        f"  inflected: {len(report.inflected)}  clean: {report.clean_count}",
+        f"scan scroll={args.scroll} k={result['k']} seed={result['seed']}",
+        f"  points examined: {result['points_examined']}",
+        f"  full rank: {result['full_rank']}",
+        f"  inflected: {result['inflected_count']}  clean: {result['clean_count']}",
     ]
-    for sample in report.inflected[:20]:
-        p = sample.point
+    for sample in inflected[:20]:
+        p = sample["point"]
         lines.append(
-            f"    rank {sample.rank} (corank {sample.corank}) at "
-            f"base={p.base_chart} u={p.u} chart={p.fiber_chart} v=({','.join(map(str, p.v))})"
+            f"    rank {sample['rank']} (corank {sample['corank']}) at "
+            f"base={p['base_chart']} u={p['u']} chart={p['fiber_chart']} v=({','.join(p['v'])})"
         )
-    if len(report.inflected) > 20:
-        lines.append(f"    ... {len(report.inflected) - 20} more")
-    for note in report.notes:
-        lines.append(f"  note: {note}")
-    return {"inputs": inputs, "result": payload, "certificate": certificate}, lines, 0
+    if len(inflected) > 20:
+        lines.append(f"    ... {len(inflected) - 20} more")
+    lines += _note_lines(result)
+    inputs = _scan_inputs(args, result["k"])
+    return {"inputs": inputs, "result": result, "certificate": {"inflected": inflected}}, lines, 0
 
 
 def _read_basis(path: str) -> list[list[int]]:
@@ -196,60 +205,47 @@ def _cmd_wronskian(args) -> Outcome:
     else:
         curve = _read_basis(args.basis)
         inputs = {"basis": curve, "k": args.k}
-    report = wronskian_weights(curve, args.k)
-    payload = report.to_dict()
-    payload["source"] = "wronskian"
+    result = _oracle_result(wronskian_weights(curve, args.k))
     lines = [
-        f"wronskian oracle, k={args.k}, basis degree {report.degree}",
-        f"  wronskian: {report.wronskian}",
-        f"  at infinity: {report.wronskian_at_infinity}",
+        f"wronskian oracle, k={args.k}, basis degree {result['degree']}",
+        f"  wronskian: {result['wronskian']}",
+        f"  at infinity: {result['wronskian_at_infinity']}",
     ]
-    if report.degenerate:
+    if result["degenerate"]:
         lines.append("  degenerate basis (linearly dependent)")
     else:
-        for root, mult in report.rational_points:
-            lines.append(f"  weight {mult} at u = {root}")
-        lines.append(f"  weight {report.infinity_weight} at infinity")
-        lines.append(f"  finite total: {report.finite_total}")
-        lines.append(f"  total weight: {report.total}")
-    for note in report.notes:
-        lines.append(f"  note: {note}")
-    return {"inputs": inputs, "result": payload}, lines, 0
+        for point in result["rational_points"]:
+            lines.append(f"  weight {point['weight']} at u = {point['u']}")
+        lines.append(f"  weight {result['infinity_weight']} at infinity")
+        lines.append(f"  finite total: {result['finite_total']}")
+        lines.append(f"  total weight: {result['total']}")
+    lines += _note_lines(result)
+    return {"inputs": inputs, "result": result}, lines, 0
 
 
 def _cmd_cross_validate(args) -> Outcome:
-    report = cross_validate(
-        args.scroll, k=args.k, samples=args.samples, seed=args.seed
-    )
-    inputs = _scan_inputs(args, report.k)
-    payload = report.to_dict()
-    payload["source"] = report.oracle
+    report = cross_validate(args.scroll, k=args.k, samples=args.samples, seed=args.seed)
+    result = _oracle_result(report)
     lines = [
         f"cross-validate scroll={args.scroll} (n={args.scroll.n}, d={args.scroll.d}, "
         f"N={args.scroll.N}, g=0)",
-        f"  jet order k={report.k}, expected codim ell={report.ell}",
-        f"  oracle: {report.oracle}",
+        f"  jet order k={result['k']}, expected codim ell={result['ell']}",
+        f"  oracle: {result['oracle']}",
     ]
-    if report.formula_class is not None:
-        lines.append(f"  formula class: {report.formula_class}")
-    if report.formula_degree is not None:
-        lines.append(f"  formula degree: {report.formula_degree}")
-    for note in report.notes:
-        lines.append(f"  note: {note}")
-    lines.append(f"  verdict: {report.verdict}")
-    return {"inputs": inputs, "result": payload}, lines, 1 if report.verdict == MISMATCH else 0
+    if result["formula_class"] is not None:
+        lines.append(f"  formula class: {result['formula_class']}")
+    lines.append(f"  formula degree: {result['formula_degree']}")
+    lines += _note_lines(result)
+    lines.append(f"  verdict: {result['verdict']}")
+    status = 1 if result["verdict"] == MISMATCH else 0
+    return {"inputs": _scan_inputs(args, result["k"]), "result": result}, lines, status
 
 
 def _cmd_ranks(args) -> Outcome:
     profile = rank_profile(args.n, args.k)
     inputs = {"n": args.n, "k": args.k}
-    result = {
-        "rank_jet": profile.rank_jet,
-        "rank_osculating": profile.rank_osculating,
-        "rank_cokernel": profile.rank_cokernel,
-        "rank_order_step": profile.rank_order_step,
-        "source": "rank-profile",
-    }
+    result = {key: value for key, value in asdict(profile).items() if key not in inputs}
+    result["source"] = "rank-profile"
     lines = [
         f"ranks for n={args.n}, k={args.k}",
         f"  jet bundle:        {profile.rank_jet}",
@@ -278,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, parents=[common], help=f"inflectional locus {verb}")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--ambient", type=int, required=True)
-        p.add_argument("--d", type=_fraction, default=None)
-        p.add_argument("--g", type=_fraction, default=None)
+        p.add_argument("--d", type=_fraction, default=None, help=_SUBSTITUTED)
+        p.add_argument("--g", type=_fraction, default=None, help=_SUBSTITUTED)
         p.set_defaults(func=func)
 
     p = sub.add_parser(

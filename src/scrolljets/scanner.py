@@ -30,7 +30,8 @@ Three oracles are provided:
 with the closed formulas and builds one report with MATCH, MISMATCH or
 HYPOTHESIS-VIOLATED (the latter when the oracle certifies a locus of the
 wrong dimension, so the expected-codimension hypothesis behind the class
-formula fails).
+formula fails).  A report stores only what its oracle measured, derives the
+rest (full rank, clean count, total weight) and prints through ``to_dict``.
 
 All three oracles read one jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it at the
@@ -104,19 +105,23 @@ _INCONSISTENT = "determinant vanishes in some charts but not all; inconsistent m
 
 @dataclass(frozen=True)
 class WronskianReport:
-    """Weighted inflection count of a curve from its Wronskian."""
+    """Weighted inflection count of a curve from its Wronskian; the measured
+    fields default to those of a degenerate basis, which has no weights."""
 
     k: int
     coefficients: Tuple[Tuple[int, ...], ...]
     degree: int
     degenerate: bool
-    wronskian: str
-    wronskian_at_infinity: str
-    finite_total: int
-    rational_points: Tuple[Tuple[Fraction, int], ...]
-    infinity_weight: int
-    total: int
+    wronskian: str = "0"
+    wronskian_at_infinity: str = "0"
+    finite_total: int = 0
+    rational_points: Tuple[Tuple[Fraction, int], ...] = ()
+    infinity_weight: int = 0
     notes: Tuple[str, ...] = ()
+
+    @property
+    def total(self) -> int:
+        return self.finite_total + self.infinity_weight
 
     def to_dict(self) -> dict:
         return {
@@ -179,19 +184,8 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
     monomial_curve = DecomposableScroll((degree,))
     wronskian = _chart_determinant(monomial_curve, k, BASE_ZERO, 1, rows)
     if not wronskian:
-        return WronskianReport(
-            k=k,
-            coefficients=rows,
-            degree=degree,
-            degenerate=True,
-            wronskian="0",
-            wronskian_at_infinity="0",
-            finite_total=0,
-            rational_points=(),
-            infinity_weight=0,
-            total=0,
-            notes=("basis is linearly dependent; weights are undefined",),
-        )
+        note = "basis is linearly dependent; weights are undefined"
+        return WronskianReport(k, rows, degree, degenerate=True, notes=(note,))
     wronskian_inf = _chart_determinant(monomial_curve, k, BASE_INF, 1, rows)
 
     finite_total = wronskian.degree()
@@ -219,7 +213,6 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
         finite_total=finite_total,
         rational_points=tuple(rational_points),
         infinity_weight=infinity_weight,
-        total=finite_total + infinity_weight,
         notes=tuple(notes),
     )
 
@@ -365,20 +358,16 @@ class InflectedSample:
 
     def to_dict(self) -> dict:
         return {
-            "point": _point_dict(self.point),
+            "point": {
+                "base_chart": self.point.base_chart,
+                "u": str(self.point.u),
+                "fiber_chart": self.point.fiber_chart,
+                "v": [str(x) for x in self.point.v],
+            },
             "rank": self.rank,
             "corank": self.corank,
             "jet_matrix": [[str(x) for x in row] for row in self.matrix],
         }
-
-
-def _point_dict(point: ScrollPoint) -> dict:
-    return {
-        "base_chart": point.base_chart,
-        "u": str(point.u),
-        "fiber_chart": point.fiber_chart,
-        "v": [str(x) for x in point.v],
-    }
 
 
 @dataclass(frozen=True)
@@ -390,10 +379,16 @@ class ScanReport:
     seed: int
     samples_requested: int
     points_examined: int
-    full_rank: int
     inflected: Tuple[InflectedSample, ...]
-    clean_count: int
     notes: Tuple[str, ...]
+
+    @property
+    def full_rank(self) -> int:
+        return self.k * self.scroll.n + 1
+
+    @property
+    def clean_count(self) -> int:
+        return self.points_examined - len(self.inflected)
 
     def to_dict(self) -> dict:
         return {
@@ -501,10 +496,11 @@ def rank_scan(
     """
     derived = scroll.N // scroll.n
     k = derived if k is None else exact_int(k, "jet order k", 1, derived)
+    samples = exact_int(samples, "the number of samples", 1)
+    seed = exact_int(seed, "the seed")
     full_rank = k * scroll.n + 1
     points = scan_points(scroll, samples, seed)
     inflected: List[InflectedSample] = []
-    clean = 0
     for point in points:
         rank = point_rank(scroll, k, point)
         if rank < full_rank:
@@ -516,8 +512,6 @@ def rank_scan(
                     matrix=jet_matrix(scroll, k, point).entries,
                 )
             )
-        else:
-            clean += 1
 
     notes: List[str] = []
     if not inflected:
@@ -541,9 +535,7 @@ def rank_scan(
         seed=seed,
         samples_requested=samples,
         points_examined=len(points),
-        full_rank=full_rank,
         inflected=tuple(inflected),
-        clean_count=clean,
         notes=tuple(notes),
     )
 
@@ -565,7 +557,7 @@ class CrossValidationReport:
     oracle: str
     verdict: str
     formula_class: Optional[str]
-    formula_degree: Optional[str]
+    formula_degree: str
     oracle_summary: dict
     notes: Tuple[str, ...]
 
@@ -590,28 +582,20 @@ class CrossValidationReport:
 def _curve_oracle(scroll: DecomposableScroll, k: int, seed: int, expected):
     """Wronskian totals of a curve against the formula count ``expected``."""
     d = scroll.d
-    notes: List[str] = []
     if k == scroll.N:
-        report = wronskian_weights(scroll, k)
-        totals = {report.total}
-        summary = report.to_dict()
-        notes.append("full monomial basis used")
+        reports = [wronskian_weights(scroll, k)]
+        summary = reports[0].to_dict()
+        notes = ["full monomial basis used"]
     else:
         # the curve carries more sections than the jet order needs, so probe
         # generic (k+1)-dimensional subsystems with seeded bases
         rng = random.Random(seed)
-        totals = set()
-        summary = {}
-        for trial in range(CURVE_TRIALS):
-            rows = _random_spanning_basis(rng, d, k)
-            report = wronskian_weights(rows, k)
-            totals.add(report.total)
-            if not summary:
-                summary = report.to_dict()
-        summary["trials"] = CURVE_TRIALS
-        notes.append(
-            f"{CURVE_TRIALS} seeded generic bases of k+1 sections of the degree-{d} system"
-        )
+        reports = [
+            wronskian_weights(_random_spanning_basis(rng, d, k), k) for _ in range(CURVE_TRIALS)
+        ]
+        summary = {**reports[0].to_dict(), "trials": CURVE_TRIALS}
+        notes = [f"{CURVE_TRIALS} seeded generic bases of k+1 sections of the degree-{d} system"]
+    totals = {report.total for report in reports}
     verdict = MATCH if totals == {expected} else MISMATCH
     notes.append(f"oracle totals {sorted(totals)} vs formula {expected}")
     return "wronskian", verdict, summary, notes

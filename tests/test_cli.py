@@ -49,6 +49,15 @@ def test_class_verb_with_rational_values(capsys):
     assert doc["result"]["class"] == "L^2 + (14*g - 11)*L*F"
 
 
+def test_class_and_degree_help_say_values_are_substituted(capsys):
+    for verb in ("class", "degree"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert text.count("no check that a scroll of that degree or genus exists") == 2, verb
+
+
 def test_class_verb_json(capsys):
     code, doc, _ = run_json(
         capsys, "class", "--n", "2", "--ambient", "4", "--d", "3", "--g", "0"

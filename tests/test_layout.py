@@ -1,13 +1,17 @@
-"""Source layout: sympy is confined to rings and factorization, and one
-gate decides what counts as an exact number.
+"""Source layout: sympy is confined to rings and factorization, one gate
+decides what counts as an exact number, and the CLI reads oracle reports
+only through the documents their ``to_dict`` builds.
 
-Every module of the package is parsed, not imported, so a sympy call on a
-path no test runs is still seen.  Ring elements print themselves, so no
+Every module of the package is parsed, so a sympy call or a report read
+on a path no test runs is still seen.  Ring elements print themselves, so no
 module turns one into a sympy expression.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from scrolljets import scanner
 
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "scrolljets").glob("*.py"))
 FORBIDDEN = {"Matrix", "diff"}
@@ -15,6 +19,19 @@ EXPRESSION_NAMES = {"as_expr", "sstr", "sympify", "Symbol", "Expr"}
 SCANNER_SYMPY_NAMES = {"ring", "ZZ", "PolyElement"}
 EXACTNESS_GATES = {"exact_int", "exact_rational"}
 NUMBER_TYPES = {"Integral", "Rational"}
+REPORTS = (
+    scanner.ScanReport,
+    scanner.InflectedSample,
+    scanner.WronskianReport,
+    scanner.CrossValidationReport,
+)
+# fields and properties that only an oracle report has
+REPORT_FIELDS = {
+    "notes", "inflected", "points_examined", "samples_requested", "full_rank", "clean_count",
+    "corank", "verdict", "formula_class", "formula_degree", "oracle_summary", "rational_points",
+    "infinity_weight", "finite_total", "total", "degenerate", "wronskian",
+    "wronskian_at_infinity",
+}
 
 
 def test_sympy_is_imported_by_the_scanner_only_and_never_differentiates():
@@ -90,3 +107,18 @@ def test_only_the_exactness_gates_test_number_types():
                 )
                 seen += 1
     assert seen >= len(EXACTNESS_GATES)  # the gates themselves are found
+
+
+def test_cli_reads_oracle_reports_only_through_their_documents():
+    # text and --json are printed from one document, so the CLI never reads
+    # an answer off a report attribute
+    known = set()
+    for report in REPORTS:
+        known |= {field.name for field in dataclasses.fields(report)}
+        known |= {name for name, value in vars(report).items() if isinstance(value, property)}
+    assert REPORT_FIELDS <= known, REPORT_FIELDS - known
+    (path,) = [path for path in MODULES if path.name == "cli.py"]
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in REPORT_FIELDS, f"cli.py:{node.lineno} reads .{node.attr}"

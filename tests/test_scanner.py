@@ -1,3 +1,5 @@
+import json
+import numbers
 import random
 from fractions import Fraction
 
@@ -381,6 +383,37 @@ def test_rank_scan_rejects_large_order():
     for n in (8, 20):
         with pytest.raises(ValueError):
             scan_points(DecomposableScroll((1,) * n), 1, seed=0)
+
+
+class OtherIntegral:
+    """An integral type that is not int, as numpy.int64 is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __int__(self):
+        return self.value
+
+    __index__ = __int__
+
+
+numbers.Integral.register(OtherIntegral)
+
+
+def test_reports_record_the_integers_their_gates_return():
+    # the gates accept any numbers.Integral; the report must keep the int the
+    # gate returned, or its document cannot be serialised
+    X = DecomposableScroll((1, 3))
+    for report in (
+        rank_scan(X, samples=20, seed=OtherIntegral(3)),
+        rank_scan(X, samples=OtherIntegral(20), seed=3),
+    ):
+        assert type(report.seed) is int and type(report.samples_requested) is int
+        assert (report.seed, report.samples_requested) == (3, 20)
+        json.dumps(report.to_dict())
+    summary = cross_validate(X, samples=OtherIntegral(20), seed=3).to_dict()
+    assert type(summary["oracle_result"]["samples_requested"]) is int
+    json.dumps(summary)
 
 
 # ---------------------------------------------------------------------------

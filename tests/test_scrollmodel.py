@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -435,3 +436,35 @@ def test_full_support_rank_is_the_rank_on_the_open_orbit(data):
     v = tuple(data.draw(st.lists(nonzero_coordinates, min_size=X.n - 1, max_size=X.n - 1)))
     rank = point_rank(X, k, ScrollPoint(base, u, iota, v))
     assert rank == full_support_rank(X, k, base, iota) == full_support_rank(X, k, BASE_ZERO, 1)
+
+
+def stratum_rank(degrees, support, k):
+    """rho(T, k) = sum_j min(k, a_j + 1) + [max_{j in T} a_j >= k], in closed form."""
+    return sum(min(k, a + 1) for a in degrees) + (max(degrees[j - 1] for j in support) >= k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_point_rank_is_constant_on_each_support_stratum(data):
+    # the support T of a point is the set of summands whose fiber coordinate
+    # is nonzero; GL_2 x (C*)^n acts transitively on the points of one
+    # support, so the rank there is that of u = 0 in fiber chart min T with
+    # v_j = 1 on T, and it has the closed form rho(T, k)
+    X = DecomposableScroll(tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))))
+    k = data.draw(st.integers(1, X.N // X.n))
+    summands = range(1, X.n + 1)
+    for size in summands:
+        for support in itertools.combinations(summands, size):
+            base = data.draw(st.sampled_from((BASE_ZERO, BASE_INF)))
+            iota = data.draw(st.sampled_from(support))
+            u = data.draw(st.fractions(min_value=-6, max_value=6, max_denominator=5))
+            v = tuple(
+                data.draw(nonzero_coordinates) if j in support else Fraction(0)
+                for j in summands
+                if j != iota
+            )
+            ones = tuple(Fraction(j in support) for j in summands if j != support[0])
+            representative = ScrollPoint(BASE_ZERO, Fraction(0), support[0], ones)
+            rank = point_rank(X, k, ScrollPoint(base, u, iota, v))
+            assert rank == point_rank(X, k, representative), (support, base, iota, u, v)
+            assert rank == stratum_rank(X.degrees, support, k), (support, k)
