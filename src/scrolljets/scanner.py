@@ -40,7 +40,9 @@ only for a certificate), and the Wronskian and determinant oracles share
 one chart determinant over ZZ[u, v_j], so nothing here differentiates.
 One fraction-free elimination, :func:`scrolljets.scrollmodel.bareiss`, gives
 every rank and determinant; sympy supplies only the polynomial rings and
-factorization, and ring elements print themselves.
+factorization, and ring elements print themselves.  The one ring builder
+imports it, so sympy loads only for a Wronskian or a square determinant:
+the formulas, the scans and a non-square cross-validation never load it.
 """
 
 from __future__ import annotations
@@ -48,10 +50,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
-
-from sympy import ZZ, ring
-from sympy.polys.rings import PolyElement
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from .chow import ChowClass
 from .formulas import ScrollParams, curve_inflection_degree, inflectional_class, inflectional_degree
@@ -71,6 +70,9 @@ from .scrollmodel import (
     other_summands,
     point_rank,
 )
+
+if TYPE_CHECKING:
+    from sympy.polys.rings import PolyElement
 
 #: Fixed default seed so runs are reproducible; override per call.
 DEFAULT_SEED = 1729
@@ -259,6 +261,8 @@ def _chart_determinant(
     determinant of rows x jet matrix: the Wronskian of those combinations
     of sections when the scroll is a curve.
     """
+    from sympy import ZZ, ring  # loaded here, so the formula and scan paths never load sympy
+
     others = other_summands(scroll.n, fiber_chart)
     R, u, *vs = ring(["u"] + [f"v{j}" for j in others], ZZ)
     matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, u, dict(zip(others, vs)))
@@ -406,12 +410,25 @@ class ScanReport:
         }
 
 
+#: (numerator bound, denominator bound) of the sampled u and of the sampled v_j.
+_WIDE, _NARROW = (24, 8), (9, 4)
+
+#: Every rational a sample can draw, one canonical Fraction per (numerator, denominator).
+_RATIONALS = {(a, b): Fraction(a, b) for a in range(-24, 25) for b in range(1, 9)}
+
+#: How many distinct values u and each v_j can take: 251 and 51.
+_U_VALUES, _V_VALUES = (
+    len({_RATIONALS[a, b] for a in range(-bound, bound + 1) for b in range(1, den + 1)})
+    for bound, den in (_WIDE, _NARROW)
+)
+
+
 def _random_rational(
     rng: random.Random, nonzero: bool = False, wide: bool = False
 ) -> Fraction:
-    bound, den = (24, 8) if wide else (9, 4)
+    bound, den = _WIDE if wide else _NARROW
     while True:
-        value = Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+        value = _RATIONALS[rng.randint(-bound, bound), rng.randint(1, den)]
         if value or not nonzero:
             return value
 
@@ -419,7 +436,7 @@ def _random_rational(
 def _zero_pattern(rng: random.Random, n: int, pattern: int) -> Tuple[Fraction, ...]:
     """Fiber coordinates zeroed where ``pattern`` has a bit, random nonzero elsewhere."""
     return tuple(
-        Fraction(0) if pattern & (1 << slot) else _random_rational(rng, nonzero=True)
+        _RATIONALS[0, 1] if pattern & (1 << slot) else _random_rational(rng, nonzero=True)
         for slot in range(n - 1)
     )
 
@@ -433,32 +450,34 @@ def scan_points(
     u in {0, 1, -1, 2, -2} (so u = inf is covered via the second base
     chart) and every pattern of zeroed fiber coordinates.  The remainder
     alternates fully random points with random points forced onto a random
-    zero pattern, so low-dimensional strata keep getting sampled.
+    zero pattern, so low-dimensional strata keep getting sampled.  More
+    samples than the distinct points these draws can make raise at once.
     """
     samples = exact_int(samples, "the number of samples", 1)
     rng = random.Random(exact_int(seed, "the seed"))
     n = scroll.n
-    structured_u = [Fraction(x) for x in (0, 1, -1, 2, -2)]
+    structured_u = [_RATIONALS[x, 1] for x in (0, 1, -1, 2, -2)]
     structured = 2 * n * len(structured_u) * 2 ** (n - 1)
     if structured > MAX_STRUCTURED_POINTS:
         raise ValueError(
             f"scroll {scroll} has {n} summands: its structured scan block of {structured} "
             f"points exceeds the limit of {MAX_STRUCTURED_POINTS}"
         )
+    if samples > 2 * n * _U_VALUES * _V_VALUES ** (n - 1):
+        raise ValueError(f"could not sample {samples} distinct points on {scroll}")
     points: List[ScrollPoint] = []
     seen = set()
 
-    def push(point: ScrollPoint) -> None:
-        key = (point.base_chart, point.u, point.fiber_chart, point.v)
+    def push(*key) -> None:
         if key not in seen:
             seen.add(key)
-            points.append(point)
+            points.append(ScrollPoint._make(*key))
 
     for base_chart in (BASE_ZERO, BASE_INF):
         for fiber_chart in range(1, n + 1):
             for u in structured_u:
                 for pattern in range(2 ** (n - 1)):
-                    push(ScrollPoint(base_chart, u, fiber_chart, _zero_pattern(rng, n, pattern)))
+                    push(base_chart, u, fiber_chart, _zero_pattern(rng, n, pattern))
 
     toggle = False
     attempts = 0
@@ -475,7 +494,7 @@ def scan_points(
             v = _zero_pattern(rng, n, rng.randint(1, 2 ** (n - 1) - 1))
         else:
             v = tuple(_random_rational(rng) for _ in range(n - 1))
-        push(ScrollPoint(base_chart, u, fiber_chart, v))
+        push(base_chart, u, fiber_chart, v)
         toggle = not toggle
     return points
 

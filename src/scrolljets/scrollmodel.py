@@ -169,6 +169,13 @@ class ScrollPoint:
             self, "v", tuple(exact_rational(x, "a fiber coordinate") for x in self.v)
         )
 
+    @classmethod
+    def _make(cls, base_chart: str, u: Fraction, fiber_chart: int, v: tuple) -> "ScrollPoint":
+        """Trusted constructor: a valid base chart, an int fiber chart and Fractions."""
+        point = object.__new__(cls)
+        point.__dict__.update(base_chart=base_chart, u=u, fiber_chart=fiber_chart, v=v)
+        return point
+
 
 def _check_point(scroll: DecomposableScroll, point: ScrollPoint) -> None:
     # ScrollPoint has checked its base chart and made its fiber chart an int,

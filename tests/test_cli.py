@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -233,6 +235,16 @@ def test_invalid_input_is_one_line_diagnostic(capsys):
         assert err.count("\n") == 1 and err.startswith("error:")
 
 
+def test_scan_beyond_the_sampler_supply_fails_at_once(capsys):
+    # a curve's sampler can build 502 distinct points; asking for a million
+    # used to retry for 100 attempts per sample before giving up
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--scroll", "3", "--k", "1", "--samples", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: could not sample 1000000 distinct points on (3)\n"
+
+
 def test_inconsistent_determinant_charts_are_one_line_diagnostic(capsys, monkeypatch):
     import scrolljets.scanner as scanner_mod
 
@@ -357,6 +369,40 @@ def test_random_argv_never_raises(argv):
     assert "Traceback" not in err.getvalue()
     if code == 0 and "--json" in argv:
         json.loads(out.getvalue())
+
+
+SYMPY_FREE_VERBS = (
+    ["class", "--n", "3", "--ambient", "7"],
+    ["degree", "--n", "2", "--ambient", "5", "--d", "4", "--g", "0"],
+    ["verify-theorem3", "--max-n", "2", "--max-k", "2"],
+    ["classify", "--n", "2", "--k", "2", "--ell", "2"],
+    ["ranks", "--n", "2", "--k", "2"],
+    ["scan", "--scroll", "2,3", "--k", "3"],
+    ["cross-validate", "--scroll", "2,2"],
+)
+
+
+def test_only_a_ring_loads_sympy(tmp_path):
+    # the formula verbs, scans and non-square cross-validates run without
+    # sympy; the Wronskian builds a ring and loads it
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, sys
+        from scrolljets.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(argv) for argv in {SYMPY_FREE_VERBS!r}]
+            loaded_before = "sympy" in sys.modules
+            codes.append(main(["wronskian", "--degrees", "4", "--k", "4"]))
+        print(codes, loaded_before, "sympy" in sys.modules)
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-c", script]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[0] * (len(SYMPY_FREE_VERBS) + 1)} False True\n"
 
 
 def test_module_runs_from_a_checkout(tmp_path):

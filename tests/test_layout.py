@@ -1,6 +1,7 @@
-"""Source layout: sympy is confined to rings and factorization, one gate
-decides what counts as an exact number, and the CLI reads oracle reports
-only through the documents their ``to_dict`` builds.
+"""Source layout: sympy is confined to rings and factorization and loads
+only when a ring is built, one gate decides what counts as an exact number,
+and the CLI reads oracle reports only through the documents their
+``to_dict`` builds.
 
 Every module of the package is parsed, so a sympy call or a report read
 on a path no test runs is still seen.  Ring elements print themselves, so no
@@ -59,6 +60,38 @@ def test_sympy_is_imported_by_the_scanner_only_and_never_differentiates():
             if isinstance(owner, ast.Name) and owner.id in aliases:
                 assert node.func.attr not in FORBIDDEN, f"{where} calls {owner.id}.{node.func.attr}"
     assert importers == {"scanner.py"}
+
+
+def import_time_statements(statements):
+    """The statements a module runs when it is imported: every one but those
+    in function bodies and in ``if TYPE_CHECKING:`` blocks."""
+    for node in statements:
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        test = getattr(node, "test", None)
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in {
+            getattr(test, "id", None), getattr(test, "attr", None)
+        }:
+            yield from import_time_statements(node.orelse)
+            continue
+        for field in ("body", "handlers", "orelse", "finalbody"):
+            yield from import_time_statements(getattr(node, field, []))
+
+
+def test_no_module_imports_sympy_at_import_time():
+    # sympy loads with the first polynomial ring, so the formula verbs and
+    # the scans never pay for it; a type checker may still read its names
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in import_time_statements(tree.body):
+            if isinstance(node, ast.Import):
+                modules = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules = {(node.module or "").split(".")[0]}
+            else:
+                continue
+            assert "sympy" not in modules, f"{path.name}:{node.lineno} imports sympy at import time"
 
 
 def test_no_module_builds_sympy_expressions():

@@ -385,6 +385,26 @@ def test_rank_scan_rejects_large_order():
             scan_points(DecomposableScroll((1,) * n), 1, seed=0)
 
 
+def test_scan_points_draws_at_most_the_points_the_sampler_can_build():
+    # u takes the 251 values a/b with |a| <= 24, b <= 8 and each v_j the 51
+    # values with |a| <= 9, b <= 4, in 2 base charts and n fiber charts
+    curve = DecomposableScroll((3,))
+    for seed in (0, 1, 1729):
+        points = scan_points(curve, 502, seed)
+        assert len(points) == len(set(points)) == 502
+    with pytest.raises(ValueError, match="could not sample 503 distinct points on"):
+        scan_points(curve, 503, seed=0)
+
+
+def test_oversized_scan_raises_before_building_a_point(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a scan point was built")
+
+    monkeypatch.setattr(ScrollPoint, "_make", refuse)
+    with pytest.raises(ValueError, match="could not sample 51205 distinct points on"):
+        scan_points(DecomposableScroll((2, 2)), 2 * 2 * 251 * 51 + 1, seed=0)
+
+
 class OtherIntegral:
     """An integral type that is not int, as numpy.int64 is."""
 
