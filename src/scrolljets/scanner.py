@@ -37,12 +37,12 @@ All three oracles read one jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it at the
 integer numerators of each point (and evaluates it at the rational point
 only for a certificate), and the Wronskian and determinant oracles share
-one chart determinant over ZZ[u, v_j], so nothing here differentiates.
-One fraction-free elimination, :func:`scrolljets.scrollmodel.bareiss`, gives
-every rank and determinant; sympy supplies only the polynomial rings and
-factorization, and ring elements print themselves.  The one ring builder
-imports it, so sympy loads only for a Wronskian or a square determinant:
-the formulas, the scans and a non-square cross-validation never load it.
+one chart determinant, so nothing here differentiates.  One integer
+elimination, :func:`scrolljets.scrollmodel.bareiss`, gives every rank and
+determinant; a chart determinant is read back from its digits (Kronecker
+substitution), and sympy only holds, prints and factors it in ZZ[u, v_j].
+The one ring builder imports sympy, so it loads only for a Wronskian or a
+square determinant: the formulas and scans never load it.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import mul
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from .chow import ChowClass
@@ -65,8 +67,10 @@ from .scrollmodel import (
     exact_rank,
     fiber_coordinate,
     full_support_rank,
+    jet_columns,
     jet_matrix,
     jet_order,
+    jet_template,
     other_summands,
     point_rank,
 )
@@ -184,11 +188,12 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
 
     # coefficient m of a basis polynomial multiplies section m of the monomial curve
     monomial_curve = DecomposableScroll((degree,))
-    wronskian = _chart_determinant(monomial_curve, k, BASE_ZERO, 1, rows)
+    basis = None if isinstance(curve, DecomposableScroll) else rows
+    wronskian = _chart_determinant(monomial_curve, k, BASE_ZERO, 1, basis)
     if not wronskian:
         note = "basis is linearly dependent; weights are undefined"
         return WronskianReport(k, rows, degree, degenerate=True, notes=(note,))
-    wronskian_inf = _chart_determinant(monomial_curve, k, BASE_INF, 1, rows)
+    wronskian_inf = _chart_determinant(monomial_curve, k, BASE_INF, 1, basis)
 
     finite_total = wronskian.degree()
     rational_points = []
@@ -254,24 +259,52 @@ class DeterminantDivisor(NamedTuple):
 def _chart_determinant(
     scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int, rows=None
 ):
-    """Determinant of the jet matrix of a chart, in ZZ[u, v_j (j != chart)].
+    """Determinant of the jet matrix M of a chart, in ZZ[u, v_j (j != chart)].
 
-    Without ``rows`` the jet matrix must be square (N = kn).  With ``rows``,
-    a list of integer coefficient rows over the section basis, it is the
-    determinant of rows x jet matrix: the Wronskian of those combinations
-    of sections when the scroll is a curve.
+    Without ``rows`` M must be square (N = kn); with integer coefficient
+    ``rows`` over the section basis it is det(rows x M), a Wronskian when the
+    scroll is a curve.  It is one integer Bareiss at X^w for each packed
+    variable (Kronecker substitution): mixed-radix weights w above the degree
+    bounds, the sums of each column's largest exponent, and X = 2B + 1 for B
+    the product of the rows' l1 norms, so its coefficients are balanced
+    base-X digits.  A square M is diag(u^e_r) M(1, v) diag(u^-h_c), so
+    det M = u^s det M(1, v), s = sum e_r - sum h_c: only the v_j are packed.
     """
     from sympy import ZZ, ring  # loaded here, so the formula and scan paths never load sympy
 
     others = other_summands(scroll.n, fiber_chart)
-    R, u, *vs = ring(["u"] + [f"v{j}" for j in others], ZZ)
-    matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, u, dict(zip(others, vs)))
+    template = jet_template(scroll, k, base_chart, fiber_chart)
+    # a column's sections are distinct monomials, so l1 norms add along a row of rows x M
+    norms = [sum(entry.coeff for entry in row if entry) for row in template]
+    if rows is None:  # e_r is the u-exponent of column 0, the section itself
+        first, live = 1, range(len(template))
+        shift = sum(row[0].u_exponent for row in template)
+        shift -= sum(column[1] for column in jet_columns(scroll.n, k, fiber_chart))
+    else:
+        first, live, shift = 0, {r for row in rows for r, c in enumerate(row) if c}, 0
+        norms = [sum(abs(c) * norm for c, norm in zip(row, norms)) for row in rows]
+    radix = 2 * prod(norms) + 1
+    exponent = [lambda e: e.u_exponent] + [lambda e, j=j: int(e.summand == j) for j in others]
+    degrees = {var: sum(max((exponent[var](col[r]) for r in live if col[r]), default=0)
+                        for col in zip(*template))
+               for var in range(first, len(others) + 1)}
+    values, weight = [1] * (len(others) + 1), 1  # u stays 1 in the square case
+    for var, degree in degrees.items():
+        values[var], weight = radix**weight, weight * (degree + 1)
+    v = dict(zip(others, values[1:]))
+    matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, values[0], v)
     if rows is not None:
-        matrix = [
-            [sum((c * jet for c, jet in zip(row, column)), R.zero) for column in zip(*matrix)]
-            for row in rows
-        ]
-    return bareiss([list(row) for row in matrix])[1]
+        matrix = [[sum(map(mul, row, column)) for column in zip(*matrix)] for row in rows]
+    det = bareiss([list(row) for row in matrix])[1]
+
+    terms = {}
+    for place in range(weight):  # weight is now the number of digits
+        det, digit = divmod(det + radix // 2, radix)
+        monom, rest = [shift] + [0] * len(others), place
+        for var, degree in degrees.items():
+            rest, monom[var] = divmod(rest, degree + 1)
+        terms[tuple(monom)] = digit - radix // 2  # from_dict drops the zero digits
+    return ring(["u"] + [f"v{j}" for j in others], ZZ)[0].from_dict(terms)
 
 
 def _section_twist(scroll: DecomposableScroll, fiber_chart: int, delta) -> int:
@@ -284,18 +317,14 @@ def _section_twist(scroll: DecomposableScroll, fiber_chart: int, delta) -> int:
     """
     others = other_summands(scroll.n, fiber_chart)
     candidates = []
-    for monom in delta.monoms():
-        e_u = monom[0]
-        carried = [j for j, exp in zip(others, monom[1:]) if exp]
-        if any(exp > 1 for exp in monom[1:]) or len(carried) > 1:
+    for e_u, *fiber in delta.monoms():
+        if sum(fiber) > 1:
             raise ValueError(
                 "determinant is not affine-linear in the fiber coordinates; "
                 "cannot extract a divisor class"
             )
-        if carried:
-            candidates.append(e_u - scroll.degree_of(carried[0]))
-        else:
-            candidates.append(e_u - scroll.degree_of(fiber_chart))
+        (carried,) = [j for j, exp in zip(others, fiber) if exp] or [fiber_chart]
+        candidates.append(e_u - scroll.degree_of(carried))
     return max(candidates)
 
 
@@ -691,6 +720,7 @@ def cross_validate(
     lower order is allowed for curves only, where it means probing
     :data:`CURVE_TRIALS` generic subsystems of sections.
     """
+    samples = exact_int(samples, "the number of samples", 1)
     seed = exact_int(seed, "the seed")
     derived = scroll.N // scroll.n
     k = derived if k is None else exact_int(k, "jet order k", 1, derived)

@@ -302,8 +302,8 @@ def evaluate_jet_template(
     """The jet template of a chart with u and the fiber coordinates substituted.
 
     ``v`` maps every summand other than the chart summand to its fiber
-    coordinate.  Values may be Fractions (a point) or polynomial ring
-    generators; the powers of u are taken once, and every entry, zeros
+    coordinate.  Values are ints or Fractions (the package passes no
+    ring generator).  The powers of u are taken once, and every entry, zeros
     included, stays in u's own number type.  (Tests also pass sympy symbols,
     for which u * u or 1 - 1 would build an Add, whose first use imports
     sympy's tensor module: hence u**e and the zero 0 * u**0.)
@@ -360,12 +360,12 @@ def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMat
     return JetMatrix(scroll=scroll, k=k, point=point, columns=cols, entries=entries)
 
 
-def bareiss(rows: List[list]) -> Tuple[int, object]:
+def bareiss(rows: List[list]) -> Tuple[int, int]:
     """Rank and determinant by one-step fraction-free (Bareiss) elimination.
 
-    Entries are ints or elements of one sympy polynomial ring over ZZ; every
-    ``//`` is exact.  Pivoting is deterministic: first nonzero entry in column
-    order.  Reduces the rows in place; the determinant is 0 unless full rank.
+    Entries are ints only, so every ``//`` is an exact integer quotient.
+    Pivoting is deterministic: first nonzero entry in column order.  Reduces
+    the rows in place; the determinant is 0 unless full rank.
     """
     if not rows:
         return 0, 1

@@ -235,6 +235,15 @@ def test_invalid_input_is_one_line_diagnostic(capsys):
         assert err.count("\n") == 1 and err.startswith("error:")
 
 
+def test_cross_validate_gates_the_sample_count_on_every_path(capsys):
+    # the square and curve oracles take no samples, but the count is an
+    # input the document records, so it is gated as scan gates it
+    for scroll in ("1,2", "3", "2,2"):
+        code, out, err = run(capsys, "cross-validate", "--scroll", scroll, "--samples", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: the number of samples must be at least 1, got 0\n"
+
+
 def test_scan_beyond_the_sampler_supply_fails_at_once(capsys):
     # a curve's sampler can build 502 distinct points; asking for a million
     # used to retry for 100 attempts per sample before giving up

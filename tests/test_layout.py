@@ -111,6 +111,29 @@ def test_no_module_builds_sympy_expressions():
                 assert names <= SCANNER_SYMPY_NAMES, f"{where} imports {names} from sympy"
 
 
+def test_chart_determinant_takes_nothing_from_the_formulas():
+    # the oracle's degree and coefficient bounds come from the matrix it
+    # eliminates; a bound read off the class formulas would make the oracle
+    # depend on what it checks
+    (path,) = [path for path in MODULES if path.name == "scanner.py"]
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    from_formulas = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "formulas"
+        for alias in node.names
+    }
+    assert {"inflectional_class", "curve_inflection_degree"} <= from_formulas
+    (function,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_chart_determinant"
+    ]
+    for node in ast.walk(function):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        assert name not in from_formulas | {"formulas"}, f"scanner.py:{node.lineno} uses {name}"
+
+
 def test_only_the_exactness_gates_test_number_types():
     seen = 0
     for path in MODULES:

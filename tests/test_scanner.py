@@ -14,6 +14,7 @@ from scrolljets.scanner import (
     HYPOTHESIS_VIOLATED,
     MATCH,
     GenericRankFailure,
+    _chart_determinant,
     cross_validate,
     determinant_divisor,
     rank_scan,
@@ -133,6 +134,50 @@ def test_wronskian_rational_roots_off_the_integers():
         assert report.total == 4
 
 
+def test_wronskian_read_back_of_large_signed_coefficients():
+    # coefficients of both signs up to 10^6 make the coefficient bound, not
+    # the degree bound, decide how far apart the packed digits sit; the
+    # charts must still equal the independent sympy determinant
+    rng = random.Random(20261018)
+    bases = [
+        ([[10**6, -(10**6), 1], [-999_999, 0, 0, 10**6], [0, 1, -(10**6), 0, 10**6]], 2),
+        # the Wronskian -999983 * 10^6 is half the bound B: a radix of B / 2 misreads it
+        ([[-999_983], [0, 10**6]], 1),
+        # every polynomial divisible by u^2: the chart at infinity has no constant row
+        ([[0, 0, 10**6, -1], [0, 0, 0, -(10**6), 0, 7], [0, 0, -3, 0, 0, 10**6]], 2),
+        # linearly dependent: the third row is the first minus the second
+        ([[10**6, -5, 0, 1], [-(10**6), 0, 10**6, 0], [2 * 10**6, -5, -(10**6), 1]], 2),
+    ]
+    for d, k in ((3, 1), (4, 2), (5, 3), (6, 2), (8, 1)):
+        rows = [[rng.randint(-(10**6), 10**6) for _ in range(d + 1)] for _ in range(k + 1)]
+        rows[0][d] = rng.choice((-(10**6), 10**6))
+        bases.append((rows, k))
+    for rows, k in bases:
+        report = wronskian_weights(rows, k)
+        degree = max(len(row) for row in rows) - 1
+        full = [row + [0] * (degree + 1 - len(row)) for row in rows]
+        charts = (report.wronskian, report.wronskian_at_infinity)
+        assert charts == reference_wronskians(full, k), rows
+        assert report.degenerate == (charts == ("0", "0"))
+    assert wronskian_weights(*bases[3]).degenerate
+    assert not wronskian_weights(*bases[2]).degenerate
+
+
+def test_scroll_form_wronskian_is_the_identity_basis_wronskian():
+    # the scroll form takes the square path (u^s factored out, nothing
+    # packed) and the identity basis the explicit-rows path: they must agree
+    for d in range(1, 9):
+        curve = DecomposableScroll((d,))
+        identity = [[int(i == m) for i in range(d + 1)] for m in range(d + 1)]
+        for base in (BASE_ZERO, BASE_INF):
+            assert _chart_determinant(curve, d, base, 1) == _chart_determinant(
+                curve, d, base, 1, identity
+            )
+        scroll_form = wronskian_weights(curve, d).to_dict()
+        basis_form = wronskian_weights(identity, d).to_dict()
+        assert scroll_form == {**basis_form, "basis": scroll_form["basis"]}
+
+
 # ---------------------------------------------------------------------------
 # determinant divisor
 # ---------------------------------------------------------------------------
@@ -213,6 +258,26 @@ def test_determinant_divisor_matches_sympy_determinants():
         assert summary["determinant"] == reference[(BASE_ZERO, 1)]
         assert summary["divisor_class"] == str(result.divisor_class)
     assert failures == 2
+
+
+def test_row_block_chart_determinants_match_sympy():
+    # the explicit-rows path packs u and the v_j together: a seeded integer
+    # row block A against sympy's determinant of A times the differentiated
+    # jet matrix, on square scrolls (det A * det M) and projected ones
+    rng = random.Random(8)
+    for degrees, k in (((1, 2), 2), ((2, 3), 2), ((3, 4), 3), ((1, 1, 2), 2), ((1, 2, 2), 2)):
+        X = DecomposableScroll(degrees)
+        for base, iota in ((BASE_ZERO, 1), (BASE_INF, X.n)):
+            rows = [[rng.randint(-3, 3) for _ in range(X.N + 1)] for _ in range(k * X.n + 1)]
+            vs = {j: sp.Symbol(f"v{j}") for j in range(1, X.n + 1) if j != iota}
+            jets = differentiated_jet_matrix(X, k, base, iota, sp.Symbol("u"), vs)
+            reference = sp.expand((sp.Matrix(rows) * jets).det(method="domain-ge"))
+            ours = _chart_determinant(X, k, base, iota, rows)
+            assert ours and str(ours) == sp.sstr(reference), (degrees, base, iota)
+            if X.N == k * X.n:
+                identity = [[int(r == c) for c in range(X.N + 1)] for r in range(X.N + 1)]
+                square = _chart_determinant(X, k, base, iota)
+                assert _chart_determinant(X, k, base, iota, identity) == square
 
 
 def test_determinant_divisor_requires_square_case():

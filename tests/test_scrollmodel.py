@@ -12,6 +12,7 @@ from scrolljets.scrollmodel import (
     DecomposableScroll,
     ScrollPoint,
     bareiss,
+    evaluate_jet_template,
     exact_rank,
     fiber_coordinate,
     full_support_rank,
@@ -21,6 +22,7 @@ from scrolljets.scrollmodel import (
     jet_order,
     jet_rank,
     osculating_dim,
+    other_summands,
     point_rank,
     to_fiber_chart,
     to_other_base_chart,
@@ -436,6 +438,36 @@ def test_full_support_rank_is_the_rank_on_the_open_orbit(data):
     v = tuple(data.draw(st.lists(nonzero_coordinates, min_size=X.n - 1, max_size=X.n - 1)))
     rank = point_rank(X, k, ScrollPoint(base, u, iota, v))
     assert rank == full_support_rank(X, k, base, iota) == full_support_rank(X, k, BASE_ZERO, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_jet_template_is_diagonally_scaled_by_powers_of_u(data):
+    # M(u, v) = diag(u^e_r) M(1, v) diag(u^-h_c), with e_r the section's
+    # exponent and h_c the column's u-order: entry by entry in every chart,
+    # and on the integer determinant of a square scroll as u^s det M(1, v)
+    # with s = sum e_r - sum h_c, which is how chart determinants factor u out
+    X = DecomposableScroll(tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))))
+    k = data.draw(st.integers(1, X.N // X.n))
+    u = data.draw(st.integers(-7, 7).filter(bool))
+    v = data.draw(st.lists(st.integers(-7, 7), min_size=X.n - 1, max_size=X.n - 1))
+    for base in (BASE_ZERO, BASE_INF):
+        for iota in range(1, X.n + 1):
+            values = dict(zip(other_summands(X.n, iota), v))
+            for order in {k, X.N // X.n}:
+                exponents = [section.exponent for section in X.section_basis(base, iota)]
+                orders = [column[1] for column in jet_columns(X.n, order, iota)]
+                at_u = evaluate_jet_template(X, order, base, iota, u, values)
+                at_one = evaluate_jet_template(X, order, base, iota, 1, values)
+                for r, e in enumerate(exponents):
+                    for c, h in enumerate(orders):
+                        assert at_u[r][c] * u**h == u**e * at_one[r][c], (base, iota, r, c)
+                if X.N == order * X.n:
+                    s = sum(exponents) - sum(orders)
+                    det_one = bareiss([list(row) for row in at_one])[1]
+                    assert bareiss([list(row) for row in at_u])[1] == u**s * det_one
+                    # GL_2 moves u = 0, so no power of u divides a nonzero determinant
+                    assert s == 0 or det_one == 0
 
 
 def stratum_rank(degrees, support, k):
