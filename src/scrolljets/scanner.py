@@ -33,11 +33,12 @@ wrong dimension, so the expected-codimension hypothesis behind the class
 formula fails).  A report stores only what its oracle measured, derives the
 rest (full rank, clean count, total weight) and prints through ``to_dict``.
 
-All three oracles read one jet template,
-:func:`scrolljets.scrollmodel.jet_template`: the scan ranks it at the
-integer numerators of each point (and evaluates it at the rational point
-only for a certificate), and the Wronskian and determinant oracles share
-one chart determinant, so nothing here differentiates.  One integer
+All three oracles read one sparse jet template,
+:func:`scrolljets.scrollmodel.jet_template`: the scan ranks it at u in
+{0, 1} and the integer numerators of each point's v_j (and evaluates it at
+the rational point only for a certificate), and the Wronskian and
+determinant oracles share one chart determinant, so nothing here
+differentiates.  One integer
 elimination, :func:`scrolljets.scrollmodel.bareiss`, gives every rank and
 determinant; a chart determinant is read back from its digits (Kronecker
 substitution), and sympy only holds, prints and factors it in ZZ[u, v_j].
@@ -50,7 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import mul
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
@@ -273,20 +274,23 @@ def _chart_determinant(
     from sympy import ZZ, ring  # loaded here, so the formula and scan paths never load sympy
 
     others = other_summands(scroll.n, fiber_chart)
-    template = jet_template(scroll, k, base_chart, fiber_chart)
+    template = jet_template(scroll, k, base_chart, fiber_chart).rows
     # a column's sections are distinct monomials, so l1 norms add along a row of rows x M
-    norms = [sum(entry.coeff for entry in row if entry) for row in template]
-    if rows is None:  # e_r is the u-exponent of column 0, the section itself
-        first, live = 1, range(len(template))
+    norms = [sum(entry.coeff for entry in row) for row in template]
+    if rows is None:  # e_r is the u-exponent of a row's first entry, the section itself
+        first, live = 1, template
         shift = sum(row[0].u_exponent for row in template)
         shift -= sum(column[1] for column in jet_columns(scroll.n, k, fiber_chart))
     else:
-        first, live, shift = 0, {r for row in rows for r, c in enumerate(row) if c}, 0
+        used = {r for row in rows for r, c in enumerate(row) if c}
+        first, shift, live = 0, 0, [template[r] for r in used]
         norms = [sum(abs(c) * norm for c, norm in zip(row, norms)) for row in rows]
     radix = 2 * prod(norms) + 1
     exponent = [lambda e: e.u_exponent] + [lambda e, j=j: int(e.summand == j) for j in others]
-    degrees = {var: sum(max((exponent[var](col[r]) for r in live if col[r]), default=0)
-                        for col in zip(*template))
+    columns = {}  # the live entries of each column
+    for entry in (entry for row in live for entry in row):
+        columns.setdefault(entry.column, []).append(entry)
+    degrees = {var: sum(max(map(exponent[var], column)) for column in columns.values())
                for var in range(first, len(others) + 1)}
     values, weight = [1] * (len(others) + 1), 1  # u stays 1 in the square case
     for var, degree in degrees.items():
@@ -295,7 +299,7 @@ def _chart_determinant(
     matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, values[0], v)
     if rows is not None:
         matrix = [[sum(map(mul, row, column)) for column in zip(*matrix)] for row in rows]
-    det = bareiss([list(row) for row in matrix])[1]
+    det = bareiss(matrix)[1]
 
     terms = {}
     for place in range(weight):  # weight is now the number of digits
@@ -442,8 +446,13 @@ class ScanReport:
 #: (numerator bound, denominator bound) of the sampled u and of the sampled v_j.
 _WIDE, _NARROW = (24, 8), (9, 4)
 
-#: Every rational a sample can draw, one canonical Fraction per (numerator, denominator).
-_RATIONALS = {(a, b): Fraction(a, b) for a in range(-24, 25) for b in range(1, 9)}
+#: The int code of every (numerator, denominator) a sample can draw, one per
+#: value and 0 for zero, so points dedupe on ints, not Fractions; _VALUES
+#: holds each code's canonical Fraction.
+_CODES = {(0, 1): 0}
+_RATIONALS = {(a, b): _CODES.setdefault((a // gcd(a, b), b // gcd(a, b)), len(_CODES))
+              for a in range(-24, 25) for b in range(1, 9)}
+_VALUES = tuple(Fraction(*pair) for pair in _CODES)
 
 #: How many distinct values u and each v_j can take: 251 and 51.
 _U_VALUES, _V_VALUES = (
@@ -452,20 +461,19 @@ _U_VALUES, _V_VALUES = (
 )
 
 
-def _random_rational(
-    rng: random.Random, nonzero: bool = False, wide: bool = False
-) -> Fraction:
+def _random_rational(rng: random.Random, nonzero: bool = False, wide: bool = False) -> int:
+    """The code of a random rational (0 for zero)."""
     bound, den = _WIDE if wide else _NARROW
     while True:
-        value = _RATIONALS[rng.randint(-bound, bound), rng.randint(1, den)]
-        if value or not nonzero:
-            return value
+        code = _RATIONALS[rng.randint(-bound, bound), rng.randint(1, den)]
+        if code or not nonzero:
+            return code
 
 
-def _zero_pattern(rng: random.Random, n: int, pattern: int) -> Tuple[Fraction, ...]:
-    """Fiber coordinates zeroed where ``pattern`` has a bit, random nonzero elsewhere."""
+def _zero_pattern(rng: random.Random, n: int, pattern: int) -> Tuple[int, ...]:
+    """Fiber coordinate codes, zero where ``pattern`` has a bit, random nonzero elsewhere."""
     return tuple(
-        _RATIONALS[0, 1] if pattern & (1 << slot) else _random_rational(rng, nonzero=True)
+        0 if pattern & (1 << slot) else _random_rational(rng, nonzero=True)
         for slot in range(n - 1)
     )
 
@@ -497,10 +505,12 @@ def scan_points(
     points: List[ScrollPoint] = []
     seen = set()
 
-    def push(*key) -> None:
+    def push(base_chart: str, u: int, fiber_chart: int, v: Tuple[int, ...]) -> None:
+        key = (base_chart, u, fiber_chart, v)
         if key not in seen:
             seen.add(key)
-            points.append(ScrollPoint._make(*key))
+            values = tuple(_VALUES[code] for code in v)
+            points.append(ScrollPoint._make(base_chart, _VALUES[u], fiber_chart, values))
 
     for base_chart in (BASE_ZERO, BASE_INF):
         for fiber_chart in range(1, n + 1):

@@ -17,9 +17,10 @@ reverses the exponent m of a degree-a section to a - m) and n fiber charts
 (fiber chart i normalizes the i-th homogeneous fiber coordinate to 1).
 Everything is exact rational arithmetic; ranks and determinants come from
 one fraction-free elimination with deterministic pivoting (:func:`bareiss`).
-A point's rank needs no fractions at all: :func:`point_rank` ranks the
-template at the numerators of its coordinates, an integer matrix that
-differs from the rational jet matrix by invertible row and column scalings.
+A row of the template stores only its nonzero entries.  A point's rank
+needs no fractions: :func:`point_rank` ranks the template at u in {0, 1}
+and the numerators of the v_j, an integer matrix that differs from the
+rational jet matrix by invertible row and column scalings.
 """
 
 from __future__ import annotations
@@ -256,12 +257,17 @@ def jet_columns(n: int, k: int, fiber_chart: int) -> Tuple[Column, ...]:
 class JetEntry(NamedTuple):
     """A nonzero jet-matrix entry: coeff * u^u_exponent, times v_summand if set."""
 
+    column: int
     coeff: int
     u_exponent: int
     summand: Optional[int]
 
 
-JetTemplate = Tuple[Tuple[Optional[JetEntry], ...], ...]
+class JetTemplate(NamedTuple):
+    """A chart's jet matrix, stored sparsely: each row's nonzero entries, by column."""
+
+    ncols: int
+    rows: Tuple[Tuple[JetEntry, ...], ...]
 
 
 @lru_cache(maxsize=32, typed=True)
@@ -271,8 +277,8 @@ def jet_template(
     """The reduced k-jet matrix of the section basis in one chart, symbolically.
 
     Rows follow :meth:`DecomposableScroll.section_basis`, columns follow
-    :func:`jet_columns`; an entry is None where the partial vanishes
-    identically.  A section v_j u^e has pure derivative
+    :func:`jet_columns`; a row lists its partials that do not vanish
+    identically, column 0 first.  A section v_j u^e has pure derivative
     perm(e, h) u^(e-h) v_j (v_j = 1 on the chart summand) and, for its own
     summand j only, the mixed d/dv_j derivative perm(e, h) u^(e-h).  Every
     numeric, symbolic and Wronskian jet matrix is this template evaluated.
@@ -285,41 +291,39 @@ def jet_template(
     for section in basis:
         e = section.exponent
         vfac = None if section.summand == fiber_chart else section.summand
-        row: List[Optional[JetEntry]] = []
-        for col in cols:
-            h = col[1]
-            if h > e or (col[0] == "uv" and col[2] != section.summand):
-                row.append(None)
-            else:
-                row.append(JetEntry(perm(e, h), e - h, vfac if col[0] == "u" else None))
-        rows.append(tuple(row))
-    return tuple(rows)
+        rows.append(tuple(
+            JetEntry(c, perm(e, col[1]), e - col[1], vfac if col[0] == "u" else None)
+            for c, col in enumerate(cols)
+            if col[1] <= e and (col[0] == "u" or col[2] == section.summand)
+        ))
+    return JetTemplate(len(cols), tuple(rows))
 
 
 def evaluate_jet_template(
     scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int, u, v: Mapping
-) -> Tuple[tuple, ...]:
+) -> List[list]:
     """The jet template of a chart with u and the fiber coordinates substituted.
 
     ``v`` maps every summand other than the chart summand to its fiber
     coordinate.  Values are ints or Fractions (the package passes no
-    ring generator).  The powers of u are taken once, and every entry, zeros
-    included, stays in u's own number type.  (Tests also pass sympy symbols,
-    for which u * u or 1 - 1 would build an Add, whose first use imports
-    sympy's tensor module: hence u**e and the zero 0 * u**0.)
+    ring generator).  The powers of u are taken once, only the nonzero
+    entries are filled, the zeros stay in u's own number type, and the rows
+    are new lists.  (Tests also pass sympy symbols, for which u * u or 1 - 1
+    would build an Add, whose first use imports sympy's tensor module:
+    hence u**e and the zero 0 * u**0.)
     """
     template = jet_template(scroll, k, base_chart, fiber_chart)
     powers = [u**e for e in range(max(scroll.degrees) + 1)]
     scaled = {None: powers}
     scaled.update((j, [x * p for p in powers]) for j, x in v.items())
     zero = powers[0] * 0
-    return tuple(
-        tuple(
-            zero if entry is None else entry.coeff * scaled[entry.summand][entry.u_exponent]
-            for entry in row
-        )
-        for row in template
-    )
+    matrix = []
+    for entries in template.rows:
+        row = [zero] * template.ncols
+        for column, coeff, e, summand in entries:
+            row[column] = coeff * scaled[summand][e]
+        matrix.append(row)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -357,7 +361,7 @@ def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMat
         scroll, k, point.base_chart, point.fiber_chart, point.u, _fiber_values(scroll, point)
     )
     cols = jet_columns(scroll.n, k, point.fiber_chart)
-    return JetMatrix(scroll=scroll, k=k, point=point, columns=cols, entries=entries)
+    return JetMatrix(scroll, k, point, cols, tuple(map(tuple, entries)))
 
 
 def bareiss(rows: List[list]) -> Tuple[int, int]:
@@ -374,22 +378,22 @@ def bareiss(rows: List[list]) -> Tuple[int, int]:
     prev = 1
     sign = 1
     for col in range(ncols):
-        pivot_row = None
         for r in range(rank, nrows):
             if rows[r][col]:
-                pivot_row = r
                 break
-        if pivot_row is None:
+        else:
             continue
-        if pivot_row != rank:
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        if r != rank:
+            rows[rank], rows[r] = rows[r], rows[rank]
             sign = -sign
-        pivot = rows[rank][col]
-        for r in range(rank + 1, nrows):
-            factor = rows[r][col]
-            for c in range(col + 1, ncols):
-                rows[r][c] = (pivot * rows[r][c] - factor * rows[rank][c]) // prev
-            rows[r][col] = 0
+        top = rows[rank]
+        pivot = top[col]
+        rest = range(col + 1, ncols)
+        for row in rows[rank + 1:]:
+            factor = row[col]
+            for c in rest:
+                row[c] = (pivot * row[c] - factor * top[c]) // prev
+            row[col] = 0
         prev = pivot
         rank += 1
         if rank == nrows:
@@ -420,23 +424,23 @@ def jet_rank(matrix: JetMatrix) -> int:
 
 
 def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
-    """Rank of the k-jet matrix at a point, on integer rows.
+    """Rank of the k-jet matrix at a point, on integer rows at u = 0 or u = 1.
 
-    With u = p/q and v_j = r_j/s_j, the Fraction jet matrix equals
-    D_row * M * D_col, where M is the chart's template at the integers u = p,
-    v_j = r_j, the rows of a section u^e carry q^(-e) (times s_j^(-1) on
-    summand j), and the columns of order h carry q^h (times s_j on the
-    mixed column of summand j, whose only nonzero rows are summand j's).
-    The diagonal factors are invertible, so M has the same rank, and no
-    Fraction is built.  :func:`jet_rank` of :func:`jet_matrix` is the
-    independent Fraction check.
+    With v_j = r_j/s_j, the Fraction jet matrix equals D_row * M(u, r) * D_col,
+    where the rows of summand j carry s_j^(-1) and the mixed column of
+    summand j, whose only nonzero rows are summand j's, carries s_j.  For
+    u != 0 also M(u, r) = diag(u^e) * M(1, r) * diag(u^-h), with e a row's
+    section exponent and h a column's order.  The diagonal factors are
+    invertible, so the template at u = 0, or at u = 1 when u != 0, with the
+    integer numerators r_j has the same rank, and no Fraction is built.
+    :func:`jet_rank` of :func:`jet_matrix` is the independent Fraction check.
     """
     _check_point(scroll, point)
     numerators = {j: x.numerator for j, x in _fiber_values(scroll, point).items()}
     rows = evaluate_jet_template(
-        scroll, k, point.base_chart, point.fiber_chart, point.u.numerator, numerators
+        scroll, k, point.base_chart, point.fiber_chart, int(point.u != 0), numerators
     )
-    return bareiss([list(row) for row in rows])[0]
+    return bareiss(rows)[0]
 
 
 def full_support_rank(

@@ -289,6 +289,50 @@ def test_full_support_rank_dropping_in_one_chart_is_inconsistent(capsys, monkeyp
     assert err == "error: determinant vanishes in some charts but not all; inconsistent model\n"
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    import scrolljets.cli as cli_mod
+
+    builds = []
+    build_parser = cli_mod.build_parser
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli_mod, "build_parser", counting)
+    cli_mod._parser.cache_clear()
+    try:
+        for argv in VERB_ARGVS:
+            assert run(capsys, *argv)[0] == 0, argv
+    finally:
+        cli_mod._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_an_argparse_error_leaves_the_parser_as_it_was(capsys):
+    # the reused parser keeps no state from a failed parse: the calls on
+    # either side of usage errors print what they print on a fresh parser
+    import scrolljets.cli as cli_mod
+
+    calls = [
+        ("cross-validate", "--scroll", "1,2", "--json"),
+        ("scan", "--scroll", "1,3", "--k", "1"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli_mod._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli_mod._parser.cache_clear()
+    reused = [run(capsys, *calls[0])]
+    for bad in (["scan", "--scroll", "1,3", "--samples", "x"], ["cross-validate", "--scroll", "0"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(bad)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: scrolljets")
+    reused.append(run(capsys, *calls[1]))
+    assert reused == fresh
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "scan", "--scroll", "1,3", "--samples", "60", "--json")
     second = run(capsys, "scan", "--scroll", "1,3", "--samples", "60", "--json")

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from scrolljets.scrollmodel import (
     jet_matrix,
     jet_order,
     jet_rank,
+    jet_template,
     osculating_dim,
     other_summands,
     point_rank,
@@ -278,6 +280,7 @@ coordinates = st.one_of(
 @example([1, 3], Fraction(3, 2), [Fraction(0)] * 3)
 @example([2, 3, 4], Fraction(0), [Fraction(5, 3), Fraction(-2, 5), Fraction(0)])
 @example([1, 1, 2, 4], Fraction(-4, 5), [Fraction(1, 2), Fraction(0), Fraction(3, 4)])
+@example([2, 3, 3], Fraction(5), [Fraction(0), Fraction(-3, 4), Fraction(0)])
 def test_point_rank_is_the_fraction_rank(degrees, u, v):
     # the integer rows differ from the Fraction jet matrix by invertible row
     # and column scalings, in every chart, at every order and on every stratum
@@ -421,7 +424,8 @@ def test_rank_is_chart_independent():
                 assert jet_rank(jet_matrix(X, k, q)) == rank
 
 
-nonzero_coordinates = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+nonzero_coordinates = small_fractions.filter(bool)
 
 
 @settings(max_examples=80, deadline=None)
@@ -468,6 +472,65 @@ def test_jet_template_is_diagonally_scaled_by_powers_of_u(data):
                     assert bareiss([list(row) for row in at_u])[1] == u**s * det_one
                     # GL_2 moves u = 0, so no power of u divides a nonzero determinant
                     assert s == 0 or det_one == 0
+
+
+def dense_jet_matrix(scroll, k, base, iota, u, values):
+    """The chart's jet matrix by the falling-factorial rule, every entry written out.
+
+    Section v_j u^e, column of order h: perm(e, h) u^(e-h), times v_j on a
+    pure column (v_j = 1 on the chart summand); a mixed column d/dv_i keeps
+    only the sections of summand i.
+    """
+    matrix = []
+    for section in scroll.section_basis(base, iota):
+        e, j = section.exponent, section.summand
+        row = []
+        for column in jet_columns(scroll.n, k, iota):
+            h = column[1]
+            if h > e or (column[0] == "uv" and column[2] != j):
+                row.append(0)
+            else:
+                fiber = values.get(j, 1) if column[0] == "u" else 1
+                row.append(perm(e, h) * u ** (e - h) * fiber)
+        matrix.append(row)
+    return matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_template_evaluates_to_the_dense_jet_matrix(data):
+    # the template stores only the nonzero partials and the evaluator fills
+    # only those: entry by entry it is the dense falling-factorial matrix,
+    # at ints, at Fractions (in u's own number type, zeros included) and at
+    # sympy symbols, in both base charts and every fiber chart
+    import sympy as sp
+
+    X = DecomposableScroll(tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))))
+    k = data.draw(st.integers(1, X.N // X.n))
+    kind = data.draw(st.sampled_from(("int", "fraction", "symbol")))
+    if kind == "symbol":
+        u, v = sp.Symbol("u"), [sp.Symbol(f"v{slot}") for slot in range(X.n - 1)]
+    else:
+        number = st.integers(-7, 7) if kind == "int" else small_fractions
+        u = data.draw(number)
+        v = data.draw(st.lists(number, min_size=X.n - 1, max_size=X.n - 1))
+    for base in (BASE_ZERO, BASE_INF):
+        for iota in range(1, X.n + 1):
+            values = dict(zip(other_summands(X.n, iota), v))
+            matrix = evaluate_jet_template(X, k, base, iota, u, values)
+            expected = dense_jet_matrix(X, k, base, iota, u, values)
+            assert len(matrix) == len(expected) == X.N + 1
+            for r, (row, dense) in enumerate(zip(matrix, expected)):
+                assert len(row) == len(dense) == k * X.n + 1
+                for c, (entry, reference) in enumerate(zip(row, dense)):
+                    assert entry == reference, (base, iota, r, c)
+                    if kind != "symbol":
+                        assert type(entry) is type(u), (base, iota, r, c)
+            # a stored entry is a partial that does not vanish identically
+            generic = dense_jet_matrix(X, k, base, iota, 2, dict.fromkeys(values, 3))
+            stored = jet_template(X, k, base, iota)
+            assert stored.ncols == k * X.n + 1
+            assert sum(map(len, stored.rows)) == sum(map(bool, itertools.chain(*generic)))
 
 
 def stratum_rank(degrees, support, k):
