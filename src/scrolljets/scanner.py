@@ -12,13 +12,13 @@ Three oracles are provided:
 * Determinant-divisor extraction for the square case N = kn: the k-jet
   matrix of the full section basis is square, and the inflectional locus
   is the zero divisor of its determinant.  Whether the generic rank
-  reaches kn+1 is decided first, exactly, by the integer rank at the
-  full-support point u = 0, v_j = 1 of every chart: GL_2 x (C*)^n acts on
-  the scroll preserving its sections, and the points with every fiber
-  coordinate nonzero form one open orbit.  Only then are the chart
-  determinants built; the divisor class L + bF is read off from the
-  u-degrees of their coefficients against the summand degrees, in every
-  chart, and the charts must agree.
+  reaches kn+1 is decided first, exactly, by one integer rank at the
+  full-support point u = 0, v_j = 1: GL_2 x (C*)^n acts on the scroll
+  preserving its sections, and the points with every fiber coordinate
+  nonzero form one open orbit.  Only then are the chart determinants
+  built; none may vanish identically, and the divisor class L + bF is read
+  off from the u-degrees of their coefficients against the summand
+  degrees, in every chart, and the charts must agree.
 
 * Seeded exact-rank scans otherwise: deterministic pseudo-random rational
   sample points (plus structured points with fiber coordinates zeroed in
@@ -34,14 +34,14 @@ formula fails).  A report stores only what its oracle measured, derives the
 rest (full rank, clean count, total weight) and prints through ``to_dict``.
 
 All three oracles read one sparse jet template,
-:func:`scrolljets.scrollmodel.jet_template`: the scan ranks it at u in
-{0, 1} and the integer numerators of each point's v_j (and evaluates it at
-the rational point only for a certificate), and the Wronskian and
+:func:`scrolljets.scrollmodel.jet_template`: the scan ranks it at each
+point's orbit representative, u = 0 and every v_j in {0, 1} (and evaluates
+it at the rational point only for a certificate), and the Wronskian and
 determinant oracles share one chart determinant, so nothing here
-differentiates.  One integer
-elimination, :func:`scrolljets.scrollmodel.bareiss`, gives every rank and
-determinant; a chart determinant is read back from its digits (Kronecker
-substitution), and sympy only holds, prints and factors it in ZZ[u, v_j].
+differentiates.  One integer elimination,
+:func:`scrolljets.scrollmodel.bareiss`, gives every rank and determinant;
+a chart determinant is read back from its digits (Kronecker substitution),
+and sympy only holds, prints and factors it in ZZ[u, v_j].
 The one ring builder imports sympy, so it loads only for a Wronskian or a
 square determinant: the formulas and scans never load it.
 """
@@ -99,10 +99,7 @@ class GenericRankFailure(Exception):
 
 
 class InconsistentCharts(RuntimeError):
-    """The chart determinants disagree on vanishing identically: the model is broken."""
-
-
-_INCONSISTENT = "determinant vanishes in some charts but not all; inconsistent model"
+    """A chart determinant vanishes identically at full generic rank: the model is broken."""
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +333,14 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
     """Zero divisor of the determinant of the square k-jet matrix.
 
     Requires N = kn so the matrix is square.  The determinant vanishes
-    identically iff the generic rank is below kn+1, which the rank at each
-    chart's full-support point decides without building it
+    identically iff the generic rank is below kn+1, which one rank at the
+    full-support point decides without building it
     (:func:`scrolljets.scrollmodel.full_support_rank`; the points with every
-    fiber coordinate nonzero form one open orbit of GL_2 x (C*)^n).  Raises
-    :class:`GenericRankFailure` when that rank is short in every chart,
-    :class:`InconsistentCharts` when it is short in some charts only or a
-    determinant built after it vanishes identically, and ValueError when
-    the per-chart class extractions disagree.
+    fiber coordinate nonzero form one open orbit of GL_2 x (C*)^n, which
+    meets every chart).  Raises :class:`GenericRankFailure` when that rank
+    is short, :class:`InconsistentCharts` when a chart determinant built
+    after it vanishes identically, and ValueError when the per-chart class
+    extractions disagree.
     """
     k = jet_order(k)
     if scroll.N != k * scroll.n:
@@ -351,18 +348,17 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
             f"determinant oracle needs N = kn; scroll {scroll} has N={scroll.N}, "
             f"kn={k * scroll.n}"
         )
-    keys = [(base, iota) for base in (BASE_ZERO, BASE_INF) for iota in range(1, scroll.n + 1)]
-    singular = [key for key in keys if full_support_rank(scroll, k, *key) < k * scroll.n + 1]
-    if singular:
-        if len(singular) != len(keys):
-            raise InconsistentCharts(_INCONSISTENT)
+    if full_support_rank(scroll, k) < k * scroll.n + 1:
         raise GenericRankFailure(
             f"jet matrix of {scroll} at order {k} is singular everywhere: "
             "the generic-rank hypothesis fails"
         )
+    keys = [(base, iota) for base in (BASE_ZERO, BASE_INF) for iota in range(1, scroll.n + 1)]
     charts = {key: _chart_determinant(scroll, k, *key) for key in keys}
     if not all(charts.values()):
-        raise InconsistentCharts(_INCONSISTENT)
+        raise InconsistentCharts(
+            "determinant vanishes in some charts but not all; inconsistent model"
+        )
 
     twists = {key: _section_twist(scroll, key[1], delta) for key, delta in charts.items()}
     distinct = set(twists.values())
@@ -688,7 +684,7 @@ def _square_oracle(scroll: DecomposableScroll, k: int, formula_cls: ChowClass):
 
 def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, formula_deg):
     """A rank scan, after the exact generic rank, against the formula degree (N > kn)."""
-    generic_rank = full_support_rank(scroll, k, BASE_ZERO, 1)
+    generic_rank = full_support_rank(scroll, k)
     scan = rank_scan(scroll, k, samples=samples, seed=seed)
     summary = scan.to_dict()
     summary["inflected"] = summary["inflected"][:10]  # keep the summary bounded

@@ -18,9 +18,9 @@ reverses the exponent m of a degree-a section to a - m) and n fiber charts
 Everything is exact rational arithmetic; ranks and determinants come from
 one fraction-free elimination with deterministic pivoting (:func:`bareiss`).
 A row of the template stores only its nonzero entries.  A point's rank
-needs no fractions: :func:`point_rank` ranks the template at u in {0, 1}
-and the numerators of the v_j, an integer matrix that differs from the
-rational jet matrix by invertible row and column scalings.
+needs no fractions: the jet rank is constant on the orbits of
+GL_2 x (C*)^n, so :func:`point_rank` ranks the template of the point's
+chart at its orbit representative, u = 0 and each v_j in {0, 1}.
 """
 
 from __future__ import annotations
@@ -424,38 +424,32 @@ def jet_rank(matrix: JetMatrix) -> int:
 
 
 def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
-    """Rank of the k-jet matrix at a point, on integer rows at u = 0 or u = 1.
+    """Rank of the k-jet matrix at a point, on the integer rows of its orbit's representative.
 
-    With v_j = r_j/s_j, the Fraction jet matrix equals D_row * M(u, r) * D_col,
-    where the rows of summand j carry s_j^(-1) and the mixed column of
-    summand j, whose only nonzero rows are summand j's, carries s_j.  For
-    u != 0 also M(u, r) = diag(u^e) * M(1, r) * diag(u^-h), with e a row's
-    section exponent and h a column's order.  The diagonal factors are
-    invertible, so the template at u = 0, or at u = 1 when u != 0, with the
-    integer numerators r_j has the same rank, and no Fraction is built.
-    :func:`jet_rank` of :func:`jet_matrix` is the independent Fraction check.
+    GL_2 x (C*)^n acts on P(O(a_1) + ... + O(a_n)) and preserves the
+    complete linear system, so it moves osculating spaces to osculating
+    spaces and the jet rank is constant on its orbits.  Within a chart,
+    u -> u + c and v_j -> t_j v_j (t_j != 0) are such maps, so the point
+    has the rank of the template of its own chart at u = 0, with v_j = 1
+    where its fiber coordinate is nonzero and 0 where it vanishes: an
+    integer matrix, and no Fraction is built.  :func:`jet_rank` of
+    :func:`jet_matrix` is the independent Fraction check.
     """
     _check_point(scroll, point)
-    numerators = {j: x.numerator for j, x in _fiber_values(scroll, point).items()}
-    rows = evaluate_jet_template(
-        scroll, k, point.base_chart, point.fiber_chart, int(point.u != 0), numerators
-    )
+    support = {j: int(x != 0) for j, x in _fiber_values(scroll, point).items()}
+    rows = evaluate_jet_template(scroll, k, point.base_chart, point.fiber_chart, 0, support)
     return bareiss(rows)[0]
 
 
-def full_support_rank(
-    scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int
-) -> int:
-    """The generic k-jet rank, as :func:`point_rank` at u = 0 and every v_j = 1 of a chart.
+def full_support_rank(scroll: DecomposableScroll, k: int) -> int:
+    """The generic k-jet rank: :func:`point_rank` at u = 0, every v_j = 1, in chart ("0", 1).
 
-    This is exact, not a sample.  GL_2 x (C*)^n acts on
-    P(O(a_1) + ... + O(a_n)) and preserves the complete linear system, so
-    it moves osculating spaces to osculating spaces and the jet rank is
-    constant on its orbits.  The points whose fiber coordinates are all
-    nonzero form one orbit, which is open and dense, and this point lies in
-    it; so its rank is the generic rank.
+    This is exact, not a sample.  The points whose fiber coordinates are
+    all nonzero form one orbit of GL_2 x (C*)^n, which is open and dense,
+    and this point lies in it; so its rank is the generic rank, and the
+    full-support point of any other chart has the same rank.
     """
-    point = ScrollPoint(base_chart, Fraction(0), fiber_chart, (Fraction(1),) * (scroll.n - 1))
+    point = ScrollPoint(BASE_ZERO, Fraction(0), 1, (Fraction(1),) * (scroll.n - 1))
     return point_rank(scroll, k, point)
 
 

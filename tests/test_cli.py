@@ -270,19 +270,29 @@ def test_inconsistent_determinant_charts_are_one_line_diagnostic(capsys, monkeyp
 
 
 def test_full_support_rank_dropping_in_one_chart_is_inconsistent(capsys, monkeypatch):
-    # the model self-check: charts that disagree on the generic rank stop
-    # the oracle before any ring determinant, and the CLI prints one line
+    # the model self-check: one full-support rank passes the generic-rank
+    # test for every chart, so a chart determinant that still vanishes
+    # identically is a broken model, and the CLI prints one line
     import scrolljets.scanner as scanner_mod
 
-    original = scanner_mod.full_support_rank
+    chart_determinant = scanner_mod._chart_determinant
+    full_support_rank = scanner_mod.full_support_rank
+    ranks = []
 
-    def drops_at_infinity(scroll, k, base_chart, fiber_chart):
-        rank = original(scroll, k, base_chart, fiber_chart)
-        return rank - 1 if (base_chart, fiber_chart) == ("inf", 2) else rank
+    def vanishes_at_infinity(scroll, k, base_chart, fiber_chart, rows=None):
+        det = chart_determinant(scroll, k, base_chart, fiber_chart, rows)
+        return det * 0 if (base_chart, fiber_chart) == ("inf", 2) else det
 
-    monkeypatch.setattr(scanner_mod, "full_support_rank", drops_at_infinity)
+    def counting(scroll, k):
+        ranks.append((scroll, k))
+        return full_support_rank(scroll, k)
+
+    monkeypatch.setattr(scanner_mod, "_chart_determinant", vanishes_at_infinity)
+    monkeypatch.setattr(scanner_mod, "full_support_rank", counting)
+    X = DecomposableScroll((1, 2))
     with pytest.raises(scanner_mod.InconsistentCharts):
-        scanner_mod.determinant_divisor(DecomposableScroll((1, 2)), 2)
+        scanner_mod.determinant_divisor(X, 2)
+    assert ranks == [(X, 2)]
     code, out, err = run(capsys, "cross-validate", "--scroll", "1,2")
     assert code == 1
     assert out == ""

@@ -282,8 +282,9 @@ coordinates = st.one_of(
 @example([1, 1, 2, 4], Fraction(-4, 5), [Fraction(1, 2), Fraction(0), Fraction(3, 4)])
 @example([2, 3, 3], Fraction(5), [Fraction(0), Fraction(-3, 4), Fraction(0)])
 def test_point_rank_is_the_fraction_rank(degrees, u, v):
-    # the integer rows differ from the Fraction jet matrix by invertible row
-    # and column scalings, in every chart, at every order and on every stratum
+    # u -> u + c and v_j -> t_j v_j preserve the linear system, so the orbit
+    # representative's integer rows (u = 0, v_j in {0, 1}) have the rank of
+    # the Fraction jet matrix, in every chart, at every order, on every stratum
     X = DecomposableScroll(tuple(degrees))
     v = tuple(v[: X.n - 1])
     for k in range(1, X.N // X.n + 1):
@@ -432,16 +433,18 @@ nonzero_coordinates = small_fractions.filter(bool)
 @given(st.data())
 def test_full_support_rank_is_the_rank_on_the_open_orbit(data):
     # GL_2 x (C*)^n acts on the scroll and preserves its sections, and the
-    # points with every fiber coordinate nonzero form one orbit: the rank
-    # there is that of the representative u = 0, v_j = 1, in every chart
+    # points with every fiber coordinate nonzero form one orbit, which meets
+    # all 2n charts: a random full-support point of each chart has the rank
+    # of the one representative u = 0, v_j = 1 of chart ("0", 1)
     X = DecomposableScroll(tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))))
     k = data.draw(st.integers(1, X.N // X.n))
-    base = data.draw(st.sampled_from((BASE_ZERO, BASE_INF)))
-    iota = data.draw(st.integers(1, X.n))
-    u = data.draw(st.fractions(min_value=-6, max_value=6, max_denominator=5))
-    v = tuple(data.draw(st.lists(nonzero_coordinates, min_size=X.n - 1, max_size=X.n - 1)))
-    rank = point_rank(X, k, ScrollPoint(base, u, iota, v))
-    assert rank == full_support_rank(X, k, base, iota) == full_support_rank(X, k, BASE_ZERO, 1)
+    generic = full_support_rank(X, k)
+    for base in (BASE_ZERO, BASE_INF):
+        for iota in range(1, X.n + 1):
+            u = data.draw(st.fractions(min_value=-6, max_value=6, max_denominator=5))
+            v = tuple(data.draw(st.lists(nonzero_coordinates, min_size=X.n - 1, max_size=X.n - 1)))
+            p = ScrollPoint(base, u, iota, v)
+            assert point_rank(X, k, p) == jet_rank(jet_matrix(X, k, p)) == generic, (base, iota)
 
 
 @settings(max_examples=60, deadline=None)
