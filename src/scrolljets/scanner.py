@@ -16,9 +16,9 @@ Three oracles are provided:
   full-support point u = 0, v_j = 1: GL_2 x (C*)^n acts on the scroll
   preserving its sections, and the points with every fiber coordinate
   nonzero form one open orbit.  Only then are the chart determinants
-  built; none may vanish identically, and the divisor class L + bF is read
-  off from the u-degrees of their coefficients against the summand
-  degrees, in every chart, and the charts must agree.
+  built; each must be a monomial (its zero locus is a union of orbits),
+  and the divisor class L + bF is read off from the u-degrees against the
+  summand degrees, in every chart, and the charts must agree.
 
 * Seeded exact-rank scans otherwise: deterministic pseudo-random rational
   sample points (plus structured points with fiber coordinates zeroed in
@@ -40,10 +40,10 @@ it at the rational point only for a certificate), and the Wronskian and
 determinant oracles share one chart determinant, so nothing here
 differentiates.  One integer elimination,
 :func:`scrolljets.scrollmodel.bareiss`, gives every rank and determinant;
-a chart determinant is read back from its digits (Kronecker substitution),
-and sympy only holds, prints and factors it in ZZ[u, v_j].
-The one ring builder imports sympy, so it loads only for a Wronskian or a
-square determinant: the formulas and scans never load it.
+a chart determinant is read back from its digits (Kronecker substitution)
+into an :class:`~scrolljets.intpoly.IntPoly`, and no oracle factors one: a
+Wronskian's weights are its rational roots, and a square determinant is a
+monomial.
 """
 
 from __future__ import annotations
@@ -51,12 +51,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import factorial, gcd, prod
 from operator import mul
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .chow import ChowClass
 from .formulas import ScrollParams, curve_inflection_degree, inflectional_class, inflectional_degree
+from .intpoly import IntPoly, rational_roots
 from .scrollmodel import (
     BASE_INF,
     BASE_ZERO,
@@ -75,9 +76,6 @@ from .scrollmodel import (
     other_summands,
     point_rank,
 )
-
-if TYPE_CHECKING:
-    from sympy.polys.rings import PolyElement
 
 #: Fixed default seed so runs are reproducible; override per call.
 DEFAULT_SEED = 1729
@@ -99,7 +97,7 @@ class GenericRankFailure(Exception):
 
 
 class InconsistentCharts(RuntimeError):
-    """A chart determinant vanishes identically at full generic rank: the model is broken."""
+    """At full generic rank a chart determinant vanishes or is not a monomial: a broken model."""
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +192,8 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
     wronskian_inf = _chart_determinant(monomial_curve, k, BASE_INF, 1, basis)
 
     finite_total = wronskian.degree()
-    rational_points = []
-    for factor, mult in wronskian.factor_list()[1]:
-        if factor.degree() == 1:
-            rational_points.append((-Fraction(int(factor.coeff(1)), int(factor.LC)), mult))
-    rational_points.sort(key=lambda item: item[0])
+    terms = dict(wronskian.terms)
+    rational_points = rational_roots([terms.get((e,), 0) for e in range(finite_total + 1)])
 
     infinity_weight = min(m[0] for m in wronskian_inf.monoms())
 
@@ -216,7 +211,7 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
         wronskian=str(wronskian),
         wronskian_at_infinity=str(wronskian_inf),
         finite_total=finite_total,
-        rational_points=tuple(rational_points),
+        rational_points=rational_points,
         infinity_weight=infinity_weight,
         notes=tuple(notes),
     )
@@ -231,15 +226,15 @@ class DeterminantDivisor(NamedTuple):
     """Determinant of the square jet matrix and its extracted divisor class.
 
     ``delta`` is the determinant in the primary chart (base "0", fiber
-    chart 1), an element of the ring ZZ[u, v_2, ..., v_n];
+    chart 1), an :class:`~scrolljets.intpoly.IntPoly` in u, v_2, ..., v_n;
     ``divisor_class`` the codimension-1 class L + bF as a
     :class:`~scrolljets.chow.ChowClass` on the scroll, printed like
-    ``L - 2*F``; ``factors`` the irreducible factorization of ``delta`` over
-    the rationals with multiplicities; ``charts`` the printed determinant in
-    every chart.
+    ``L - 2*F``; ``factors`` the irreducible factors of ``delta`` with
+    multiplicities, read off its one monomial (:func:`_monomial_factors`);
+    ``charts`` the printed determinant in every chart.
     """
 
-    delta: PolyElement
+    delta: IntPoly
     divisor_class: ChowClass
     factors: Tuple[Tuple[str, int], ...]
     charts: Dict[Tuple[str, int], str]
@@ -256,7 +251,7 @@ class DeterminantDivisor(NamedTuple):
 
 def _chart_determinant(
     scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int, rows=None
-):
+) -> IntPoly:
     """Determinant of the jet matrix M of a chart, in ZZ[u, v_j (j != chart)].
 
     Without ``rows`` M must be square (N = kn); with integer coefficient
@@ -267,17 +262,18 @@ def _chart_determinant(
     the product of the rows' l1 norms, so its coefficients are balanced
     base-X digits.  A square M is diag(u^e_r) M(1, v) diag(u^-h_c), so
     det M = u^s det M(1, v), s = sum e_r - sum h_c: only the v_j are packed.
+    Each entry of a column of u-order h_c is h_c! times a binomial, so M' =
+    M diag(1 / h_c!) is eliminated, with a smaller X, and its digits scaled back.
     """
-    from sympy import ZZ, ring  # loaded here, so the formula and scan paths never load sympy
-
     others = other_summands(scroll.n, fiber_chart)
     template = jet_template(scroll, k, base_chart, fiber_chart).rows
-    # a column's sections are distinct monomials, so l1 norms add along a row of rows x M
-    norms = [sum(entry.coeff for entry in row) for row in template]
+    orders = [column[1] for column in jet_columns(scroll.n, k, fiber_chart)]
+    divisors = [factorial(h) for h in orders]
+    # a column's sections are distinct monomials, so l1 norms add along a row of rows x M'
+    norms = [sum(entry.coeff // divisors[entry.column] for entry in row) for row in template]
     if rows is None:  # e_r is the u-exponent of a row's first entry, the section itself
         first, live = 1, template
-        shift = sum(row[0].u_exponent for row in template)
-        shift -= sum(column[1] for column in jet_columns(scroll.n, k, fiber_chart))
+        shift = sum(row[0].u_exponent for row in template) - sum(orders)
     else:
         used = {r for row in rows for r, c in enumerate(row) if c}
         first, shift, live = 0, 0, [template[r] for r in used]
@@ -294,39 +290,44 @@ def _chart_determinant(
         values[var], weight = radix**weight, weight * (degree + 1)
     v = dict(zip(others, values[1:]))
     matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, values[0], v)
+    matrix = [[x // f for x, f in zip(row, divisors)] for row in matrix]
     if rows is not None:
         matrix = [[sum(map(mul, row, column)) for column in zip(*matrix)] for row in rows]
     det = bareiss(matrix)[1]
 
-    terms = {}
+    scale, terms = prod(divisors), {}
     for place in range(weight):  # weight is now the number of digits
         det, digit = divmod(det + radix // 2, radix)
         monom, rest = [shift] + [0] * len(others), place
         for var, degree in degrees.items():
             rest, monom[var] = divmod(rest, degree + 1)
-        terms[tuple(monom)] = digit - radix // 2  # from_dict drops the zero digits
-    return ring(["u"] + [f"v{j}" for j in others], ZZ)[0].from_dict(terms)
+        terms[tuple(monom)] = (digit - radix // 2) * scale  # IntPoly drops the zero digits
+    return IntPoly(("u", *(f"v{j}" for j in others)), terms)
 
 
-def _section_twist(scroll: DecomposableScroll, fiber_chart: int, delta) -> int:
-    """The b with delta a section of L + bF, from the monomials of delta.
+def _section_twist(scroll: DecomposableScroll, fiber_chart: int, monomial: IntPoly) -> int:
+    """The b with a monomial determinant a section of L + bF.
 
-    A v-free monomial c*u^e needs e <= b + a_iota; a monomial c*u^e*v_j
-    needs e <= b + a_j.  The smallest admissible b is therefore the max of
-    e - a_iota resp. e - a_j over the monomials.  Anything nonlinear in the
-    fiber coordinates cannot come from a hyperplane-linear divisor.
+    c*u^e is a section of L + bF for b = e - a_iota, and c*u^e*v_j for
+    b = e - a_j.  Anything nonlinear in the fiber coordinates cannot come
+    from a hyperplane-linear divisor.
     """
+    [(e_u, *fiber)] = monomial.monoms()
+    if sum(fiber) > 1:
+        raise ValueError(
+            "determinant is not affine-linear in the fiber coordinates; "
+            "cannot extract a divisor class"
+        )
     others = other_summands(scroll.n, fiber_chart)
-    candidates = []
-    for e_u, *fiber in delta.monoms():
-        if sum(fiber) > 1:
-            raise ValueError(
-                "determinant is not affine-linear in the fiber coordinates; "
-                "cannot extract a divisor class"
-            )
-        (carried,) = [j for j, exp in zip(others, fiber) if exp] or [fiber_chart]
-        candidates.append(e_u - scroll.degree_of(carried))
-    return max(candidates)
+    (carried,) = [j for j, exp in zip(others, fiber) if exp] or [fiber_chart]
+    return e_u - scroll.degree_of(carried)
+
+
+def _monomial_factors(monomial: IntPoly) -> Tuple[Tuple[str, int], ...]:
+    """A monomial's variables and exponents: fiber variables by exponent, then index, then u."""
+    [exponents] = monomial.monoms()
+    u, *fibers = zip(monomial.names, exponents)
+    return tuple(power for power in sorted(fibers, key=lambda power: power[1]) + [u] if power[1])
 
 
 def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDivisor:
@@ -339,8 +340,8 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
     fiber coordinate nonzero form one open orbit of GL_2 x (C*)^n, which
     meets every chart).  Raises :class:`GenericRankFailure` when that rank
     is short, :class:`InconsistentCharts` when a chart determinant built
-    after it vanishes identically, and ValueError when the per-chart class
-    extractions disagree.
+    after it vanishes identically or is not a monomial, and ValueError when
+    the per-chart class extractions disagree.
     """
     k = jet_order(k)
     if scroll.N != k * scroll.n:
@@ -359,6 +360,8 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
         raise InconsistentCharts(
             "determinant vanishes in some charts but not all; inconsistent model"
         )
+    if any(len(delta.terms) != 1 for delta in charts.values()):
+        raise InconsistentCharts("determinant is not a monomial in some chart; inconsistent model")
 
     twists = {key: _section_twist(scroll, key[1], delta) for key, delta in charts.items()}
     distinct = set(twists.values())
@@ -370,7 +373,7 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
     return DeterminantDivisor(
         delta=delta,
         divisor_class=ChowClass(scroll.n, [(1, 1, b)]),
-        factors=tuple((str(factor), mult) for factor, mult in delta.factor_list()[1]),
+        factors=_monomial_factors(delta),
         charts={key: str(chart) for key, chart in charts.items()},
     )
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrolljets.cli import main
+from scrolljets.intpoly import IntPoly
 from scrolljets.scrollmodel import DecomposableScroll
 
 
@@ -281,7 +282,7 @@ def test_full_support_rank_dropping_in_one_chart_is_inconsistent(capsys, monkeyp
 
     def vanishes_at_infinity(scroll, k, base_chart, fiber_chart, rows=None):
         det = chart_determinant(scroll, k, base_chart, fiber_chart, rows)
-        return det * 0 if (base_chart, fiber_chart) == ("inf", 2) else det
+        return IntPoly(det.names, ()) if (base_chart, fiber_chart) == ("inf", 2) else det
 
     def counting(scroll, k):
         ranks.append((scroll, k))
@@ -297,6 +298,29 @@ def test_full_support_rank_dropping_in_one_chart_is_inconsistent(capsys, monkeyp
     assert code == 1
     assert out == ""
     assert err == "error: determinant vanishes in some charts but not all; inconsistent model\n"
+
+
+def test_non_monomial_chart_determinant_is_inconsistent(capsys, monkeypatch):
+    # every square chart determinant is c or c*v_m by the orbit argument,
+    # and its factors are read off that monomial; anything else is a broken
+    # model, which the CLI reports in one line
+    import scrolljets.scanner as scanner_mod
+
+    chart_determinant = scanner_mod._chart_determinant
+
+    def binomial_at_infinity(scroll, k, base_chart, fiber_chart, rows=None):
+        det = chart_determinant(scroll, k, base_chart, fiber_chart, rows)
+        if (base_chart, fiber_chart) != ("inf", 1):
+            return det
+        return IntPoly(det.names, {**dict(det.terms), (0,) * len(det.names): 1})
+
+    monkeypatch.setattr(scanner_mod, "_chart_determinant", binomial_at_infinity)
+    with pytest.raises(scanner_mod.InconsistentCharts, match="not a monomial"):
+        scanner_mod.determinant_divisor(DecomposableScroll((1, 2)), 2)
+    code, out, err = run(capsys, "cross-validate", "--scroll", "1,2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: determinant is not a monomial in some chart; inconsistent model\n"
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
@@ -442,21 +466,25 @@ SYMPY_FREE_VERBS = (
     ["ranks", "--n", "2", "--k", "2"],
     ["scan", "--scroll", "2,3", "--k", "3"],
     ["cross-validate", "--scroll", "2,2"],
+    ["cross-validate", "--scroll", "1,2"],
+    ["cross-validate", "--scroll", "4,4,5"],
+    ["cross-validate", "--scroll", "6"],
+    ["wronskian", "--degrees", "4", "--k", "4"],
+    ["wronskian", "--basis", "basis.txt", "--k", "2"],
 )
 
 
-def test_only_a_ring_loads_sympy(tmp_path):
-    # the formula verbs, scans and non-square cross-validates run without
-    # sympy; the Wronskian builds a ring and loads it
+def test_no_verb_loads_sympy(tmp_path):
+    # the formula verbs, scans, every cross-validate and the Wronskian run
+    # without sympy: determinants and roots are plain integer arithmetic
+    (tmp_path / "basis.txt").write_text("-1 0 1 0 3\n0 2 0 -5\n4 0 0 1 1\n", encoding="utf-8")
     script = textwrap.dedent(
         f"""
         import contextlib, io, sys
         from scrolljets.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [main(argv) for argv in {SYMPY_FREE_VERBS!r}]
-            loaded_before = "sympy" in sys.modules
-            codes.append(main(["wronskian", "--degrees", "4", "--k", "4"]))
-        print(codes, loaded_before, "sympy" in sys.modules)
+        print(codes, "sympy" in sys.modules)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -465,7 +493,7 @@ def test_only_a_ring_loads_sympy(tmp_path):
     argv = [sys.executable, "-c", script]
     done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"{[0] * (len(SYMPY_FREE_VERBS) + 1)} False True\n"
+    assert done.stdout == f"{[0] * len(SYMPY_FREE_VERBS)} False\n"
 
 
 def test_module_runs_from_a_checkout(tmp_path):

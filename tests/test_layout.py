@@ -1,11 +1,11 @@
-"""Source layout: sympy is confined to rings and factorization and loads
-only when a ring is built, one gate decides what counts as an exact number,
-and the CLI reads oracle reports only through the documents their
-``to_dict`` builds.
+"""Source layout: no module imports sympy (determinants and roots are
+integer arithmetic in the package itself, and sympy serves only the tests'
+reference models), one gate decides what counts as an exact number, and the
+CLI reads oracle reports only through the documents their ``to_dict``
+builds.
 
-Every module of the package is parsed, so a sympy call or a report read
-on a path no test runs is still seen.  Ring elements print themselves, so no
-module turns one into a sympy expression.
+Every module of the package is parsed, so a sympy import or a report read
+on a path no test runs is still seen.
 """
 
 import ast
@@ -15,9 +15,8 @@ from pathlib import Path
 from scrolljets import scanner
 
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "scrolljets").glob("*.py"))
-FORBIDDEN = {"Matrix", "diff"}
 EXPRESSION_NAMES = {"as_expr", "sstr", "sympify", "Symbol", "Expr"}
-SCANNER_SYMPY_NAMES = {"ring", "ZZ", "PolyElement"}
+SYMBOLIC_CALCULUS = {"det", "diff"}  # determinants are integer eliminations; nothing differentiates
 EXACTNESS_GATES = {"exact_int", "exact_rational"}
 NUMBER_TYPES = {"Integral", "Rational"}
 REPORTS = (
@@ -35,31 +34,21 @@ REPORT_FIELDS = {
 }
 
 
-def test_sympy_is_imported_by_the_scanner_only_and_never_differentiates():
-    assert len(MODULES) >= 7
+def test_no_module_imports_sympy():
+    assert len(MODULES) >= 8
     importers = set()
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        aliases = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] == "sympy":
-                        importers.add(path.name)
-                        aliases.add(alias.asname or alias.name)
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
-                importers.add(path.name)
-                names = {alias.name for alias in node.names}
-                assert not names & FORBIDDEN, f"{path.name}:{node.lineno} imports {names}"
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                modules = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules = {(node.module or "").split(".")[0]}
+            else:
                 continue
-            where = f"{path.name}:{node.lineno}"
-            assert node.func.attr != "det", f"{where} calls .det("
-            owner = node.func.value
-            if isinstance(owner, ast.Name) and owner.id in aliases:
-                assert node.func.attr not in FORBIDDEN, f"{where} calls {owner.id}.{node.func.attr}"
-    assert importers == {"scanner.py"}
+            if "sympy" in modules:
+                importers.add(f"{path.name}:{node.lineno}")
+    assert importers == set()
 
 
 def import_time_statements(statements):
@@ -80,8 +69,8 @@ def import_time_statements(statements):
 
 
 def test_no_module_imports_sympy_at_import_time():
-    # sympy loads with the first polynomial ring, so the formula verbs and
-    # the scans never pay for it; a type checker may still read its names
+    # the import-time half of the test above, kept as the guard a lazy
+    # import for a future optional feature would still have to pass
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in import_time_statements(tree.body):
@@ -95,20 +84,18 @@ def test_no_module_imports_sympy_at_import_time():
 
 
 def test_no_module_builds_sympy_expressions():
+    # polynomials print themselves (intpoly.IntPoly), so no module names a
+    # sympy expression API or a symbolic .det / .diff, even on an object it
+    # was handed
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             where = f"{path.name}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, ast.Attribute):
-                assert node.attr not in EXPRESSION_NAMES, f"{where} uses .{node.attr}"
+                forbidden = EXPRESSION_NAMES | SYMBOLIC_CALCULUS
+                assert node.attr not in forbidden, f"{where} uses .{node.attr}"
             elif isinstance(node, ast.Name):
                 assert node.id not in EXPRESSION_NAMES, f"{where} names {node.id}"
-            elif isinstance(node, ast.Import):
-                modules = {alias.name.split(".")[0] for alias in node.names}
-                assert "sympy" not in modules, f"{where} imports sympy as a module"
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sympy"):
-                names = {alias.name for alias in node.names}
-                assert names <= SCANNER_SYMPY_NAMES, f"{where} imports {names} from sympy"
 
 
 def test_chart_determinant_takes_nothing_from_the_formulas():
