@@ -34,11 +34,11 @@ formula fails).  A report stores only what its oracle measured, derives the
 rest (full rank, clean count, total weight) and prints through ``to_dict``.
 
 All three oracles read one sparse jet template,
-:func:`scrolljets.scrollmodel.jet_template`: the scan ranks it at each
-point's orbit representative, u = 0 and every v_j in {0, 1} (and evaluates
-it at the rational point only for a certificate), and the Wronskian and
-determinant oracles share one chart determinant, so nothing here
-differentiates.  One integer elimination,
+:func:`scrolljets.scrollmodel.jet_template`: the scan ranks it once per
+support stratum T, at u = 0 in chart ("0", min T), v_j = 1 on T (and
+evaluates it at the rational point only for a certificate), and the
+Wronskian and determinant oracles share one chart determinant, so nothing
+here differentiates.  One integer elimination,
 :func:`scrolljets.scrollmodel.bareiss`, gives every rank and determinant;
 a chart determinant is read back from its digits (Kronecker substitution)
 into an :class:`~scrolljets.intpoly.IntPoly`, and no oracle factors one: a
@@ -63,6 +63,8 @@ from .scrollmodel import (
     BASE_ZERO,
     DecomposableScroll,
     ScrollPoint,
+    _representative_rank,
+    _support,
     bareiss,
     evaluate_jet_template,
     exact_int,
@@ -74,7 +76,6 @@ from .scrollmodel import (
     jet_order,
     jet_template,
     other_summands,
-    point_rank,
 )
 
 #: Fixed default seed so runs are reproducible; override per call.
@@ -545,10 +546,11 @@ def rank_scan(
 ) -> ScanReport:
     """Probe the k-th inflectional locus by exact ranks at sampled points.
 
-    Every point is ranked on integer rows
+    A point's rank is its support stratum T's, ranked once per support
+    stratum, at u = 0 in chart ("0", min T), v_j = 1 on T, on integer rows
     (:func:`scrolljets.scrollmodel.point_rank`); every inflected sample is
-    reported together with its exact Fraction jet matrix, which is an
-    independently checkable certificate.  A clean scan proves nothing
+    reported together with its exact Fraction jet matrix at its own point,
+    an independently checkable certificate.  A clean scan proves nothing
     beyond "no inflected sample found".
     """
     derived = scroll.N // scroll.n
@@ -558,8 +560,12 @@ def rank_scan(
     full_rank = k * scroll.n + 1
     points = scan_points(scroll, samples, seed)
     inflected: List[InflectedSample] = []
+    ranks: Dict[Tuple[int, ...], int] = {}
     for point in points:
-        rank = point_rank(scroll, k, point)
+        support = _support(point)
+        rank = ranks.get(support)
+        if rank is None:
+            rank = ranks[support] = _representative_rank(scroll, k, support)
         if rank < full_rank:
             inflected.append(
                 InflectedSample(

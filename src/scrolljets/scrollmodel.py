@@ -19,8 +19,9 @@ Everything is exact rational arithmetic; ranks and determinants come from
 one fraction-free elimination with deterministic pivoting (:func:`bareiss`).
 A row of the template stores only its nonzero entries.  A point's rank
 needs no fractions: the jet rank is constant on the orbits of
-GL_2 x (C*)^n, so :func:`point_rank` ranks the template of the point's
-chart at its orbit representative, u = 0 and each v_j in {0, 1}.
+GL_2 x (C*)^n, the support strata, so :func:`point_rank` reads a point's
+rank off its support T, ranked once per support stratum, at u = 0 in
+chart ("0", min T), v_j = 1 on T and 0 off it.
 """
 
 from __future__ import annotations
@@ -282,7 +283,9 @@ def jet_template(
     perm(e, h) u^(e-h) v_j (v_j = 1 on the chart summand) and, for its own
     summand j only, the mixed d/dv_j derivative perm(e, h) u^(e-h).  Every
     numeric, symbolic and Wronskian jet matrix is this template evaluated.
-    The cache is bounded: a scan needs at most 2n charts.
+    The cache is bounded: a scan is ranked once per support stratum, at
+    u = 0 in chart ("0", min T), v_j = 1 on T, and certified in its points'
+    own charts, so it needs at most 2n charts.
     """
     jet_order(k)
     basis = scroll.section_basis(base_chart, fiber_chart)
@@ -349,17 +352,11 @@ class JetMatrix:
         return len(self.columns)
 
 
-def _fiber_values(scroll: DecomposableScroll, point: ScrollPoint) -> dict:
-    """The point's fiber coordinates, keyed by summand (the chart summand omitted)."""
-    return dict(zip(other_summands(scroll.n, point.fiber_chart), point.v))
-
-
 def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMatrix:
     """Evaluate all reduced partials of the section basis at the point."""
     _check_point(scroll, point)
-    entries = evaluate_jet_template(
-        scroll, k, point.base_chart, point.fiber_chart, point.u, _fiber_values(scroll, point)
-    )
+    v = dict(zip(other_summands(scroll.n, point.fiber_chart), point.v))
+    entries = evaluate_jet_template(scroll, k, point.base_chart, point.fiber_chart, point.u, v)
     cols = jet_columns(scroll.n, k, point.fiber_chart)
     return JetMatrix(scroll, k, point, cols, tuple(map(tuple, entries)))
 
@@ -423,34 +420,43 @@ def jet_rank(matrix: JetMatrix) -> int:
     return exact_rank(matrix.entries)
 
 
+def _support(point: ScrollPoint) -> Tuple[int, ...]:
+    """A checked point's support T, ascending: its chart summand and every j with v_j != 0."""
+    v = point.v[:point.fiber_chart - 1] + (1,) + point.v[point.fiber_chart - 1:]
+    return tuple(j for j, x in enumerate(v, start=1) if x)
+
+
+def _representative_rank(scroll: DecomposableScroll, k: int, support: Tuple[int, ...]) -> int:
+    """The k-jet rank of a support stratum, at u = 0 in chart ("0", min T), v_j = 1 on T."""
+    v = {j: int(j in support) for j in other_summands(scroll.n, support[0])}
+    return bareiss(evaluate_jet_template(scroll, k, BASE_ZERO, support[0], 0, v))[0]
+
+
 def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
-    """Rank of the k-jet matrix at a point, on the integer rows of its orbit's representative.
+    """Rank of the k-jet matrix at a point, ranked once per support stratum on integer rows.
 
     GL_2 x (C*)^n acts on P(O(a_1) + ... + O(a_n)) and preserves the
-    complete linear system, so it moves osculating spaces to osculating
-    spaces and the jet rank is constant on its orbits.  Within a chart,
-    u -> u + c and v_j -> t_j v_j (t_j != 0) are such maps, so the point
-    has the rank of the template of its own chart at u = 0, with v_j = 1
-    where its fiber coordinate is nonzero and 0 where it vanishes: an
-    integer matrix, and no Fraction is built.  :func:`jet_rank` of
+    complete linear system, so the jet rank is constant on its orbits,
+    the support strata: GL_2 moves any base point to u = 0 in chart "0",
+    and v_j -> t_j v_j (t_j != 0) scales the nonzero fiber coordinates, on
+    the point's support T, to 1.  So the point has the rank of the template
+    at u = 0 in chart ("0", min T), v_j = 1 on T and 0 off it: an integer
+    matrix, and no Fraction is built.  :func:`jet_rank` of
     :func:`jet_matrix` is the independent Fraction check.
     """
     _check_point(scroll, point)
-    support = {j: int(x != 0) for j, x in _fiber_values(scroll, point).items()}
-    rows = evaluate_jet_template(scroll, k, point.base_chart, point.fiber_chart, 0, support)
-    return bareiss(rows)[0]
+    return _representative_rank(scroll, k, _support(point))
 
 
 def full_support_rank(scroll: DecomposableScroll, k: int) -> int:
-    """The generic k-jet rank: :func:`point_rank` at u = 0, every v_j = 1, in chart ("0", 1).
+    """The generic k-jet rank: the stratum T = {1..n}, at u = 0, every v_j = 1, in chart ("0", 1).
 
     This is exact, not a sample.  The points whose fiber coordinates are
     all nonzero form one orbit of GL_2 x (C*)^n, which is open and dense,
-    and this point lies in it; so its rank is the generic rank, and the
-    full-support point of any other chart has the same rank.
+    and this is its representative, as :func:`point_rank` ranks it; so its
+    rank is the generic rank, and every full-support point has it.
     """
-    point = ScrollPoint(BASE_ZERO, Fraction(0), 1, (Fraction(1),) * (scroll.n - 1))
-    return point_rank(scroll, k, point)
+    return _representative_rank(scroll, k, tuple(range(1, scroll.n + 1)))
 
 
 def osculating_dim(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:

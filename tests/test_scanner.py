@@ -437,6 +437,48 @@ def test_rank_scan_semibalanced_at_top_order_finds_directrix():
         assert sample.corank == 1
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_rank_scan_ranks_every_point_as_its_fraction_jet_matrix(data):
+    # a scan eliminates once per support stratum; its inflected samples
+    # must still be exactly the points whose own Fraction jet matrix drops
+    # rank, with that rank, in scan order
+    X = DecomposableScroll(tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))))
+    k = data.draw(st.integers(1, X.N // X.n))
+    samples = data.draw(st.integers(1, 150))
+    seed = data.draw(st.integers(0, 2**32))
+    full_rank = k * X.n + 1
+    expected = []
+    for point in scan_points(X, samples, seed):
+        rank = jet_rank(jet_matrix(X, k, point))
+        if rank < full_rank:
+            expected.append((point, rank))
+    report = rank_scan(X, k, samples=samples, seed=seed)
+    assert [(sample.point, sample.rank) for sample in report.inflected] == expected
+
+
+def test_rank_scan_eliminates_once_per_support_stratum(monkeypatch):
+    # a support is a nonempty set of summands, so a scan of any size makes
+    # at most 2^n - 1 eliminations
+    import scrolljets.scrollmodel as scrollmodel_mod
+
+    calls = []
+    bareiss = scrollmodel_mod.bareiss
+
+    def counted(rows):
+        calls.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(scrollmodel_mod, "bareiss", counted)
+    report = rank_scan(DecomposableScroll((2, 3)), k=3, samples=200)
+    assert report.points_examined == 200 and report.inflected
+    assert len(calls) == 3
+    calls.clear()
+    report = rank_scan(DecomposableScroll((1, 1, 1, 1, 1, 1, 2)), samples=1)
+    assert report.points_examined == 10 * 7 * 2**6
+    assert 0 < len(calls) <= 2**7 - 1
+
+
 def test_rank_scan_rejects_large_order():
     with pytest.raises(ValueError):
         rank_scan(DecomposableScroll((1, 2)), k=3)
