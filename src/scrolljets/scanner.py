@@ -22,7 +22,8 @@ Three oracles are provided:
 
 * Seeded exact-rank scans otherwise: deterministic pseudo-random rational
   sample points (plus structured points with fiber coordinates zeroed in
-  all patterns and u in {0, +-1, +-2, inf}) are tested for jet-rank drop.
+  all patterns and u in {0, +-1, +-2, inf}) are tested for jet-rank drop,
+  read off one table that ranks each of the 2^n - 1 support strata once.
   Each inflected sample carries its exact jet matrix as a certificate;
   a scan never claims emptiness, only "no inflected sample found".
 
@@ -30,8 +31,9 @@ Three oracles are provided:
 with the closed formulas and builds one report with MATCH, MISMATCH or
 HYPOTHESIS-VIOLATED (the latter when the oracle certifies a locus of the
 wrong dimension, so the expected-codimension hypothesis behind the class
-formula fails).  A report stores only what its oracle measured, derives the
-rest (full rank, clean count, total weight) and prints through ``to_dict``.
+formula fails; a scan reads the generic rank off its table).  A report
+stores only what its oracle measured, derives the rest (full rank, clean
+count, total weight) and prints through ``to_dict``.
 
 All three oracles read one sparse jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it once per
@@ -49,8 +51,9 @@ monomial.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, gcd, prod
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -69,7 +72,6 @@ from .scrollmodel import (
     evaluate_jet_template,
     exact_int,
     exact_rank,
-    fiber_coordinate,
     full_support_rank,
     jet_columns,
     jet_matrix,
@@ -409,7 +411,9 @@ class InflectedSample:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Outcome of a deterministic exact-rank scan."""
+    """Outcome of a deterministic exact-rank scan.  ``strata`` maps each of the 2^n - 1
+    supports T, ascending, to its rank, all ranked once (``cross_validate`` reads the
+    generic rank off T = {1..n}); it is left out of ``to_dict``, equality and hashing."""
 
     scroll: DecomposableScroll
     k: int
@@ -418,6 +422,7 @@ class ScanReport:
     points_examined: int
     inflected: Tuple[InflectedSample, ...]
     notes: Tuple[str, ...]
+    strata: Dict[Tuple[int, ...], int] = field(compare=False)
 
     @property
     def full_rank(self) -> int:
@@ -502,15 +507,13 @@ def scan_points(
         )
     if samples > 2 * n * _U_VALUES * _V_VALUES ** (n - 1):
         raise ValueError(f"could not sample {samples} distinct points on {scroll}")
-    points: List[ScrollPoint] = []
-    seen = set()
+    points: Dict[Tuple[str, int, int, Tuple[int, ...]], ScrollPoint] = {}  # by int codes
 
     def push(base_chart: str, u: int, fiber_chart: int, v: Tuple[int, ...]) -> None:
         key = (base_chart, u, fiber_chart, v)
-        if key not in seen:
-            seen.add(key)
+        if key not in points:
             values = tuple(_VALUES[code] for code in v)
-            points.append(ScrollPoint._make(base_chart, _VALUES[u], fiber_chart, values))
+            points[key] = ScrollPoint._make(base_chart, _VALUES[u], fiber_chart, values)
 
     for base_chart in (BASE_ZERO, BASE_INF):
         for fiber_chart in range(1, n + 1):
@@ -535,7 +538,7 @@ def scan_points(
             v = tuple(_random_rational(rng) for _ in range(n - 1))
         push(base_chart, u, fiber_chart, v)
         toggle = not toggle
-    return points
+    return list(points.values())
 
 
 def rank_scan(
@@ -546,12 +549,11 @@ def rank_scan(
 ) -> ScanReport:
     """Probe the k-th inflectional locus by exact ranks at sampled points.
 
-    A point's rank is its support stratum T's, ranked once per support
-    stratum, at u = 0 in chart ("0", min T), v_j = 1 on T, on integer rows
-    (:func:`scrolljets.scrollmodel.point_rank`); every inflected sample is
-    reported together with its exact Fraction jet matrix at its own point,
-    an independently checkable certificate.  A clean scan proves nothing
-    beyond "no inflected sample found".
+    After drawing its points, the scan ranks each of the 2^n - 1 support
+    strata T once, at u = 0 in chart ("0", min T), v_j = 1 on T, on integer
+    rows (:func:`scrolljets.scrollmodel.point_rank`), into ``strata``; the
+    structured block meets every stratum.  Every inflected sample is reported
+    with its exact Fraction jet matrix at its own point, a certificate.
     """
     derived = scroll.N // scroll.n
     k = derived if k is None else exact_int(k, "jet order k", 1, derived)
@@ -559,13 +561,12 @@ def rank_scan(
     seed = exact_int(seed, "the seed")
     full_rank = k * scroll.n + 1
     points = scan_points(scroll, samples, seed)
+    summands = range(1, scroll.n + 1)
+    strata = {support: _representative_rank(scroll, k, support)
+              for size in summands for support in combinations(summands, size)}
     inflected: List[InflectedSample] = []
-    ranks: Dict[Tuple[int, ...], int] = {}
     for point in points:
-        support = _support(point)
-        rank = ranks.get(support)
-        if rank is None:
-            rank = ranks[support] = _representative_rank(scroll, k, support)
+        rank = strata[_support(point)]
         if rank < full_rank:
             inflected.append(
                 InflectedSample(
@@ -584,14 +585,9 @@ def rank_scan(
             f"{len(inflected)} inflected samples among {len(points)} points; "
             "each carries its exact jet matrix as certificate"
         )
-        for summand in range(1, scroll.n + 1):
-            if all(
-                fiber_coordinate(scroll, sample.point, summand) == 0
-                for sample in inflected
-            ):
-                notes.append(
-                    f"every inflected sample lies on the section w{summand} = 0"
-                )
+        on = set().union(*(_support(sample.point) for sample in inflected))  # j with w_j != 0
+        notes.extend(f"every inflected sample lies on the section w{j} = 0"
+                     for j in summands if j not in on)
     return ScanReport(
         scroll=scroll,
         k=k,
@@ -600,6 +596,7 @@ def rank_scan(
         points_examined=len(points),
         inflected=tuple(inflected),
         notes=tuple(notes),
+        strata=strata,
     )
 
 
@@ -692,9 +689,9 @@ def _square_oracle(scroll: DecomposableScroll, k: int, formula_cls: ChowClass):
 
 
 def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, formula_deg):
-    """A rank scan, after the exact generic rank, against the formula degree (N > kn)."""
-    generic_rank = full_support_rank(scroll, k)
+    """A rank scan against the formula degree (N > kn); the generic rank is read off its strata."""
     scan = rank_scan(scroll, k, samples=samples, seed=seed)
+    generic_rank = scan.strata[tuple(range(1, scroll.n + 1))]
     summary = scan.to_dict()
     summary["inflected"] = summary["inflected"][:10]  # keep the summary bounded
     notes = list(scan.notes)

@@ -1,6 +1,8 @@
+import itertools
 import json
 import numbers
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from scrolljets.scrollmodel import (
     BASE_ZERO,
     DecomposableScroll,
     ScrollPoint,
+    _support,
     evaluate_jet_template,
     exact_rank,
     fiber_coordinate,
@@ -458,8 +461,9 @@ def test_rank_scan_ranks_every_point_as_its_fraction_jet_matrix(data):
 
 
 def test_rank_scan_eliminates_once_per_support_stratum(monkeypatch):
-    # a support is a nonempty set of summands, so a scan of any size makes
-    # at most 2^n - 1 eliminations
+    # a support is a nonempty set of summands, and a scan ranks each of the
+    # 2^n - 1 once, whatever its sample count; a non-square cross-validate
+    # reads its generic rank off the same table, with no further elimination
     import scrolljets.scrollmodel as scrollmodel_mod
 
     calls = []
@@ -472,11 +476,57 @@ def test_rank_scan_eliminates_once_per_support_stratum(monkeypatch):
     monkeypatch.setattr(scrollmodel_mod, "bareiss", counted)
     report = rank_scan(DecomposableScroll((2, 3)), k=3, samples=200)
     assert report.points_examined == 200 and report.inflected
-    assert len(calls) == 3
+    assert len(calls) == len(report.strata) == 3
     calls.clear()
     report = rank_scan(DecomposableScroll((1, 1, 1, 1, 1, 1, 2)), samples=1)
     assert report.points_examined == 10 * 7 * 2**6
-    assert 0 < len(calls) <= 2**7 - 1
+    assert len(calls) == len(report.strata) == 2**7 - 1
+    calls.clear()
+    assert cross_validate(DecomposableScroll((1, 1, 3)), samples=50).oracle == "rank-scan"
+    assert len(calls) == 2**3 - 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=7),
+    st.integers(0, 2**32),
+)
+def test_scan_points_meet_every_support_stratum(degrees, seed):
+    # the structured block runs over every fiber chart and zero pattern, so
+    # one sample already meets all 2^n - 1 supports; rank_scan's table holds
+    # exactly those, so each point's rank is a lookup and no entry is wasted
+    X = DecomposableScroll(tuple(degrees))
+    summands = range(1, X.n + 1)
+    supports = set()
+    for point in scan_points(X, 1, seed):
+        support = _support(point)
+        assert support == tuple(j for j in summands if fiber_coordinate(X, point, j))
+        supports.add(support)
+    every = {t for size in summands for t in itertools.combinations(summands, size)}
+    assert supports == every
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_section_notes_name_exactly_the_coordinates_vanishing_on_every_inflected_sample(data):
+    # the notes are read off the samples' supports; fiber_coordinate is the
+    # independent route: a named w_j is 0 at every inflected sample, and
+    # every summand not named is nonzero at some inflected sample
+    X = DecomposableScroll(tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))))
+    k = data.draw(st.integers(1, X.N // X.n))
+    samples = data.draw(st.integers(1, 150))
+    seed = data.draw(st.integers(0, 2**32))
+    report = rank_scan(X, k, samples=samples, seed=seed)
+    pattern = re.compile(r"every inflected sample lies on the section w(\d+) = 0")
+    named = {int(m.group(1)) for m in map(pattern.fullmatch, report.notes) if m}
+    if not report.inflected:
+        assert named == set()
+    for j in range(1, X.n + 1):
+        values = [fiber_coordinate(X, sample.point, j) for sample in report.inflected]
+        if j in named:
+            assert not any(values), (j, report.notes)
+        elif report.inflected:
+            assert any(values), (j, report.notes)
 
 
 def test_rank_scan_rejects_large_order():

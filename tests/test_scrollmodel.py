@@ -29,6 +29,7 @@ from scrolljets.scrollmodel import (
     to_fiber_chart,
     to_other_base_chart,
 )
+from scrolljets.scanner import rank_scan
 
 
 def pt(u, v=(), fiber_chart=1, base_chart=BASE_ZERO):
@@ -570,3 +571,20 @@ def test_point_rank_is_constant_on_each_support_stratum(data):
             assert jet_rank(jet_matrix(X, k, point)) == rank, (support, base, iota, u, v)
             assert point_rank(X, k, point) == rank, (support, base, iota, u, v)
             assert rank == stratum_rank(X.degrees, support, k), (support, k)
+
+
+def test_scan_strata_are_the_closed_form_on_every_small_type():
+    # a census of every nondecreasing type with n <= 3 and a_j <= 6, at
+    # every order k <= N // n (313 cases): a scan's stratum table, ranked
+    # by elimination, must be the closed form rho(T, k) on every support T
+    cases = 0
+    for n in (1, 2, 3):
+        for degrees in itertools.combinations_with_replacement(range(1, 7), n):
+            X = DecomposableScroll(degrees)
+            summands = range(1, n + 1)
+            supports = [t for size in summands for t in itertools.combinations(summands, size)]
+            for k in range(1, X.N // n + 1):
+                expected = {t: stratum_rank(degrees, t, k) for t in supports}
+                assert rank_scan(X, k, samples=1).strata == expected, (degrees, k)
+                cases += 1
+    assert cases == 313
