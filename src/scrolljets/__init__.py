@@ -57,11 +57,8 @@ from .scrollmodel import (
     full_support_rank,
     is_inflected,
     jet_matrix,
-    jet_rank,
     osculating_dim,
     point_rank,
-    to_fiber_chart,
-    to_other_base_chart,
 )
 
 __version__ = "0.1.0"
@@ -103,7 +100,6 @@ __all__ = [
     "inflectional_degree",
     "is_inflected",
     "jet_matrix",
-    "jet_rank",
     "line_twist_factor",
     "osculating_chern",
     "osculating_dim",
@@ -113,7 +109,5 @@ __all__ = [
     "scan_points",
     "segre_closed_form",
     "segre_term",
-    "to_fiber_chart",
-    "to_other_base_chart",
     "wronskian_weights",
 ]

@@ -31,9 +31,10 @@ Three oracles are provided:
 with the closed formulas and builds one report with MATCH, MISMATCH or
 HYPOTHESIS-VIOLATED (the latter when the oracle certifies a locus of the
 wrong dimension, so the expected-codimension hypothesis behind the class
-formula fails; a scan reads the generic rank off its table).  A report
-stores only what its oracle measured, derives the rest (full rank, clean
-count, total weight) and prints through ``to_dict``.
+formula fails; a scan reads the generic rank and the locus dimension,
+max |T| over the inflected strata T, off its table).  A report stores only
+what its oracle measured, derives the rest (full rank, clean count, total
+weight) and prints through ``to_dict``.
 
 All three oracles read one sparse jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it once per
@@ -688,10 +689,11 @@ def _square_oracle(scroll: DecomposableScroll, k: int, formula_cls: ChowClass):
     )
 
 
-def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, formula_deg):
-    """A rank scan against the formula degree (N > kn); the generic rank is read off its strata."""
+def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, ell: int, expected):
+    """A rank scan against the formula degree (N > kn), read off its strata: T has dimension |T|."""
     scan = rank_scan(scroll, k, samples=samples, seed=seed)
     generic_rank = scan.strata[tuple(range(1, scroll.n + 1))]
+    top = max((T for T, rank in scan.strata.items() if rank < scan.full_rank), key=len, default=())
     summary = scan.to_dict()
     summary["inflected"] = summary["inflected"][:10]  # keep the summary bounded
     notes = list(scan.notes)
@@ -705,16 +707,20 @@ def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, fo
     elif not scan.inflected:
         notes.append(
             "clean scan is consistent with an empty locus"
-            if formula_deg == 0
+            if expected == 0
             else "clean scan is inconclusive for a positive expected count "
             "(sampling misses measure-zero loci)"
         )
-    elif formula_deg == 0:
+    elif expected == 0:
         verdict = HYPOTHESIS_VIOLATED
         notes.append(
             "expected degree is 0 yet inflected points are certified: "
             "the locus has the wrong dimension"
         )
+    elif len(top) > scroll.n - ell:
+        verdict = HYPOTHESIS_VIOLATED
+        notes.append(f"the inflected stratum of support {top} has dimension {len(top)} > "
+                     f"n - ell = {scroll.n - ell}: the locus has the wrong dimension")
     else:
         notes.append("certified points are consistent with the expected locus")
     return "rank-scan", verdict, summary, notes
@@ -750,7 +756,8 @@ def cross_validate(
         if scroll.N == k * scroll.n:
             oracle, verdict, summary, notes = _square_oracle(scroll, k, formula_cls)
         else:
-            oracle, verdict, summary, notes = _scan_oracle(scroll, k, samples, seed, formula_deg)
+            oracle, verdict, summary, notes = _scan_oracle(scroll, k, samples, seed, ell,
+                                                           formula_deg)
     return CrossValidationReport(
         scroll=scroll,
         k=k,

@@ -202,43 +202,6 @@ def fiber_coordinate(
     return point.v[slot]
 
 
-def to_other_base_chart(scroll: DecomposableScroll, point: ScrollPoint) -> ScrollPoint:
-    """The same geometric point, expressed in the other base chart.
-
-    Needs u != 0 (the point must lie over the chart overlap).  The fiber
-    coordinates pick up the twist u^(a_iota - a_j) of the summands.
-    """
-    _check_point(scroll, point)
-    if point.u == 0:
-        raise ValueError("the point lies outside the other base chart")
-    a_iota = scroll.degree_of(point.fiber_chart)
-    new_v = tuple(
-        fiber_coordinate(scroll, point, j) * point.u ** (a_iota - scroll.degree_of(j))
-        for j in other_summands(scroll.n, point.fiber_chart)
-    )
-    new_base = BASE_INF if point.base_chart == BASE_ZERO else BASE_ZERO
-    return ScrollPoint(new_base, 1 / point.u, point.fiber_chart, new_v)
-
-
-def to_fiber_chart(
-    scroll: DecomposableScroll, point: ScrollPoint, fiber_chart: int
-) -> ScrollPoint:
-    """The same geometric point, normalized on another fiber summand."""
-    _check_point(scroll, point)
-    fiber_chart = exact_int(fiber_chart, "summand index", 1, scroll.n)
-    if fiber_chart == point.fiber_chart:
-        return point
-    pivot = fiber_coordinate(scroll, point, fiber_chart)
-    if pivot == 0:
-        raise ValueError(
-            f"fiber coordinate {fiber_chart} vanishes; the point misses that chart"
-        )
-    new_v = tuple(
-        fiber_coordinate(scroll, point, j) / pivot for j in other_summands(scroll.n, fiber_chart)
-    )
-    return ScrollPoint(point.base_chart, point.u, fiber_chart, new_v)
-
-
 # Column descriptors for the reduced jet matrix: ("u", h) is the pure
 # derivative d^h/du^h, ("uv", h, j) is d^h/du^h d/dv_j.
 Column = Tuple
@@ -337,9 +300,6 @@ class JetMatrix:
     ascending); columns follow :func:`jet_columns`.
     """
 
-    scroll: DecomposableScroll
-    k: int
-    point: ScrollPoint
     columns: Tuple[Column, ...]
     entries: Tuple[Tuple[Fraction, ...], ...]
 
@@ -358,7 +318,7 @@ def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMat
     v = dict(zip(other_summands(scroll.n, point.fiber_chart), point.v))
     entries = evaluate_jet_template(scroll, k, point.base_chart, point.fiber_chart, point.u, v)
     cols = jet_columns(scroll.n, k, point.fiber_chart)
-    return JetMatrix(scroll, k, point, cols, tuple(map(tuple, entries)))
+    return JetMatrix(cols, tuple(map(tuple, entries)))
 
 
 def bareiss(rows: List[list]) -> Tuple[int, int]:
@@ -415,11 +375,6 @@ def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
     return bareiss(cleared)[0]
 
 
-def jet_rank(matrix: JetMatrix) -> int:
-    """Exact rank of a jet matrix, from its Fraction entries."""
-    return exact_rank(matrix.entries)
-
-
 def _support(point: ScrollPoint) -> Tuple[int, ...]:
     """A checked point's support T, ascending: its chart summand and every j with v_j != 0."""
     v = point.v[:point.fiber_chart - 1] + (1,) + point.v[point.fiber_chart - 1:]
@@ -441,8 +396,8 @@ def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
     and v_j -> t_j v_j (t_j != 0) scales the nonzero fiber coordinates, on
     the point's support T, to 1.  So the point has the rank of the template
     at u = 0 in chart ("0", min T), v_j = 1 on T and 0 off it: an integer
-    matrix, and no Fraction is built.  :func:`jet_rank` of
-    :func:`jet_matrix` is the independent Fraction check.
+    matrix, and no Fraction is built.  :func:`exact_rank` of the
+    :func:`jet_matrix` entries is the independent Fraction check.
     """
     _check_point(scroll, point)
     return _representative_rank(scroll, k, _support(point))

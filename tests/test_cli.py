@@ -213,6 +213,13 @@ def test_cross_validate_hypothesis_violated_exit_zero(capsys):
     assert doc["result"]["verdict"] == "HYPOTHESIS-VIOLATED"
 
 
+def test_cross_validate_wrong_dimension_is_violation(capsys):
+    # the locus of (1,1,3) is the surface P(O(1)+O(1)), not the expected curve
+    code, out, _ = run(capsys, "cross-validate", "--scroll", "1,1,3")
+    assert code == 0
+    assert "verdict: HYPOTHESIS-VIOLATED" in out
+
+
 def test_ranks_verb(capsys):
     code, doc, _ = run_json(capsys, "ranks", "--n", "2", "--k", "2")
     assert code == 0

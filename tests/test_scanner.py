@@ -34,7 +34,6 @@ from scrolljets.scrollmodel import (
     fiber_coordinate,
     jet_columns,
     jet_matrix,
-    jet_rank,
 )
 
 MONOMIAL_QUARTIC = [[1], [0, 1], [0, 0, 1], [0, 0, 0, 0, 1]]
@@ -415,7 +414,7 @@ def test_rank_scan_unbalanced_detects_directrix():
         assert fiber_coordinate(X, sample.point, 2) == 0
         # certificate is independently checkable
         assert exact_rank(sample.matrix) == sample.rank
-        assert jet_rank(jet_matrix(X, 2, sample.point)) == sample.rank
+        assert exact_rank(jet_matrix(X, 2, sample.point).entries) == sample.rank
     assert any("w2 = 0" in note for note in report.notes)
     clean_points = report.points_examined - len(report.inflected)
     assert clean_points == report.clean_count > 0
@@ -453,7 +452,7 @@ def test_rank_scan_ranks_every_point_as_its_fraction_jet_matrix(data):
     full_rank = k * X.n + 1
     expected = []
     for point in scan_points(X, samples, seed):
-        rank = jet_rank(jet_matrix(X, k, point))
+        rank = exact_rank(jet_matrix(X, k, point).entries)
         if rank < full_rank:
             expected.append((point, rank))
     report = rank_scan(X, k, samples=samples, seed=seed)
@@ -658,6 +657,31 @@ def test_cross_validate_generic_rank_failure_off_square():
         report = cross_validate(DecomposableScroll(degrees), samples=20)
         assert report.verdict == MATCH, degrees
         assert not any("whole scroll" in note for note in report.notes)
+
+
+def test_cross_validate_verdict_census():
+    # every non-square scroll with ell < n, n <= 3 and a_j <= 6: the locus is
+    # the union of the inflected strata X_T, of dimension |T|, so a surface
+    # X_T in a locus expected to be a curve violates the hypothesis even
+    # where the generic rank is full
+    census = {}
+    for n in (2, 3):
+        for degrees in itertools.combinations_with_replacement(range(1, 7), n):
+            X = DecomposableScroll(degrees)
+            k = X.N // X.n
+            ell = X.N + 1 - k * n
+            if ell < n and X.N > k * n:
+                census[degrees] = cross_validate(X, samples=1)
+    assert len(census) == 18
+    wrong_dimension = {(1, 1, 3), (2, 2, 4), (3, 3, 5), (4, 4, 6)}
+    matches = {(1, 2, 2), (2, 3, 3), (3, 4, 4), (4, 5, 5), (5, 6, 6)}
+    verdicts = {d: report.verdict for d, report in census.items()}
+    assert verdicts == {d: MATCH if d in matches else HYPOTHESIS_VIOLATED for d in census}
+    whole = {d for d, r in census.items() if any("whole scroll" in note for note in r.notes)}
+    assert len(whole) == 9 and not whole & wrong_dimension
+    for degrees in wrong_dimension:
+        assert census[degrees].formula_degree != "0"
+        assert "support (1, 2) has dimension 2 > n - ell = 1" in census[degrees].notes[-1]
 
 
 def test_cross_validate_balanced_scan():
