@@ -24,15 +24,15 @@ Three oracles are provided:
   sample points (plus structured points with fiber coordinates zeroed in
   all patterns and u in {0, +-1, +-2, inf}) are tested for jet-rank drop,
   read off one table that ranks each of the 2^n - 1 support strata once.
-  Each inflected sample carries its exact jet matrix as a certificate;
-  a scan never claims emptiness, only "no inflected sample found".
+  Each inflected sample carries its exact jet matrix as a certificate; a
+  scan's notes never claim emptiness, but cross-validate's verdict does,
+  from the table, when no support stratum is inflected.
 
-``cross_validate`` picks the applicable oracle for a scroll, compares it
-with the closed formulas and builds one report with MATCH, MISMATCH or
-HYPOTHESIS-VIOLATED (the latter when the oracle certifies a locus of the
-wrong dimension, so the expected-codimension hypothesis behind the class
-formula fails; a scan reads the generic rank and the locus dimension,
-max |T| over the inflected strata T, off its table).  A report stores only
+``cross_validate`` runs the applicable oracle, which answers ``None`` when it
+certifies that the expected-codimension hypothesis of the class formula fails
+(a scan: an inflected stratum T of dimension |T| above n - ell), else whether
+its exact measurement equals the formula's; the report's verdict is
+HYPOTHESIS-VIOLATED, MATCH or MISMATCH accordingly.  A report stores only
 what its oracle measured, derives the rest (full rank, clean count, total
 weight) and prints through ``to_dict``.
 
@@ -101,7 +101,7 @@ class GenericRankFailure(Exception):
 
 
 class InconsistentCharts(RuntimeError):
-    """At full generic rank a chart determinant vanishes or is not a monomial: a broken model."""
+    """Chart determinants at full generic rank are not monomials of one class: a broken model."""
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def _section_twist(scroll: DecomposableScroll, fiber_chart: int, monomial: IntPo
     """
     [(e_u, *fiber)] = monomial.monoms()
     if sum(fiber) > 1:
-        raise ValueError(
+        raise InconsistentCharts(
             "determinant is not affine-linear in the fiber coordinates; "
             "cannot extract a divisor class"
         )
@@ -343,9 +343,9 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
     (:func:`scrolljets.scrollmodel.full_support_rank`; the points with every
     fiber coordinate nonzero form one open orbit of GL_2 x (C*)^n, which
     meets every chart).  Raises :class:`GenericRankFailure` when that rank
-    is short, :class:`InconsistentCharts` when a chart determinant built
-    after it vanishes identically or is not a monomial, and ValueError when
-    the per-chart class extractions disagree.
+    is short, and :class:`InconsistentCharts` when a chart determinant built
+    after it vanishes identically, is not a monomial or is not affine-linear
+    in the fiber coordinates, or when the per-chart class extractions disagree.
     """
     k = jet_order(k)
     if scroll.N != k * scroll.n:
@@ -370,7 +370,7 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
     twists = {key: _section_twist(scroll, key[1], delta) for key, delta in charts.items()}
     distinct = set(twists.values())
     if len(distinct) != 1:
-        raise ValueError(f"chart extractions of the divisor twist disagree: {twists}")
+        raise InconsistentCharts(f"chart extractions of the divisor twist disagree: {twists}")
     b = distinct.pop()
 
     delta = charts[(BASE_ZERO, 1)]
@@ -413,8 +413,8 @@ class InflectedSample:
 @dataclass(frozen=True)
 class ScanReport:
     """Outcome of a deterministic exact-rank scan.  ``strata`` maps each of the 2^n - 1
-    supports T, ascending, to its rank, all ranked once (``cross_validate`` reads the
-    generic rank off T = {1..n}); it is left out of ``to_dict``, equality and hashing."""
+    supports T, ascending, to its rank, all ranked once (``cross_validate``'s verdict reads
+    it, not the samples); it is left out of ``to_dict``, equality and hashing."""
 
     scroll: DecomposableScroll
     k: int
@@ -586,7 +586,7 @@ def rank_scan(
             f"{len(inflected)} inflected samples among {len(points)} points; "
             "each carries its exact jet matrix as certificate"
         )
-        on = set().union(*(_support(sample.point) for sample in inflected))  # j with w_j != 0
+        on = set().union(*(T for T, rank in strata.items() if rank < full_rank))  # j with w_j != 0
         notes.extend(f"every inflected sample lies on the section w{j} = 0"
                      for j in summands if j not in on)
     return ScanReport(
@@ -657,9 +657,8 @@ def _curve_oracle(scroll: DecomposableScroll, k: int, seed: int, expected):
         summary = {**reports[0].to_dict(), "trials": CURVE_TRIALS}
         notes = [f"{CURVE_TRIALS} seeded generic bases of k+1 sections of the degree-{d} system"]
     totals = {report.total for report in reports}
-    verdict = MATCH if totals == {expected} else MISMATCH
     notes.append(f"oracle totals {sorted(totals)} vs formula {expected}")
-    return "wronskian", verdict, summary, notes
+    return "wronskian", totals == {expected}, summary, notes
 
 
 def _random_spanning_basis(rng: random.Random, d: int, k: int) -> List[List[int]]:
@@ -677,53 +676,47 @@ def _square_oracle(scroll: DecomposableScroll, k: int, formula_cls: ChowClass):
     except GenericRankFailure as failure:
         return (
             "determinant-divisor",
-            HYPOTHESIS_VIOLATED,
+            None,
             {"error": str(failure)},
             ["determinant vanishes identically: generic jet rank is below kn+1"],
         )
     return (
         "determinant-divisor",
-        MATCH if result.divisor_class == formula_cls else MISMATCH,
+        result.divisor_class == formula_cls,
         result.to_dict(),
         [f"divisor class extracted in {2 * scroll.n} charts, all agreeing"],
     )
 
 
-def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, ell: int, expected):
-    """A rank scan against the formula degree (N > kn), read off its strata: T has dimension |T|."""
+def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, ell: int, expected,
+                 formula_cls: ChowClass):
+    """A scan's stratum table against the formulas (N > kn); its samples are only printed.
+    The locus is the union of the X_T over the inflected strata T: of dimension max |T|, empty
+    if there is none, else of class prod (L - a_j F) over j not in T, for T the largest."""
     scan = rank_scan(scroll, k, samples=samples, seed=seed)
-    generic_rank = scan.strata[tuple(range(1, scroll.n + 1))]
     top = max((T for T, rank in scan.strata.items() if rank < scan.full_rank), key=len, default=())
     summary = scan.to_dict()
     summary["inflected"] = summary["inflected"][:10]  # keep the summary bounded
     notes = list(scan.notes)
-    verdict = MATCH
-    if generic_rank < scan.full_rank:
-        verdict = HYPOTHESIS_VIOLATED
+    agrees = None
+    if len(top) == scroll.n:  # the full-support stratum
         notes.append(
-            f"generic jet rank {generic_rank} is below kn+1 = {scan.full_rank} "
+            f"generic jet rank {scan.strata[top]} is below kn+1 = {scan.full_rank} "
             "(exact, at the full-support point): the whole scroll is inflected"
         )
-    elif not scan.inflected:
-        notes.append(
-            "clean scan is consistent with an empty locus"
-            if expected == 0
-            else "clean scan is inconclusive for a positive expected count "
-            "(sampling misses measure-zero loci)"
-        )
-    elif expected == 0:
-        verdict = HYPOTHESIS_VIOLATED
-        notes.append(
-            "expected degree is 0 yet inflected points are certified: "
-            "the locus has the wrong dimension"
-        )
     elif len(top) > scroll.n - ell:
-        verdict = HYPOTHESIS_VIOLATED
         notes.append(f"the inflected stratum of support {top} has dimension {len(top)} > "
                      f"n - ell = {scroll.n - ell}: the locus has the wrong dimension")
+    elif not top:
+        agrees = expected == 0
+        notes.append("clean scan is consistent with an empty locus")
     else:
-        notes.append("certified points are consistent with the expected locus")
-    return "rank-scan", verdict, summary, notes
+        locus = prod((ChowClass(scroll.n, [(1, 1, -a)]) for j, a in enumerate(scroll.degrees, 1)
+                      if j not in top), start=ChowClass.unit(scroll.n))
+        agrees = locus == formula_cls
+        notes.append("certified points are consistent with the expected locus" if agrees
+                     else f"the inflected stratum of support {top} has class {locus}")
+    return "rank-scan", agrees, summary, notes
 
 
 def cross_validate(
@@ -734,6 +727,8 @@ def cross_validate(
 ) -> CrossValidationReport:
     """Run the applicable oracle and compare with the closed formulas.
 
+    The verdict is built here alone, from the oracle's answer: whether its
+    exact measurement equals the formula's, or None for a failed hypothesis.
     The jet order defaults to the largest k with kn <= N.  An explicit
     lower order is allowed for curves only, where it means probing
     :data:`CURVE_TRIALS` generic subsystems of sections.
@@ -745,7 +740,7 @@ def cross_validate(
     if scroll.n == 1:
         ell, formula_cls = 1, None
         formula_deg = curve_inflection_degree(scroll.d, 0, k)
-        oracle, verdict, summary, notes = _curve_oracle(scroll, k, seed, formula_deg)
+        oracle, agrees, summary, notes = _curve_oracle(scroll, k, seed, formula_deg)
     elif k != derived:
         raise ValueError(f"for n >= 2 the jet order is pinned to floor(N/n) = {derived}")
     else:
@@ -754,16 +749,16 @@ def cross_validate(
         formula_cls = inflectional_class(params)
         formula_deg = inflectional_degree(params)
         if scroll.N == k * scroll.n:
-            oracle, verdict, summary, notes = _square_oracle(scroll, k, formula_cls)
+            oracle, agrees, summary, notes = _square_oracle(scroll, k, formula_cls)
         else:
-            oracle, verdict, summary, notes = _scan_oracle(scroll, k, samples, seed, ell,
-                                                           formula_deg)
+            oracle, agrees, summary, notes = _scan_oracle(scroll, k, samples, seed, ell,
+                                                          formula_deg, formula_cls)
     return CrossValidationReport(
         scroll=scroll,
         k=k,
         ell=ell,
         oracle=oracle,
-        verdict=verdict,
+        verdict=HYPOTHESIS_VIOLATED if agrees is None else MATCH if agrees else MISMATCH,
         formula_class=None if formula_cls is None else str(formula_cls),
         formula_degree=str(formula_deg),
         oracle_summary=summary,

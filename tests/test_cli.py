@@ -330,6 +330,38 @@ def test_non_monomial_chart_determinant_is_inconsistent(capsys, monkeypatch):
     assert err == "error: determinant is not a monomial in some chart; inconsistent model\n"
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        # v2^2 is no section of any L + bF
+        (lambda det: IntPoly(det.names, {(0, 2): 1}), "not affine-linear in the fiber coordinates"),
+        # an extra factor u shifts that chart's twist by one
+        (
+            lambda det: IntPoly(det.names, {(m[0] + 1, *m[1:]): c for m, c in det.terms}),
+            "chart extractions of the divisor twist disagree",
+        ),
+    ],
+    ids=["fiber-square", "u-shift"],
+)
+def test_chart_determinants_of_no_one_class_are_inconsistent(capsys, monkeypatch, fault, message):
+    # both faults are a broken model, not bad input, so they raise
+    # InconsistentCharts like the other chart checks, and the CLI prints one line
+    import scrolljets.scanner as scanner_mod
+
+    chart_determinant = scanner_mod._chart_determinant
+
+    def faulty_at_infinity(scroll, k, base_chart, fiber_chart, rows=None):
+        det = chart_determinant(scroll, k, base_chart, fiber_chart, rows)
+        return fault(det) if (base_chart, fiber_chart) == ("inf", 1) else det
+
+    monkeypatch.setattr(scanner_mod, "_chart_determinant", faulty_at_infinity)
+    with pytest.raises(scanner_mod.InconsistentCharts, match=message):
+        scanner_mod.determinant_divisor(DecomposableScroll((1, 2)), 2)
+    code, out, err = run(capsys, "cross-validate", "--scroll", "1,2")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error:") and message in err
+
+
 def test_main_builds_its_parser_once(capsys, monkeypatch):
     import scrolljets.cli as cli_mod
 

@@ -102,6 +102,22 @@ def test_class_matches_segre_pipeline():
                 assert inflectional_class(p) == segre_term(n, k, ell)
 
 
+def test_class_on_linearly_normal_rational_scrolls_is_a_power_of_the_section_class():
+    # a linearly normal rational scroll has N = d + n - 1, so at the derived
+    # k its degree is d = n(k-1) + ell, and the class is (L - kF)^ell: the
+    # class of the locus X_S when every a_j lies in {k-1, k}
+    cases = 0
+    for n in range(2, 9):
+        L, F = ChowClass.hyperplane(n), ChowClass.fiber(n)
+        for k in range(1, 9):
+            for ell in range(1, n + 1):
+                if k * n + ell - 1 > n:
+                    p = ScrollParams(n=n, ambient=k * n + ell - 1, d=n * (k - 1) + ell, g=0)
+                    assert inflectional_class(p) == (L - k * F) ** ell, (n, k, ell)
+                    cases += 1
+    assert cases == 273
+
+
 def test_class_is_homogeneous_of_expected_codim():
     p = ScrollParams(n=4, ambient=9)
     cls = inflectional_class(p)

@@ -165,3 +165,25 @@ def test_cli_reads_oracle_reports_only_through_their_documents():
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             assert node.attr not in REPORT_FIELDS, f"cli.py:{node.lineno} reads .{node.attr}"
+
+
+def test_only_cross_validate_reads_the_verdicts():
+    # each oracle answers whether its measurement agrees with the formula, or
+    # None for a failed hypothesis; the verdict is built in one place
+    (path,) = [path for path in MODULES if path.name == "scanner.py"]
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (function,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "cross_validate"
+    ]
+    inside = {id(node) for node in ast.walk(function)}
+    verdicts = {"MATCH", "MISMATCH", "HYPOTHESIS_VIOLATED"}
+    reads = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in verdicts and isinstance(node.ctx, ast.Load)
+    ]
+    assert {node.id for node in reads} == verdicts
+    for node in reads:
+        assert id(node) in inside, f"scanner.py:{node.lineno} reads {node.id}"

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrolljets.chow import ChowClass
-from scrolljets.formulas import ScrollParams, inflectional_class
+from scrolljets.formulas import ScrollParams, classify_uninflected, inflectional_class
 from scrolljets.scanner import (
     HYPOTHESIS_VIOLATED,
     MATCH,
+    MISMATCH,
     GenericRankFailure,
     _chart_determinant,
     cross_validate,
@@ -660,18 +661,37 @@ def test_cross_validate_generic_rank_failure_off_square():
 
 
 def test_cross_validate_verdict_census():
-    # every non-square scroll with ell < n, n <= 3 and a_j <= 6: the locus is
-    # the union of the inflected strata X_T, of dimension |T|, so a surface
-    # X_T in a locus expected to be a curve violates the hypothesis even
-    # where the generic rank is full
+    # every non-square scroll with n <= 3 and a_j <= 6, at every ell: the
+    # locus is the union of the inflected strata X_T, of dimension |T|, so a
+    # whole scroll or a stratum X_T of dimension above n - ell violates the
+    # hypothesis even where the generic rank is full.  By the closed form of
+    # the strata ranks the scroll is wholly inflected iff some a_j < k - 1,
+    # and otherwise its locus is X_S, S = {j : a_j = k - 1}
     census = {}
     for n in (2, 3):
         for degrees in itertools.combinations_with_replacement(range(1, 7), n):
             X = DecomposableScroll(degrees)
             k = X.N // X.n
-            ell = X.N + 1 - k * n
-            if ell < n and X.N > k * n:
+            if X.N > k * n:
                 census[degrees] = cross_validate(X, samples=1)
+    assert len(census) == 50
+    for degrees, report in census.items():
+        n, k = len(degrees), report.k
+        ell = sum(degrees) + n - k * n
+        assert report.ell == ell
+        section = [a for a in degrees if a == k - 1]
+        violated = min(degrees) < k - 1 or len(section) > n - ell
+        assert report.verdict == (HYPOTHESIS_VIOLATED if violated else MATCH), degrees
+        # the paper's headline, from the exact table: only the balanced
+        # scroll is uninflected
+        scan = rank_scan(report.scroll, k, samples=1)
+        uninflected = classify_uninflected(n, k, ell)
+        own = uninflected is not None and uninflected.splitting_degrees == degrees
+        assert all(rank == scan.full_rank for rank in scan.strata.values()) == own, degrees
+    assert [report.verdict for report in census.values()].count(MATCH) == 17
+    # where ell = n the formula expects no locus, so any inflected stratum has the wrong dimension
+    assert "support (1,) has dimension 1 > n - ell = 0" in census[(1, 3)].notes[-1]
+    census = {d: r for d, r in census.items() if r.ell < len(d)}
     assert len(census) == 18
     wrong_dimension = {(1, 1, 3), (2, 2, 4), (3, 3, 5), (4, 4, 6)}
     matches = {(1, 2, 2), (2, 3, 3), (3, 4, 4), (4, 5, 5), (5, 6, 6)}
@@ -682,6 +702,34 @@ def test_cross_validate_verdict_census():
     for degrees in wrong_dimension:
         assert census[degrees].formula_degree != "0"
         assert "support (1, 2) has dimension 2 > n - ell = 1" in census[degrees].notes[-1]
+
+
+def test_cross_validate_mismatch_on_the_locus_class(capsys, monkeypatch):
+    # the locus of (1, 2, 2) is the section X_(1,), of class (L - 2F)^2; a
+    # formula class that differs is a MISMATCH that names the locus class
+    import scrolljets.scanner as scanner_mod
+    from scrolljets.cli import main
+
+    assert cross_validate(DecomposableScroll((1, 2, 2))).formula_class == "L^2 - 4*L*F"
+    wrong = ChowClass(3, [(2, 1, -3)])  # L^2 - 3*L*F
+    monkeypatch.setattr(scanner_mod, "inflectional_class", lambda params: wrong)
+    report = cross_validate(DecomposableScroll((1, 2, 2)))
+    assert report.verdict == MISMATCH
+    assert report.notes[-1] == "the inflected stratum of support (1,) has class L^2 - 4*L*F"
+    assert main(["cross-validate", "--scroll", "1,2,2"]) == 1
+    assert "verdict: MISMATCH" in capsys.readouterr().out
+
+
+def test_cross_validate_mismatch_on_an_empty_locus(monkeypatch):
+    # no stratum of (2, 2) is inflected, so the locus is certified empty,
+    # against any positive formula degree
+    import scrolljets.scanner as scanner_mod
+
+    monkeypatch.setattr(scanner_mod, "inflectional_degree", lambda params: 1)
+    report = cross_validate(DecomposableScroll((2, 2)))
+    assert report.verdict == MISMATCH
+    assert report.formula_degree == "1"
+    assert report.notes[-1] == "clean scan is consistent with an empty locus"
 
 
 def test_cross_validate_balanced_scan():
