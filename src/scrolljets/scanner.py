@@ -38,10 +38,10 @@ weight) and prints through ``to_dict``.
 
 All three oracles read one sparse jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it once per
-support stratum T, at u = 0 in chart ("0", min T), v_j = 1 on T (and
-evaluates it at the rational point only for a certificate), and the
-Wronskian and determinant oracles share one chart determinant, so nothing
-here differentiates.  One integer elimination,
+support stratum T, at u = 0 in chart ("0", min T), v_j = 1 on T (a
+certificate at a rational point is one Fraction of ints per nonzero entry),
+and the Wronskian and determinant oracles share one chart determinant, so
+nothing here differentiates.  One integer elimination,
 :func:`scrolljets.scrollmodel.bareiss`, gives every rank and determinant;
 a chart determinant is read back from its digits (Kronecker substitution)
 into an :class:`~scrolljets.intpoly.IntPoly`, and no oracle factors one: a
@@ -52,7 +52,7 @@ monomial.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, prod
@@ -695,8 +695,8 @@ def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, el
     if there is none, else of class prod (L - a_j F) over j not in T, for T the largest."""
     scan = rank_scan(scroll, k, samples=samples, seed=seed)
     top = max((T for T, rank in scan.strata.items() if rank < scan.full_rank), key=len, default=())
-    summary = scan.to_dict()
-    summary["inflected"] = summary["inflected"][:10]  # keep the summary bounded
+    kept = replace(scan, inflected=scan.inflected[:10]).to_dict()  # keep the summary bounded
+    summary = {**kept, "inflected_count": len(scan.inflected), "clean_count": scan.clean_count}
     notes = list(scan.notes)
     agrees = None
     if len(top) == scroll.n:  # the full-support stratum

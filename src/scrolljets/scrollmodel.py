@@ -271,12 +271,12 @@ def evaluate_jet_template(
     """The jet template of a chart with u and the fiber coordinates substituted.
 
     ``v`` maps every summand other than the chart summand to its fiber
-    coordinate.  Values are ints or Fractions (the package passes no
-    ring generator).  The powers of u are taken once, only the nonzero
-    entries are filled, the zeros stay in u's own number type, and the rows
-    are new lists.  (Tests also pass sympy symbols, for which u * u or 1 - 1
-    would build an Add, whose first use imports sympy's tensor module:
-    hence u**e and the zero 0 * u**0.)
+    coordinate.  The package passes ints only (stratum representatives and
+    Kronecker-packed chart determinants); Fractions and sympy symbols come
+    from the tests.  The powers of u are taken once, only the nonzero entries
+    are filled, the zeros stay in u's own number type, and the rows are new
+    lists.  (A symbol's u * u or 1 - 1 would build an Add, whose first use
+    imports sympy's tensor module: hence u**e and the zero 0 * u**0.)
     """
     template = jet_template(scroll, k, base_chart, fiber_chart)
     powers = [u**e for e in range(max(scroll.degrees) + 1)]
@@ -313,12 +313,27 @@ class JetMatrix:
 
 
 def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMatrix:
-    """Evaluate all reduced partials of the section basis at the point."""
+    """Evaluate all reduced partials of the section basis at the point, exactly.
+
+    For u = p/q and v_j = r_j/s_j, with the ints p^e, q^e, r_j p^e and s_j q^e
+    taken once, a nonzero entry coeff u^e v_j is one Fraction(coeff r_j p^e,
+    s_j q^e) and every zero is one shared Fraction(0): the canonical Fraction
+    of the rational that :func:`evaluate_jet_template` gives at the point.
+    """
     _check_point(scroll, point)
-    v = dict(zip(other_summands(scroll.n, point.fiber_chart), point.v))
-    entries = evaluate_jet_template(scroll, k, point.base_chart, point.fiber_chart, point.u, v)
-    cols = jet_columns(scroll.n, k, point.fiber_chart)
-    return JetMatrix(cols, tuple(map(tuple, entries)))
+    u, top = point.u, range(max(scroll.degrees) + 1)
+    terms = {None: [(u.numerator**e, u.denominator**e) for e in top]}
+    for j, x in zip(other_summands(scroll.n, point.fiber_chart), point.v):
+        terms[j] = [(x.numerator * p, x.denominator * q) for p, q in terms[None]]
+    cols, zero, entries = jet_columns(scroll.n, k, point.fiber_chart), Fraction(0), []
+    for row in jet_template(scroll, k, point.base_chart, point.fiber_chart).rows:
+        filled = [zero] * len(cols)
+        for column, coeff, e, summand in row:
+            p, q = terms[summand][e]
+            if p:
+                filled[column] = Fraction(coeff * p, q)
+        entries.append(tuple(filled))
+    return JetMatrix(cols, tuple(entries))
 
 
 def bareiss(rows: List[list]) -> Tuple[int, int]:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -171,6 +172,26 @@ def test_scan_verb_json_carries_certificate(capsys):
     sample = doc["certificate"]["inflected"][0]
     assert sample["corank"] == 1
     assert sample["jet_matrix"]
+
+
+#: SHA-256 of the standard output of certified scans, each certificate an
+#: exact Fraction jet matrix printed in lowest terms
+CERTIFIED_SCAN_DIGESTS = (
+    (("--scroll", "1,1,4"), "fb654139a9300217b98bf4c42e9394a6ee0eb412430c063b30d12ce5488a637a"),
+    (("--scroll", "5,7"), "9003baff4555d72db2918d3ca3ae15fe7e97bb021290c32e45710cddb9c1bbe9"),
+    (("--scroll", "2,3", "--k", "3"),
+     "851fc05440dcbd36fe272db19898045d35512fcaa986e172b584c83d2c0d647d"),
+)
+
+
+def test_certified_scan_bytes_are_pinned(capsys):
+    # the certificate bytes must not depend on how the entries are computed
+    # nor on the Python version
+    for argv, digest in CERTIFIED_SCAN_DIGESTS:
+        code, out, _ = run(capsys, "scan", *argv, "--samples", "100", "--seed", "7", "--json")
+        assert code == 0
+        assert json.loads(out)["certificate"]["inflected"], argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_wronskian_verb_with_basis_file(capsys, tmp_path):

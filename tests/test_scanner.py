@@ -755,6 +755,17 @@ def test_cross_validate_rejects_inexact_order():
                 cross_validate(DecomposableScroll(degrees), k=k, seed=seed)
 
 
+def test_cross_validate_prints_ten_certificates_and_counts_every_sample():
+    # the summary renders only the certificates it keeps, yet counts them all
+    X = DecomposableScroll((1, 1, 4))
+    summary = cross_validate(X, samples=2000, seed=11).to_dict()["oracle_result"]
+    scan = rank_scan(X, samples=2000, seed=11)
+    assert len(scan.inflected) > 10
+    assert summary["inflected"] == [sample.to_dict() for sample in scan.inflected[:10]]
+    assert summary["inflected_count"] == len(scan.inflected)
+    assert summary["clean_count"] == scan.clean_count == scan.points_examined - len(scan.inflected)
+
+
 def test_cross_validate_deterministic():
     a = cross_validate(DecomposableScroll((1, 3)), samples=220, seed=99)
     b = cross_validate(DecomposableScroll((1, 3)), samples=220, seed=99)

@@ -518,6 +518,36 @@ def test_sparse_template_evaluates_to_the_dense_jet_matrix(data):
             assert sum(map(len, stored.rows)) == sum(map(bool, itertools.chain(*generic)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    coordinates,
+    st.lists(coordinates, min_size=2, max_size=2),
+)
+@example([2, 3, 4], Fraction(0), [Fraction(-5, 3), Fraction(0)])
+@example([1, 4], Fraction(0), [Fraction(0)])
+@example([3, 1, 2], Fraction(-7, 4), [Fraction(0), Fraction(2, 5)])
+def test_jet_matrix_is_the_fraction_evaluation_of_the_template(degrees, u, v):
+    # jet_matrix builds each nonzero entry as one Fraction from integer
+    # numerator and denominator and skips the zeros (u = 0, v_j = 0); entry
+    # by entry it is the generic evaluator's Fraction arithmetic at the same
+    # point, in lowest terms, in both base charts and every fiber chart
+    X = DecomposableScroll(tuple(degrees))
+    v = tuple(v[: X.n - 1])
+    for k in range(1, X.N // X.n + 1):
+        for base in (BASE_ZERO, BASE_INF):
+            for iota in range(1, X.n + 1):
+                entries = jet_matrix(X, k, ScrollPoint(base, u, iota, v)).entries
+                values = dict(zip(other_summands(X.n, iota), v))
+                expected = evaluate_jet_template(X, k, base, iota, u, values)
+                assert len(entries) == len(expected) == X.N + 1
+                for row, reference in zip(entries, expected):
+                    assert all(type(x) is Fraction for x in row), (k, base, iota)
+                    assert [(x.numerator, x.denominator) for x in row] == [
+                        (x.numerator, x.denominator) for x in reference
+                    ], (k, base, iota)
+
+
 def stratum_rank(degrees, support, k):
     """rho(T, k) = sum_j min(k, a_j + 1) + [max_{j in T} a_j >= k], in closed form."""
     return sum(min(k, a + 1) for a in degrees) + (max(degrees[j - 1] for j in support) >= k)
