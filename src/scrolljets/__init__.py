@@ -21,7 +21,6 @@ from .chern import (
 from .chow import ChowClass, CoeffPoly, D, G
 from .formulas import (
     ScrollParams,
-    UninflectedDescriptor,
     classify_uninflected,
     curve_inflection_degree,
     double_point_check,
@@ -85,7 +84,6 @@ __all__ = [
     "ScanReport",
     "ScrollParams",
     "ScrollPoint",
-    "UninflectedDescriptor",
     "WronskianReport",
     "classify_uninflected",
     "cross_validate",

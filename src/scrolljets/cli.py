@@ -130,18 +130,17 @@ def _cmd_verify(args) -> Outcome:
 
 
 def _cmd_classify(args) -> Outcome:
-    descriptor = classify_uninflected(args.n, args.k, args.ell)
+    scroll = classify_uninflected(args.n, args.k, args.ell)
     inputs = {"n": args.n, "k": args.k, "ell": args.ell}
-    if descriptor is None:
+    if scroll is None:
         result = {"verdict": "necessarily inflected"}
         lines = [f"n={args.n} k={args.k} ell={args.ell}: necessarily inflected"]
     else:
-        result = {"verdict": "balanced", **asdict(descriptor)}
+        result = {"verdict": "balanced", "genus": 0, "degree": scroll.d,
+                  "splitting_degrees": scroll.degrees, "ambient_dim": scroll.N}
         lines = [
             f"n={args.n} k={args.k} ell={args.ell}: only the balanced scroll is uninflected",
-            f"  genus 0, degree {descriptor.degree}, splitting "
-            f"({','.join(str(a) for a in descriptor.splitting_degrees)}), "
-            f"in P^{descriptor.ambient_dim}",
+            f"  genus 0, degree {scroll.d}, splitting {scroll}, in P^{scroll.N}",
         ]
     result["source"] = "uninflected-classification"
     return {"inputs": inputs, "result": result}, lines, 0
@@ -341,6 +340,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     return status
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from .chern import segre_closed_form
 from .chow import ChowClass, CoeffPoly, D, G
-from .scrollmodel import exact_int, exact_rational, jet_order, scroll_dimension
+from .scrollmodel import DecomposableScroll, exact_int, exact_rational, jet_order, scroll_dimension
 
 Numeric = Union[int, Fraction]
 Value = Union[Fraction, CoeffPoly]
@@ -108,38 +108,18 @@ def double_point_check(n: int, d: Numeric, g: Numeric) -> bool:
     return (d - n) * (d - n - 1) == n * (n + 1) * g
 
 
-@dataclass(frozen=True)
-class UninflectedDescriptor:
-    """The balanced rational normal scroll singled out by the classification."""
-
-    genus: int
-    degree: int
-    splitting_degrees: Tuple[int, ...]
-    ambient_dim: int
-
-    def __post_init__(self) -> None:
-        if self.degree != sum(self.splitting_degrees):
-            raise ValueError("degree must equal the sum of the splitting degrees")
-        if self.ambient_dim != self.degree + len(self.splitting_degrees) - 1:
-            raise ValueError("ambient dimension must equal degree + n - 1")
-
-
-def classify_uninflected(n: int, k: int, ell: int) -> Optional[UninflectedDescriptor]:
+def classify_uninflected(n: int, k: int, ell: int) -> Optional[DecomposableScroll]:
     """Which scrolls of dimension n in projective (kn+ell-1)-space are
     uninflected?
 
     For ell < n none are (intersecting the vanishing locus class with
     L^(n-ell-1)F would force L^(n-1)F = 0, but that degree is 1), so None
     is returned, meaning "necessarily inflected".  For ell = n the unique
-    answer is the balanced scroll: genus 0, degree kn, splitting degrees
-    (k, ..., k), in projective ((k+1)n - 1)-space.
+    answer is the balanced rational normal scroll itself,
+    ``DecomposableScroll((k,) * n)``: genus 0, degree d = kn, in projective
+    N = ((k+1)n - 1)-space.
     """
     n, k = scroll_dimension(n), jet_order(k)
     if exact_int(ell, "expected codimension ell", 1, n) < n:
         return None
-    return UninflectedDescriptor(
-        genus=0,
-        degree=k * n,
-        splitting_degrees=(k,) * n,
-        ambient_dim=(k + 1) * n - 1,
-    )
+    return DecomposableScroll((k,) * n)

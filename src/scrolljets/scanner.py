@@ -34,7 +34,8 @@ certifies that the expected-codimension hypothesis of the class formula fails
 its exact measurement equals the formula's; the report's verdict is
 HYPOTHESIS-VIOLATED, MATCH or MISMATCH accordingly.  A report stores only
 what its oracle measured, derives the rest (full rank, clean count, total
-weight) and prints through ``to_dict``.
+weight, a determinant divisor's primary-chart ``delta`` and its ``factors``)
+and prints through ``to_dict``.
 
 All three oracles read one sparse jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it once per
@@ -229,27 +230,32 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
 class DeterminantDivisor(NamedTuple):
     """Determinant of the square jet matrix and its extracted divisor class.
 
-    ``delta`` is the determinant in the primary chart (base "0", fiber
-    chart 1), an :class:`~scrolljets.intpoly.IntPoly` in u, v_2, ..., v_n;
-    ``divisor_class`` the codimension-1 class L + bF as a
-    :class:`~scrolljets.chow.ChowClass` on the scroll, printed like
-    ``L - 2*F``; ``factors`` the irreducible factors of ``delta`` with
-    multiplicities, read off its one monomial (:func:`_monomial_factors`);
-    ``charts`` the printed determinant in every chart.
+    ``charts`` holds the determinant in every chart, an
+    :class:`~scrolljets.intpoly.IntPoly` in u and the chart's v_j, and
+    ``divisor_class`` the class L + bF as a :class:`~scrolljets.chow.ChowClass`,
+    printed like ``L - 2*F``.  Derived: ``delta``, the determinant in the primary
+    chart ("0", 1), and ``factors``, its irreducible factors with multiplicities,
+    read off its one monomial (:func:`_monomial_factors`).
     """
 
-    delta: IntPoly
+    charts: Dict[Tuple[str, int], IntPoly]
     divisor_class: ChowClass
-    factors: Tuple[Tuple[str, int], ...]
-    charts: Dict[Tuple[str, int], str]
+
+    @property
+    def delta(self) -> IntPoly:
+        return self.charts[(BASE_ZERO, 1)]
+
+    @property
+    def factors(self) -> Tuple[Tuple[str, int], ...]:
+        return _monomial_factors(self.delta)
 
     def to_dict(self) -> dict:
         return {
             "oracle": "determinant-divisor",
-            "determinant": self.charts[(BASE_ZERO, 1)],
+            "determinant": str(self.delta),
             "divisor_class": str(self.divisor_class),
             "factors": [{"factor": f, "multiplicity": m} for f, m in self.factors],
-            "charts": {f"{base},{iota}": text for (base, iota), text in self.charts.items()},
+            "charts": {f"{base},{iota}": str(chart) for (base, iota), chart in self.charts.items()},
         }
 
 
@@ -373,13 +379,7 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
         raise InconsistentCharts(f"chart extractions of the divisor twist disagree: {twists}")
     b = distinct.pop()
 
-    delta = charts[(BASE_ZERO, 1)]
-    return DeterminantDivisor(
-        delta=delta,
-        divisor_class=ChowClass(scroll.n, [(1, 1, b)]),
-        factors=_monomial_factors(delta),
-        charts={key: str(chart) for key, chart in charts.items()},
-    )
+    return DeterminantDivisor(charts, ChowClass(scroll.n, [(1, 1, b)]))
 
 
 # ---------------------------------------------------------------------------

@@ -297,10 +297,9 @@ class JetMatrix:
     """Exact matrix of reduced k-jets of the section basis at a point.
 
     Rows follow the section basis order (summands ascending, exponents
-    ascending); columns follow :func:`jet_columns`.
+    ascending); columns follow :func:`jet_columns`, kn+1 of them.
     """
 
-    columns: Tuple[Column, ...]
     entries: Tuple[Tuple[Fraction, ...], ...]
 
     @property
@@ -309,7 +308,7 @@ class JetMatrix:
 
     @property
     def ncols(self) -> int:
-        return len(self.columns)
+        return len(self.entries[0])
 
 
 def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMatrix:
@@ -319,21 +318,23 @@ def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMat
     taken once, a nonzero entry coeff u^e v_j is one Fraction(coeff r_j p^e,
     s_j q^e) and every zero is one shared Fraction(0): the canonical Fraction
     of the rational that :func:`evaluate_jet_template` gives at the point.
+    The row width is read off the cached template.
     """
     _check_point(scroll, point)
     u, top = point.u, range(max(scroll.degrees) + 1)
     terms = {None: [(u.numerator**e, u.denominator**e) for e in top]}
     for j, x in zip(other_summands(scroll.n, point.fiber_chart), point.v):
         terms[j] = [(x.numerator * p, x.denominator * q) for p, q in terms[None]]
-    cols, zero, entries = jet_columns(scroll.n, k, point.fiber_chart), Fraction(0), []
-    for row in jet_template(scroll, k, point.base_chart, point.fiber_chart).rows:
-        filled = [zero] * len(cols)
+    template = jet_template(scroll, k, point.base_chart, point.fiber_chart)
+    zero, entries = Fraction(0), []
+    for row in template.rows:
+        filled = [zero] * template.ncols
         for column, coeff, e, summand in row:
             p, q = terms[summand][e]
             if p:
                 filled[column] = Fraction(coeff * p, q)
         entries.append(tuple(filled))
-    return JetMatrix(cols, tuple(entries))
+    return JetMatrix(tuple(entries))
 
 
 def bareiss(rows: List[list]) -> Tuple[int, int]:

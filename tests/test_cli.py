@@ -214,6 +214,24 @@ def test_wronskian_verb_json_with_double_root(capsys, tmp_path):
     assert doc["result"]["total"] == 8
 
 
+def test_wronskian_verb_reports_a_dependent_basis(capsys, tmp_path):
+    # twice the first row: no weights, a degenerate report and exit 0
+    path = tmp_path / "basis.txt"
+    path.write_text("1 0 1\n2 0 2\n0 1\n")
+    code, out, err = run(capsys, "wronskian", "--basis", str(path), "--k", "2")
+    assert (code, err) == (0, "")
+    assert out == (
+        "wronskian oracle, k=2, basis degree 2\n"
+        "  wronskian: 0\n"
+        "  at infinity: 0\n"
+        "  degenerate basis (linearly dependent)\n"
+        "  note: basis is linearly dependent; weights are undefined\n"
+    )
+    code, doc, _ = run_json(capsys, "wronskian", "--basis", str(path), "--k", "2")
+    assert code == 0
+    assert doc["result"]["degenerate"] is True and doc["result"]["total"] == 0
+
+
 def test_wronskian_verb_requires_one_source(capsys):
     code, _, err = run(capsys, "wronskian", "--k", "3")
     assert code == 1
@@ -248,20 +266,37 @@ def test_ranks_verb(capsys):
     assert doc["result"]["rank_osculating"] == 5
 
 
-def test_invalid_input_is_one_line_diagnostic(capsys):
-    for argv in (
-        ("degree", "--n", "2", "--ambient", "2"),
-        ("scan", "--scroll", "2,2", "--samples", "0"),
-        ("scan", "--scroll", "2,2", "--samples", "-5"),
-        ("scan", "--scroll", ",".join(["1"] * 20), "--samples", "1"),
-        ("wronskian", "--basis", "/nonexistent", "--k", "3"),
-        ("verify-theorem3", "--max-n", "0"),
-        ("verify-theorem3", "--max-k", "-3"),
+def test_invalid_input_is_one_line_diagnostic(capsys, tmp_path):
+    bases = {
+        "empty": "# a comment, then a blank line\n\n",
+        "zero": "1\n0 0\n0 1\n",
+        "short": "1\n0 1\n",
+        "constant": "1\n2\n3\n",
+    }
+    for name, text in bases.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    for argv, message in (
+        (("degree", "--n", "2", "--ambient", "2"), "ambient dimension must be at least 3"),
+        (("scan", "--scroll", "2,2", "--samples", "0"), "samples must be at least 1, got 0"),
+        (("scan", "--scroll", "2,2", "--samples", "-5"), "samples must be at least 1, got -5"),
+        (("scan", "--scroll", ",".join(["1"] * 20), "--samples", "1"), "exceeds the limit"),
+        (("wronskian", "--basis", "/nonexistent", "--k", "3"), "No such file"),
+        (("verify-theorem3", "--max-n", "0"), "must be at least 1"),
+        (("verify-theorem3", "--max-k", "-3"), "must be at least 1"),
+        (("wronskian", "--basis", str(tmp_path / "empty.txt"), "--k", "2"),
+         "contains no polynomials"),
+        (("wronskian", "--basis", str(tmp_path / "zero.txt"), "--k", "2"),
+         "a basis polynomial is identically zero"),
+        (("wronskian", "--basis", str(tmp_path / "short.txt"), "--k", "2"),
+         "need exactly k+1 = 3 basis polynomials, got 2"),
+        (("wronskian", "--basis", str(tmp_path / "constant.txt"), "--k", "2"),
+         "jet order 2 exceeds the basis degree 0"),
     ):
         code, out, err = run(capsys, *argv)
-        assert code == 1
+        assert code == 1, argv
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
+        assert message in err, (argv, err)
 
 
 def test_cross_validate_gates_the_sample_count_on_every_path(capsys):
@@ -525,26 +560,47 @@ SYMPY_FREE_VERBS = (
     ["classify", "--n", "2", "--k", "2", "--ell", "2"],
     ["ranks", "--n", "2", "--k", "2"],
     ["scan", "--scroll", "2,3", "--k", "3"],
+    # the 7-summand limit: 127 support strata
+    ["scan", "--scroll", "1,1,1,1,1,1,2", "--samples", "1"],
     ["cross-validate", "--scroll", "2,2"],
     ["cross-validate", "--scroll", "1,2"],
     ["cross-validate", "--scroll", "4,4,5"],
+    # the scan verdict's class comparison and its wrong-dimension rule
+    ["cross-validate", "--scroll", "1,1,3"],
+    ["cross-validate", "--scroll", "1,2,2"],
+    ["cross-validate", "--scroll", "1,3"],
     ["cross-validate", "--scroll", "6"],
     ["wronskian", "--degrees", "4", "--k", "4"],
+    ["wronskian", "--degrees", "16", "--k", "16"],
     ["wronskian", "--basis", "basis.txt", "--k", "2"],
 )
 
 
 def test_no_verb_loads_sympy(tmp_path):
     # the formula verbs, scans, every cross-validate and the Wronskian run
-    # without sympy: determinants and roots are plain integer arithmetic
+    # without sympy: determinants and roots are plain integer arithmetic.
+    # A finder first on sys.meta_path records and refuses every sympy
+    # import, so one that the code would catch and survive is still seen.
     (tmp_path / "basis.txt").write_text("-1 0 1 0 3\n0 2 0 -5\n4 0 0 1 1\n", encoding="utf-8")
     script = textwrap.dedent(
         f"""
         import contextlib, io, sys
+
+        class RefuseSympy:
+            attempts = []
+
+            @classmethod
+            def find_spec(cls, name, path=None, target=None):
+                if name.partition(".")[0] == "sympy":
+                    cls.attempts.append(name)
+                    raise ModuleNotFoundError(f"sympy is blocked: {{name}}")
+                return None
+
+        sys.meta_path.insert(0, RefuseSympy)
         from scrolljets.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [main(argv) for argv in {SYMPY_FREE_VERBS!r}]
-        print(codes, "sympy" in sys.modules)
+        print(codes, RefuseSympy.attempts, "sympy" in sys.modules)
         """
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -553,7 +609,7 @@ def test_no_verb_loads_sympy(tmp_path):
     argv = [sys.executable, "-c", script]
     done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"{[0] * len(SYMPY_FREE_VERBS)} False\n"
+    assert done.stdout == f"{[0] * len(SYMPY_FREE_VERBS)} [] False\n"
 
 
 def test_module_runs_from_a_checkout(tmp_path):

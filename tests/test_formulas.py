@@ -15,7 +15,6 @@ from scrolljets.chern import (
 from scrolljets.chow import ChowClass, CoeffPoly, D, G
 from scrolljets.formulas import (
     ScrollParams,
-    UninflectedDescriptor,
     classify_uninflected,
     curve_inflection_degree,
     double_point_check,
@@ -238,10 +237,9 @@ def test_double_point_random_false_cases():
 
 
 def test_classify_balanced_surface():
-    descriptor = classify_uninflected(2, 2, 2)
-    assert descriptor == UninflectedDescriptor(
-        genus=0, degree=4, splitting_degrees=(2, 2), ambient_dim=5
-    )
+    scroll = classify_uninflected(2, 2, 2)
+    assert scroll == DecomposableScroll((2, 2))
+    assert (scroll.d, scroll.N) == (4, 5)
 
 
 def test_classify_low_codim_is_inflected():
@@ -251,10 +249,9 @@ def test_classify_low_codim_is_inflected():
 
 def test_classify_curve_case():
     for k in (1, 2, 5):
-        descriptor = classify_uninflected(1, k, 1)
-        assert descriptor == UninflectedDescriptor(
-            genus=0, degree=k, splitting_degrees=(k,), ambient_dim=k
-        )
+        scroll = classify_uninflected(1, k, 1)
+        assert scroll == DecomposableScroll((k,))
+        assert (scroll.d, scroll.N) == (k, k)
 
 
 def test_classify_rejects_out_of_range():

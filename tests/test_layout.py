@@ -121,6 +121,29 @@ def test_chart_determinant_takes_nothing_from_the_formulas():
         assert name not in from_formulas | {"formulas"}, f"scanner.py:{node.lineno} uses {name}"
 
 
+def test_formulas_take_only_the_scroll_type_and_the_gates_from_the_model():
+    # the formula side names the scroll its classification returns and
+    # validates its numbers, but never calls the rank, jet or scan code
+    # that the oracles compute with
+    (path,) = [path for path in MODULES if path.name == "formulas.py"]
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    oracle_modules = {"scrollmodel", "scanner"}
+    from_model = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = {alias.name.rpartition(".")[2] for alias in node.names}
+            assert not names & oracle_modules, f"formulas.py:{node.lineno}"
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            names = {alias.name for alias in node.names}
+            assert module != "scanner" and not names & oracle_modules, f"formulas.py:{node.lineno}"
+            if module == "scrollmodel":
+                from_model |= names
+    assert "DecomposableScroll" in from_model
+    allowed = {"DecomposableScroll", "jet_order", "scroll_dimension"} | EXACTNESS_GATES
+    assert from_model <= allowed, from_model - allowed
+
+
 def test_only_the_exactness_gates_test_number_types():
     seen = 0
     for path in MODULES:

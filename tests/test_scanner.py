@@ -261,7 +261,7 @@ def test_determinant_divisor_matches_sympy_determinants():
             failures += 1
             continue
         result = determinant_divisor(X, k)
-        assert result.charts == reference, degrees
+        assert {key: str(chart) for key, chart in result.charts.items()} == reference, degrees
         assert sp.sstr(result.delta) == reference[(BASE_ZERO, 1)]
         summary = result.to_dict()
         assert summary["determinant"] == reference[(BASE_ZERO, 1)]
@@ -685,8 +685,7 @@ def test_cross_validate_verdict_census():
         # the paper's headline, from the exact table: only the balanced
         # scroll is uninflected
         scan = rank_scan(report.scroll, k, samples=1)
-        uninflected = classify_uninflected(n, k, ell)
-        own = uninflected is not None and uninflected.splitting_degrees == degrees
+        own = classify_uninflected(n, k, ell) == report.scroll
         assert all(rank == scan.full_rank for rank in scan.strata.values()) == own, degrees
     assert [report.verdict for report in census.values()].count(MATCH) == 17
     # where ell = n the formula expects no locus, so any inflected stratum has the wrong dimension
@@ -702,6 +701,19 @@ def test_cross_validate_verdict_census():
     for degrees in wrong_dimension:
         assert census[degrees].formula_degree != "0"
         assert "support (1, 2) has dimension 2 > n - ell = 1" in census[degrees].notes[-1]
+
+
+def test_the_classified_scroll_is_uninflected_to_both_oracles():
+    # the formula side's answer is a scroll the oracles take as it is: every
+    # support stratum has full rank at order k, and cross-validate matches
+    for n in range(1, 5):
+        for k in range(1, 5):
+            scroll = classify_uninflected(n, k, n)
+            assert scroll == DecomposableScroll((k,) * n)
+            scan = rank_scan(scroll, samples=1)
+            assert scan.k == k and set(scan.strata.values()) == {k * n + 1}, (n, k)
+            report = cross_validate(scroll)
+            assert (report.verdict, report.ell) == (MATCH, n), (n, k)
 
 
 def test_cross_validate_mismatch_on_the_locus_class(capsys, monkeypatch):

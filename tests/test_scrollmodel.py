@@ -167,6 +167,12 @@ def test_jet_matrix_rejects_bad_input():
         with pytest.raises(ValueError):
             ScrollPoint(*args)
     assert ScrollPoint(BASE_ZERO, 1, 2, (Fraction(1, 2),)).u == Fraction(1)
+    # the base chart is "0" or "inf", in a point and in a section basis alike
+    for chart in ("1", "infinity", 0, None):
+        with pytest.raises(ValueError, match="base chart must be one of"):
+            ScrollPoint(chart, 1)
+        with pytest.raises(ValueError, match="base chart must be one of"):
+            X.section_basis(chart, 1)
 
 
 # ---------------------------------------------------------------------------
