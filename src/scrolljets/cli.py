@@ -3,9 +3,10 @@
 Verbs: class, degree, verify-theorem3, classify, scan, wronskian,
 cross-validate, ranks.  Output is aligned text by default; --json emits a
 single document with a schema marker, the inputs and the result, plus a
-certificate where one exists.  Identical inputs and seed give identical
-output.  Invalid input exits nonzero with a one-line diagnostic, and so
-does a cross-validate MISMATCH, which is a correctness alarm.
+certificate where one exists, as the ASCII text of ``json.dumps(doc,
+indent=2, sort_keys=True)`` with no float in it.  Identical inputs and seed
+give identical output.  Invalid input exits nonzero with a one-line
+diagnostic, and so does a cross-validate MISMATCH, a correctness alarm.
 
 Each verb's handler returns its document fields, its text lines and its
 exit status; an oracle verb reads its text lines from the ``result`` that
@@ -16,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 from typing import Optional, Tuple
 
 from .chern import rank_profile, segre_closed_form, segre_term
@@ -319,6 +320,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _document_text(value, pad: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, a list of strings
+    encoded in one C-level join; any type but dict, list, tuple, str, int, bool and
+    None, or a non-str key (which _string refuses), raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if kind is dict:
+        items = (f"{_string(key)}: {_document_text(value[key], inner)}" for key in sorted(value))
+        ends = "{}"
+    elif kind is list or kind is tuple:
+        strings = {*map(type, value)} == {str}
+        items = map(_string, value) if strings else (_document_text(item, inner) for item in value)
+        ends = "[]"
+    else:
+        raise TypeError(f"a {kind.__name__} has no exact JSON form")
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if value else ends
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser of a process: parsing leaves it as it was, so main reuses it."""
@@ -331,7 +358,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         fields, lines, status = args.func(args)
         if args.json:
             doc = {"schema": 1, "verb": args.verb, **fields}
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            print(_document_text(doc))
         else:
             for line in lines:
                 print(line)

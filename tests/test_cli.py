@@ -8,13 +8,14 @@ import sys
 import tempfile
 import textwrap
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrolljets.cli import main
+from scrolljets.cli import _document_text, main
 from scrolljets.intpoly import IntPoly
 from scrolljets.scrollmodel import DecomposableScroll
 
@@ -192,6 +193,95 @@ def test_certified_scan_bytes_are_pinned(capsys):
         assert code == 0
         assert json.loads(out)["certificate"]["inflected"], argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+#: one --json command line for each verb and branch, and a basis file each
+#: wronskian names: "root" has the rational double root u = 0, "dependent"
+#: repeats a row
+JSON_ARGVS = [
+    ("class", "--n", "2", "--ambient", "4"),
+    ("class", "--n", "3", "--ambient", "7", "--d", "3/2", "--g", "-7"),
+    ("degree", "--n", "2", "--ambient", "5"),
+    ("degree", "--n", "2", "--ambient", "5", "--d", "4", "--g", "0"),
+    ("verify-theorem3", "--max-n", "2", "--max-k", "2"),
+    ("classify", "--n", "3", "--k", "2", "--ell", "1"),
+    # the balanced branch prints the tuple splitting_degrees
+    ("classify", "--n", "2", "--k", "2", "--ell", "2"),
+    ("ranks", "--n", "2", "--k", "3"),
+    ("wronskian", "--basis", "root", "--k", "3"),
+    ("wronskian", "--basis", "dependent", "--k", "2"),
+    ("scan", "--scroll", "1,3", "--samples", "20"),
+    ("cross-validate", "--scroll", "3"),
+    ("cross-validate", "--scroll", "1,2"),
+    ("cross-validate", "--scroll", "1,3"),
+]
+
+
+def test_every_json_document_is_the_stdlib_indented_text(capsys, tmp_path):
+    bases = {
+        "root": "3 -1 1 -2 0 -2\n-4 -2 -3 -2 -2 5\n1 5 3 -3 2 1\n-1 5 2 3 -2 -3\n",
+        "dependent": "1 0 1\n2 0 2\n0 1\n",
+    }
+    for name, text in bases.items():
+        (tmp_path / name).write_text(text)
+    verbs, oracles = set(), set()
+    for argv in JSON_ARGVS:
+        argv = [str(tmp_path / arg) if arg in bases else arg for arg in argv]
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, ""), argv
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n", argv
+        verbs.add(argv[0])
+        if argv[0] == "cross-validate":
+            oracles.add(doc["result"]["oracle"])
+    assert verbs == set(OPTIONS) | {"wronskian"}
+    assert oracles == {"wronskian", "determinant-divisor", "rank-scan"}
+
+
+json_strings = st.one_of(
+    st.text(max_size=5),
+    st.lists(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", "\u2028", "😀"]), max_size=5
+    ).map("".join),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**300), 10**300) | json_strings,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(json_strings, max_size=5),
+        st.dictionaries(json_strings, inner, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_document_text_is_the_stdlib_indented_text(value):
+    assert _document_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        1.5,
+        Fraction(1, 2),
+        {"result": {"degree": 0.0}},
+        {"inflected": [{"jet_matrix": [["1", "2"], ["3", Fraction(4)]]}]},
+        ["a", "b", float("nan")],
+        ({"u": Fraction(-1, 3)},),
+        {1: "a"},
+        {"result": [{"point": {2: "b"}}]},
+        {"result": {("a",): 0}},
+        {"a": 1, 2: "b"},
+    ],
+    ids=["float", "fraction", "nested-float", "matrix-fraction", "nan-in-strings",
+         "tuple-fraction", "int-key", "nested-int-key", "tuple-key", "mixed-keys"],
+)
+def test_a_document_with_a_float_a_fraction_or_a_non_str_key_is_refused(document):
+    with pytest.raises(TypeError):
+        _document_text(document)
 
 
 def test_wronskian_verb_with_basis_file(capsys, tmp_path):

@@ -231,6 +231,38 @@ def test_double_point_random_false_cases():
     assert hits < 50  # true cases are rare
 
 
+def double_point_polynomial(n):
+    """d^2 - int c_n(N), twice the number of double points of a scroll X in
+    P^(2n), derived in the Chow ring.
+
+    c(T_X) = [(1+L)^n - d F (1+L)^(n-1)] (1 + (2-2g) F): the relative tangent
+    bundle of P(E) -> C times the tangent bundle of C, with c_1(E) = dF.
+    The normal bundle has c(N) = (1+L)^(2n+1) / c(T_X).  Also returns
+    int c_n(T_X), the topological Euler characteristic.
+    """
+    one, L, F = ChowClass.unit(n), ChowClass.hyperplane(n), ChowClass.fiber(n)
+    tangent = ((one + L) ** n - F * D * (one + L) ** (n - 1)) * (one + F * (2 - 2 * G))
+    normal = (one + L) ** (2 * n + 1) * tangent.inverse()
+
+    def top(cls):
+        alpha, beta = cls.term(n)
+        return alpha * D + beta
+
+    return D * D - top(normal), top(tangent)
+
+
+def test_double_point_identity_is_derived_from_the_chow_ring():
+    for n in range(1, 13):
+        double_points, euler = double_point_polynomial(n)
+        assert double_points == (D - n) * (D - n - 1) - n * (n + 1) * G, n
+        assert euler == n * (2 - 2 * G), n
+    for n in range(1, 9):
+        double_points, _ = double_point_polynomial(n)
+        for d in range(1, 30):
+            for g in range(0, 6):
+                assert double_point_check(n, d, g) is (double_points.evaluate(d, g) == 0)
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -252,6 +284,25 @@ def test_classify_curve_case():
         scroll = classify_uninflected(1, k, 1)
         assert scroll == DecomposableScroll((k,))
         assert (scroll.d, scroll.N) == (k, k)
+
+
+def test_low_codimension_is_inflected_because_the_class_meets_a_fiber_curve_once():
+    # for ell < n the locus class is L^ell + ..., so its product with
+    # L^(n-ell-1) F has degree 1, not 0: no scroll avoids the locus
+    cases = 0
+    for n in range(2, 9):
+        L, F = ChowClass.hyperplane(n), ChowClass.fiber(n)
+        for k in range(1, 9):
+            for ell in range(1, n):
+                if k * n + ell - 1 < n + 1:
+                    continue
+                params = ScrollParams(n, k * n + ell - 1)
+                assert (params.k, params.ell) == (k, ell)
+                cls = inflectional_class(params)
+                assert (cls * L ** (n - ell - 1) * F).degree_poly() == 1, (n, k, ell)
+                assert classify_uninflected(n, k, ell) is None
+                cases += 1
+    assert cases == 217
 
 
 def test_classify_rejects_out_of_range():
