@@ -457,14 +457,13 @@ _WIDE, _NARROW = (24, 8), (9, 4)
 #: holds each code's canonical Fraction.
 _CODES = {(0, 1): 0}
 _RATIONALS = {(a, b): _CODES.setdefault((a // gcd(a, b), b // gcd(a, b)), len(_CODES))
-              for a in range(-24, 25) for b in range(1, 9)}
+              for a in range(-_WIDE[0], _WIDE[0] + 1) for b in range(1, _WIDE[1] + 1)}
 _VALUES = tuple(Fraction(*pair) for pair in _CODES)
 
 #: How many distinct values u and each v_j can take: 251 and 51.
-_U_VALUES, _V_VALUES = (
-    len({_RATIONALS[a, b] for a in range(-bound, bound + 1) for b in range(1, den + 1)})
-    for bound, den in (_WIDE, _NARROW)
-)
+_U_VALUES = len(_VALUES)
+_V_VALUES = len({code for (a, b), code in _RATIONALS.items()
+                 if abs(a) <= _NARROW[0] and b <= _NARROW[1]})
 
 
 def _random_rational(rng: random.Random, nonzero: bool = False, wide: bool = False) -> int:
@@ -493,8 +492,10 @@ def scan_points(
     u in {0, 1, -1, 2, -2} (so u = inf is covered via the second base
     chart) and every pattern of zeroed fiber coordinates.  The remainder
     alternates fully random points with random points forced onto a random
-    zero pattern, so low-dimensional strata keep getting sampled.  More
-    samples than the distinct points these draws can make raise at once.
+    zero pattern, so low-dimensional strata keep getting sampled.  Points
+    come in first-draw order, without duplicates and never fewer than the
+    structured block, so for one seed more samples only append points.
+    More samples than the distinct points these draws can make raise at once.
     """
     samples = exact_int(samples, "the number of samples", 1)
     rng = random.Random(exact_int(seed, "the seed"))
@@ -508,38 +509,28 @@ def scan_points(
         )
     if samples > 2 * n * _U_VALUES * _V_VALUES ** (n - 1):
         raise ValueError(f"could not sample {samples} distinct points on {scroll}")
-    points: Dict[Tuple[str, int, int, Tuple[int, ...]], ScrollPoint] = {}  # by int codes
-
-    def push(base_chart: str, u: int, fiber_chart: int, v: Tuple[int, ...]) -> None:
-        key = (base_chart, u, fiber_chart, v)
-        if key not in points:
-            values = tuple(_VALUES[code] for code in v)
-            points[key] = ScrollPoint._make(base_chart, _VALUES[u], fiber_chart, values)
-
+    points: Dict[Tuple[str, int, int, Tuple[int, ...]], None] = {}  # int codes, in draw order
     for base_chart in (BASE_ZERO, BASE_INF):
         for fiber_chart in range(1, n + 1):
             for u in structured_u:
                 for pattern in range(2 ** (n - 1)):
-                    push(base_chart, u, fiber_chart, _zero_pattern(rng, n, pattern))
+                    points[base_chart, u, fiber_chart, _zero_pattern(rng, n, pattern)] = None
 
-    toggle = False
     attempts = 0
     while len(points) < samples:
         attempts += 1
         if attempts > 100 * samples:
-            raise ValueError(
-                f"could not sample {samples} distinct points on {scroll}"
-            )
+            raise ValueError(f"could not sample {samples} distinct points on {scroll}")
         base_chart = rng.choice((BASE_ZERO, BASE_INF))
         fiber_chart = rng.randint(1, n)
         u = _random_rational(rng, wide=True)
-        if toggle and n > 1:
+        if attempts % 2 == 0 and n > 1:
             v = _zero_pattern(rng, n, rng.randint(1, 2 ** (n - 1) - 1))
         else:
             v = tuple(_random_rational(rng) for _ in range(n - 1))
-        push(base_chart, u, fiber_chart, v)
-        toggle = not toggle
-    return list(points.values())
+        points[base_chart, u, fiber_chart, v] = None
+    return [ScrollPoint._make(base_chart, _VALUES[u], fiber_chart, tuple(_VALUES[c] for c in v))
+            for base_chart, u, fiber_chart, v in points]
 
 
 def rank_scan(
@@ -552,9 +543,10 @@ def rank_scan(
 
     After drawing its points, the scan ranks each of the 2^n - 1 support
     strata T once, at u = 0 in chart ("0", min T), v_j = 1 on T, on integer
-    rows (:func:`scrolljets.scrollmodel.point_rank`), into ``strata``; the
-    structured block meets every stratum.  Every inflected sample is reported
-    with its exact Fraction jet matrix at its own point, a certificate.
+    rows, into the stratum table ``strata``, where each sample reads its
+    rank; the structured block meets every stratum.  Every inflected sample
+    is reported with its exact Fraction jet matrix at its own point as a
+    certificate.
     """
     derived = scroll.N // scroll.n
     k = derived if k is None else exact_int(k, "jet order k", 1, derived)

@@ -195,6 +195,35 @@ def test_certified_scan_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+#: SHA-256 of the standard output of --json documents whose bytes depend on
+#: the scan sampler's draws: a cross-validate with a MATCH scan oracle and 10
+#: certificates, one with an empty stratum table, a wrong-dimension
+#: HYPOTHESIS-VIOLATED, a square oracle, a scan with eight zero patterns per
+#: chart (n = 4) and a curve scan, which never takes a zero pattern (n = 1)
+SAMPLED_DOCUMENT_DIGESTS = (
+    (("cross-validate", "--scroll", "1,2,2", "--samples", "100", "--seed", "7"),
+     "2113863a0a8589b453f4bb463b865deb80311fd8794b88858d5f533d4192ea84"),
+    (("cross-validate", "--scroll", "2,2,2", "--samples", "100", "--seed", "7"),
+     "08a63a099826b90cfdb15ab62f046bf5ec03ef5d5a70afad3066482cad918c2f"),
+    (("cross-validate", "--scroll", "1,1,3", "--samples", "100", "--seed", "7"),
+     "e2c2aa9ed373ff0acd526a0eac0c6f24f3a71344de9fee0963e68bf630a5d7fb"),
+    (("cross-validate", "--scroll", "4,4,5"),
+     "2a70664c40d0f92fcf15c050da4b0b49ffadaa5ae8d13cd429973574e9697511"),
+    (("scan", "--scroll", "1,1,1,2", "--samples", "200", "--seed", "7"),
+     "c8431b42680a8bcc5963f56e814fff03f940b95f6f6594357e66686875ad1b4c"),
+    (("scan", "--scroll", "3", "--k", "2", "--samples", "50", "--seed", "7"),
+     "ccc470fd318f0fd6572f8b70cca8835cf9d7a00f8ca95702835356089162ed8a"),
+)
+
+
+def test_sampled_document_bytes_are_pinned(capsys):
+    # the same bytes on every Python the package supports
+    for argv, digest in SAMPLED_DOCUMENT_DIGESTS:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 #: one --json command line for each verb and branch, and a basis file each
 #: wronskian names: "root" has the rational double root u = 0, "dependent"
 #: repeats a row

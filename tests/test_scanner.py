@@ -506,6 +506,24 @@ def test_scan_points_meet_every_support_stratum(degrees, seed):
     assert supports == every
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    st.integers(0, 2**32),
+    st.integers(1, 400),
+    st.integers(1, 400),
+)
+def test_scan_points_are_prefix_stable_in_samples(degrees, seed, s1, s2):
+    # points come in first-draw order without duplicates, the structured
+    # block first: for one seed, asking for more samples only appends points
+    s1, s2 = sorted((s1, s2))
+    X = DecomposableScroll(tuple(degrees))
+    a, b = scan_points(X, s1, seed), scan_points(X, s2, seed)
+    assert b[:len(a)] == a
+    assert len(set(b)) == len(b)
+    assert len(a) == max(s1, len(scan_points(X, 1, seed)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_section_notes_name_exactly_the_coordinates_vanishing_on_every_inflected_sample(data):
