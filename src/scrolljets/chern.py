@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .chow import _ONE, _ZERO, ChowClass, CoeffPoly, D, G
+from .chow import _ONE, _ZERO, ChowClass, CoeffPoly, D, G, _tidy
 from .scrollmodel import exact_int, jet_order, scroll_dimension
 
 
@@ -58,19 +58,9 @@ def rank_profile(n: int, k: int) -> RankProfile:
     )
 
 
-def _curve_coeff(n: int, i: int) -> CoeffPoly:
-    """d + 2in(g-1), the F coefficient of the curve factor at twist index i."""
-    twist = 2 * i * n
-    if not twist:
-        return D
-    return CoeffPoly._make({(1, 0): 1, (0, 1): twist, (0, 0): -twist})
-
-
-def _twist_coeff(k: int) -> CoeffPoly:
-    """-2k(g-1), the F coefficient of the line twist factor at order k."""
-    if not k:
-        return _ZERO
-    return CoeffPoly._make({(0, 1): -2 * k, (0, 0): 2 * k})
+def _fiber_coeff(d_part: int, twist: int) -> CoeffPoly:
+    """-(d_part*d + twist*(g - 1)), the F coefficient of a curve or line twist factor."""
+    return CoeffPoly._make(_tidy({(1, 0): -d_part, (0, 1): -twist, (0, 0): twist}))
 
 
 def _linear_class(n: int, a: CoeffPoly, b: CoeffPoly) -> ChowClass:
@@ -85,13 +75,13 @@ def curve_factor(n: int, i: int) -> ChowClass:
     As F*F = 0 its inverse, ``curve_factor(n, i).inverse()``, is 1 + (d + 2in(g-1))F.
     """
     n, i = scroll_dimension(n), exact_int(i, "twist index i", 0)
-    return _linear_class(n, _ZERO, -_curve_coeff(n, i))
+    return _linear_class(n, _ZERO, _fiber_coeff(1, 2 * i * n))
 
 
 def line_twist_factor(n: int, k: int) -> ChowClass:
     """Total Chern class of the line-bundle factor: 1 - 2k(g-1)F - L."""
     k = exact_int(k, "jet order k", 0)
-    return _linear_class(scroll_dimension(n), -_ONE, _twist_coeff(k))
+    return _linear_class(scroll_dimension(n), -_ONE, _fiber_coeff(0, 2 * k))
 
 
 def osculating_chern(n: int, k: int) -> ChowClass:
@@ -100,15 +90,17 @@ def osculating_chern(n: int, k: int) -> ChowClass:
     Product of the k curve factors 1 - c_i F, c_i = d + 2in(g-1) for twist
     indices i = 0..k-1, and the line twist factor at k.  As F*F = 0 the
     curve factors multiply to 1 - (c_0 + ... + c_(k-1))F, so one class
-    product remains.  Nothing is cached: ``segre_term`` builds and inverts
-    this product on every call, which keeps its check against
+    product remains; the c_i are summed coefficientwise as ints, in a loop
+    over i.  Nothing is cached: ``segre_term`` builds and inverts this
+    product on every call, which keeps its check against
     ``segre_closed_form`` independent of earlier answers.
     """
     n, k = scroll_dimension(n), jet_order(k)
-    total = _ZERO
+    d_part = twist = 0  # c_0 + ... + c_(k-1) = d_part*d + twist*(g - 1), summed as ints
     for i in range(k):
-        total = total + _curve_coeff(n, i)
-    return _linear_class(n, _ZERO, -total) * _linear_class(n, -_ONE, _twist_coeff(k))
+        d_part, twist = d_part + 1, twist + 2 * i * n
+    curves = _linear_class(n, _ZERO, _fiber_coeff(d_part, twist))
+    return curves * _linear_class(n, -_ONE, _fiber_coeff(0, 2 * k))
 
 
 def segre_term(n: int, k: int, j: int) -> ChowClass:

@@ -20,7 +20,9 @@ validate their input; arithmetic builds results through the trusted
 As F*F = 0, codimension pieces multiply by the pair rule
 (a, b)*(a', b') = (aa', ab' + ba') on the (L^j, L^(j-1)F) coefficients, and
 a class 1 + x_1 + ... + x_n is inverted by the power-series recurrence
-y_0 = 1, y_m = -sum_{i=1..m} x_i*y_(m-i).
+y_0 = 1, y_m = -sum_{i=1..m} x_i*y_(m-i).  Both accumulate each output
+coefficient's pair products in one plain term dict (``_addmul``, which also
+multiplies CoeffPolys) and tidy it once, skipping zero coefficients.
 """
 
 from __future__ import annotations
@@ -42,6 +44,21 @@ def _tidy(terms: dict) -> dict:
         elif type(c) is Fraction and c.denominator == 1:
             terms[key] = c.numerator
     return terms
+
+
+def _addmul(acc: dict, x: dict, y: dict) -> None:
+    """acc += x*y on term dicts, left untidied; a constant factor scales the other's terms."""
+    if len(y) == 1 and (0, 0) in y:
+        x, y = y, x
+    if len(x) == 1 and (0, 0) in x:
+        c = x[0, 0]
+        for key, v in y.items():
+            acc[key] = acc.get(key, 0) + c * v
+        return
+    for (ed1, eg1), c1 in x.items():
+        for (ed2, eg2), c2 in y.items():
+            key = (ed1 + ed2, eg1 + eg2)
+            acc[key] = acc.get(key, 0) + c1 * c2
 
 
 def _monomial(*powers: Tuple[str, int]) -> str:
@@ -153,23 +170,8 @@ class CoeffPoly:
             if isinstance(other, ChowClass):
                 return NotImplemented  # ChowClass.__rmul__ scales the class
             other = CoeffPoly.coerce(other)
-        if not self._terms or not other._terms:
-            return _ZERO
-        # a constant factor (alpha_m = +-1 in most pair products of an
-        # inverse) scales the other operand's coefficients
-        if len(self._terms) == 1 and (0, 0) in self._terms:
-            self, other = other, self
-        if len(other._terms) == 1 and (0, 0) in other._terms:
-            c = other._terms[(0, 0)]
-            if c == 1:
-                return self
-            # nonzero times nonzero stays nonzero, but may turn integral
-            return CoeffPoly._make(_tidy({key: v * c for key, v in self._terms.items()}))
         prod: dict[Tuple[int, int], Scalar] = {}
-        for (ed1, eg1), c1 in self._terms.items():
-            for (ed2, eg2), c2 in other._terms.items():
-                key = (ed1 + ed2, eg1 + eg2)
-                prod[key] = prod.get(key, 0) + c1 * c2
+        _addmul(prod, self._terms, other._terms)
         return CoeffPoly._make(_tidy(prod))
 
     __rmul__ = __mul__
@@ -354,19 +356,26 @@ class ChowClass:
             )
         self._require_same_ring(other)
         n = self._n
-        alpha = [_ZERO] * (n + 1)
-        beta = [_ZERO] * (n + 1)
-        right = other.pieces()
+        alpha, beta = [{} for _ in range(n + 1)], [{} for _ in range(n + 1)]
+        right = [(q, aq._terms, bq._terms) for q, aq, bq in other.pieces()]
         for p, ap, bp in self.pieces():
+            ap, bp = ap._terms, bp._terms
             for q, aq, bq in right:
                 j = p + q
                 if j > n:
                     break
                 # pair rule: L^p * L^q and the two mixed terms; the beta*beta
                 # product carries F*F and dies.
-                alpha[j] += ap * aq
-                beta[j] += ap * bq + bp * aq
-        return ChowClass._make(n, tuple(alpha), tuple(beta))
+                if ap:
+                    _addmul(alpha[j], ap, aq)
+                    _addmul(beta[j], ap, bq)
+                if bp:
+                    _addmul(beta[j], bp, aq)
+        return ChowClass._make(
+            n,
+            tuple(CoeffPoly._make(_tidy(t)) if t else _ZERO for t in alpha),
+            tuple(CoeffPoly._make(_tidy(t)) if t else _ZERO for t in beta),
+        )
 
     def __rmul__(self, other: CoeffLike) -> "ChowClass":
         return self * other
@@ -384,25 +393,30 @@ class ChowClass:
         x_i of codimension i.  The inverse y is the recurrence y_0 = 1,
         y_m = -sum_{i=1..m} x_i * y_(m-i), each product by the pair rule
         (a_i, b_i) * (a_r, b_r) = (a_i a_r, a_i b_r + b_i a_r) as F*F = 0:
-        O(n^2) coefficient pair products.  The result satisfies
+        O(n^2) coefficient pair products, summed for each y_m in term dicts
+        that are negated and tidied once.  The result satisfies
         self * y == 1 on the nose (truncation included).
         """
         if self._alpha[0] != 1 or self._beta[0]:
             raise ValueError("inverse requires constant term 1")
         n = self._n
-        alpha = [_ONE] + [_ZERO] * n
-        beta = [_ZERO] * (n + 1)
-        xs = self.pieces()[1:]
+        alpha, beta = [{(0, 0): 1}], [{}]  # term dicts of y_0, y_1, ...
+        xs = [(i, a_i._terms, b_i._terms) for i, a_i, b_i in self.pieces()[1:]]
         for m in range(1, n + 1):
-            a = b = _ZERO
+            a, b = {}, {}
             for i, a_i, b_i in xs:
                 if i > m:
                     break
-                a_r, b_r = alpha[m - i], beta[m - i]
-                a += a_i * a_r
-                b += a_i * b_r + b_i * a_r
-            alpha[m], beta[m] = -a, -b
-        return ChowClass._make(n, tuple(alpha), tuple(beta))
+                if a_i:
+                    _addmul(a, a_i, alpha[m - i])
+                    _addmul(b, a_i, beta[m - i])
+                if b_i:
+                    _addmul(b, b_i, alpha[m - i])
+            alpha.append({key: -c for key, c in _tidy(a).items()})
+            beta.append({key: -c for key, c in _tidy(b).items()})
+        return ChowClass._make(
+            n, tuple(map(CoeffPoly._make, alpha)), tuple(map(CoeffPoly._make, beta))
+        )
 
     def evaluate(
         self,

@@ -68,8 +68,8 @@ from .scrollmodel import (
     BASE_ZERO,
     DecomposableScroll,
     ScrollPoint,
+    _chart_support,
     _representative_rank,
-    _support,
     bareiss,
     evaluate_jet_template,
     exact_int,
@@ -497,6 +497,11 @@ def scan_points(
     structured block, so for one seed more samples only append points.
     More samples than the distinct points these draws can make raise at once.
     """
+    return [_point(*key) for key in _draws(scroll, samples, seed)]
+
+
+def _draws(scroll: DecomposableScroll, samples: int, seed: int) -> List[tuple]:
+    """The distinct draws of :func:`scan_points`, in its order, as int-code keys."""
     samples = exact_int(samples, "the number of samples", 1)
     rng = random.Random(exact_int(seed, "the seed"))
     n = scroll.n
@@ -529,8 +534,12 @@ def scan_points(
         else:
             v = tuple(_random_rational(rng) for _ in range(n - 1))
         points[base_chart, u, fiber_chart, v] = None
-    return [ScrollPoint._make(base_chart, _VALUES[u], fiber_chart, tuple(_VALUES[c] for c in v))
-            for base_chart, u, fiber_chart, v in points]
+    return list(points)
+
+
+def _point(base_chart: str, u: int, fiber_chart: int, v: Tuple[int, ...]) -> ScrollPoint:
+    """The point of a draw key (base_chart, u, fiber_chart, v) of int codes."""
+    return ScrollPoint._make(base_chart, _VALUES[u], fiber_chart, tuple(_VALUES[c] for c in v))
 
 
 def rank_scan(
@@ -541,26 +550,28 @@ def rank_scan(
 ) -> ScanReport:
     """Probe the k-th inflectional locus by exact ranks at sampled points.
 
-    After drawing its points, the scan ranks each of the 2^n - 1 support
-    strata T once, at u = 0 in chart ("0", min T), v_j = 1 on T, on integer
-    rows, into the stratum table ``strata``, where each sample reads its
-    rank; the structured block meets every stratum.  Every inflected sample
-    is reported with its exact Fraction jet matrix at its own point as a
-    certificate.
+    After drawing the points of :func:`scan_points` as int codes, the scan
+    ranks each of the 2^n - 1 support strata T once, at u = 0 in chart
+    ("0", min T), v_j = 1 on T, on integer rows, into the stratum table
+    ``strata``, where each sample reads its rank by the support of its
+    codes; the structured block meets every stratum.  Only an inflected
+    sample is built as a point, and it is reported with its exact Fraction
+    jet matrix at that point as a certificate.
     """
     derived = scroll.N // scroll.n
     k = derived if k is None else exact_int(k, "jet order k", 1, derived)
     samples = exact_int(samples, "the number of samples", 1)
     seed = exact_int(seed, "the seed")
     full_rank = k * scroll.n + 1
-    points = scan_points(scroll, samples, seed)
+    keys = _draws(scroll, samples, seed)
     summands = range(1, scroll.n + 1)
     strata = {support: _representative_rank(scroll, k, support)
               for size in summands for support in combinations(summands, size)}
     inflected: List[InflectedSample] = []
-    for point in points:
-        rank = strata[_support(point)]
+    for key in keys:
+        rank = strata[_chart_support(key[2], key[3])]  # code 0 is zero
         if rank < full_rank:
+            point = _point(*key)
             inflected.append(
                 InflectedSample(
                     point=point,
@@ -575,7 +586,7 @@ def rank_scan(
         notes.append("no inflected sample found (sampling cannot certify emptiness)")
     else:
         notes.append(
-            f"{len(inflected)} inflected samples among {len(points)} points; "
+            f"{len(inflected)} inflected samples among {len(keys)} points; "
             "each carries its exact jet matrix as certificate"
         )
         on = set().union(*(T for T, rank in strata.items() if rank < full_rank))  # j with w_j != 0
@@ -586,7 +597,7 @@ def rank_scan(
         k=k,
         seed=seed,
         samples_requested=samples,
-        points_examined=len(points),
+        points_examined=len(keys),
         inflected=tuple(inflected),
         notes=tuple(notes),
         strata=strata,

@@ -48,9 +48,10 @@ def exact_int(value, what: str, low: Optional[int] = None, high: Optional[int] =
     reading "{what} must be at least {low}, got {v}" or, with both bounds,
     "{what} must lie in {low}..{high}, got {v}".
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    value = int(value)
+    if type(value) is not int:  # fast path: a plain int needs no ABC check
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
     if (low is not None and value < low) or (high is not None and value > high):
         bound = f"be at least {low}" if high is None else f"lie in {low}..{high}"
         raise ValueError(f"{what} must {bound}, got {value}")
@@ -393,7 +394,12 @@ def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
 
 def _support(point: ScrollPoint) -> Tuple[int, ...]:
     """A checked point's support T, ascending: its chart summand and every j with v_j != 0."""
-    v = point.v[:point.fiber_chart - 1] + (1,) + point.v[point.fiber_chart - 1:]
+    return _chart_support(point.fiber_chart, point.v)
+
+
+def _chart_support(fiber_chart: int, v: tuple) -> Tuple[int, ...]:
+    """The support of the fiber coordinates v (values, or codes that are 0 for zero) in a chart."""
+    v = v[:fiber_chart - 1] + (1,) + v[fiber_chart - 1:]
     return tuple(j for j, x in enumerate(v, start=1) if x)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +193,20 @@ def test_segre_pipeline_matches_closed_form_grid():
         for k in range(1, 7):
             for j in range(1, n + 1):
                 assert segre_term(n, k, j) == segre_closed_form(n, k, j)
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_segre_grid_text_is_pinned():
+    # the printed Segre terms and total inverses of the benchmark's whole
+    # grid, n <= 12 and k <= 27, hashed on every Python the suite runs on
+    grid = [(n, k) for n in range(1, 13) for k in range(1, 28)]
+    segre = (f"{n},{k},{j}: {segre_term(n, k, j)}" for n, k in grid for j in range(1, n + 1))
+    assert _digest(segre) == "6d078b3d747cac17bddb815c7a4e2e60e1866525260422e5a64bdb3c1ed2c0aa"
+    inverses = (f"{n},{k}: {osculating_chern(n, k).inverse()}" for n, k in grid)
+    assert _digest(inverses) == "75859e05d5d10cd00a76d9a661501b64d39c552eb7537d00129651215e548aea"
 
 
 def test_segre_term_surface_value_at_genus_zero():

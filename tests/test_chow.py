@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
+from scrolljets.chern import osculating_chern
 from scrolljets.chow import ChowClass, CoeffPoly, D, G
 
 scalars = st.integers(min_value=-9, max_value=9)
@@ -334,14 +335,24 @@ ref_coeffs = st.dictionaries(
 ref_slots = st.one_of(st.just(CoeffPoly()), ref_coeffs)
 
 
+# every slot one nonzero Fraction term of degree at most 1 in d and in g, so
+# classes up to n = 12 stay small enough for the sympy model
+dense_slots = st.builds(
+    lambda key, num, den: CoeffPoly({key: Fraction(num or 5, den)}),
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]),
+    st.integers(-5, 4),
+    st.integers(1, 6),
+)
+
+
 @st.composite
-def ref_classes(draw, count=2, unit=False):
-    n = draw(st.integers(min_value=1, max_value=6))
+def ref_classes(draw, count=2, unit=False, n_range=(1, 6), slots=ref_slots):
+    n = draw(st.integers(*n_range))
     out = []
     for _ in range(count):
-        head = 1 if unit else draw(ref_slots)
+        head = 1 if unit else draw(slots)
         terms = [(0, head, 0)]
-        terms += [(j, draw(ref_slots), draw(ref_slots)) for j in range(1, n + 1)]
+        terms += [(j, draw(slots), draw(slots)) for j in range(1, n + 1)]
         out.append(ChowClass(n, terms))
     return out
 
@@ -430,6 +441,30 @@ def test_constant_factor_matches_reference_model(p, q, c):
             assert_canonical(prod)
             rebuilt = CoeffPoly(prod.terms())
             assert prod == rebuilt and hash(prod) == hash(rebuilt)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ref_classes(count=2, unit=True, n_range=(7, 12), slots=dense_slots))
+def test_dense_large_classes_match_reference_model(classes):
+    # the benchmark's dimensions, with no zero coefficient for the kernels to skip
+    x, y = classes
+    n = x.n
+    inv, prod = x.inverse(), x * y
+    assert to_ref(inv) == ref_inverse(to_ref(x), n)
+    assert to_ref(prod) == ref_reduce(to_ref(x) * to_ref(y), n)
+    for z in (inv, prod):
+        assert_canonical(z)
+        rebuilt = ChowClass(n, z.pieces())
+        assert z == rebuilt and hash(z) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 27])
+def test_osculating_inverse_matches_reference_model(k):
+    # every n of the benchmark's Segre grid; a_2 = 0 there, so a skipped
+    # fiber term would show
+    for n in range(1, 13):
+        total = osculating_chern(n, k)
+        assert to_ref(total.inverse()) == ref_inverse(to_ref(total), n)
 
 
 def test_arithmetic_collapses_integral_fractions():
