@@ -103,13 +103,17 @@ def osculating_chern(n: int, k: int) -> ChowClass:
     return curves * _linear_class(n, -_ONE, _fiber_coeff(0, 2 * k))
 
 
+def _piece(n: int, j: int, alpha: CoeffPoly, beta: CoeffPoly) -> ChowClass:
+    """The class alpha*L^j + beta*L^(j-1)*F for 1 <= j <= n, from trusted coefficients."""
+    pad = (_ZERO,) * n
+    return ChowClass._make(n, pad[:j] + (alpha,) + pad[j:], pad[:j] + (beta,) + pad[j:])
+
+
 def segre_term(n: int, k: int, j: int) -> ChowClass:
     """Codimension-j piece of the inverse total Chern class, via the product."""
     n = scroll_dimension(n)
     j = exact_int(j, "codimension j", 1, n)
-    inv = osculating_chern(n, k).inverse()
-    alpha, beta = inv.term(j)
-    return ChowClass(n, [(j, alpha, beta)])
+    return _piece(n, j, *osculating_chern(n, k).inverse().term(j))
 
 
 def segre_closed_form(n: int, k: int, j: int) -> ChowClass:
@@ -120,4 +124,4 @@ def segre_closed_form(n: int, k: int, j: int) -> ChowClass:
     n, k = scroll_dimension(n), jet_order(k)
     j = exact_int(j, "codimension j", 1, n)
     beta: CoeffPoly = k * (D + (n * (k - 1) + 2 * j) * (G - 1))
-    return ChowClass(n, [(j, 1, beta)])
+    return _piece(n, j, _ONE, beta)

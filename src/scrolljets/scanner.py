@@ -40,7 +40,7 @@ and prints through ``to_dict``.
 All three oracles read one sparse jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it once per
 support stratum T, at u = 0 in chart ("0", min T), v_j = 1 on T (a
-certificate at a rational point is one Fraction of ints per nonzero entry),
+certificate at a rational point is text, one gcd per nonzero entry),
 and the Wronskian and determinant oracles share one chart determinant, so
 nothing here differentiates.  One integer elimination,
 :func:`scrolljets.scrollmodel.bareiss`, gives every rank and determinant;
@@ -69,6 +69,7 @@ from .scrollmodel import (
     DecomposableScroll,
     ScrollPoint,
     _chart_support,
+    _jet_text,
     _representative_rank,
     bareiss,
     evaluate_jet_template,
@@ -76,7 +77,6 @@ from .scrollmodel import (
     exact_rank,
     full_support_rank,
     jet_columns,
-    jet_matrix,
     jet_order,
     jet_template,
     other_summands,
@@ -389,12 +389,17 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
 
 @dataclass(frozen=True)
 class InflectedSample:
-    """A certified inflected point: exact point, rank and the jet matrix."""
+    """A certified inflected point: exact point, rank and the text of its jet matrix's entries."""
 
     point: ScrollPoint
     rank: int
     corank: int
-    matrix: Tuple[Tuple[Fraction, ...], ...]
+    rows: Tuple[Tuple[str, ...], ...]
+
+    @property
+    def matrix(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The exact jet matrix, parsed from ``rows``."""
+        return tuple(tuple(map(Fraction, row)) for row in self.rows)
 
     def to_dict(self) -> dict:
         return {
@@ -406,7 +411,7 @@ class InflectedSample:
             },
             "rank": self.rank,
             "corank": self.corank,
-            "jet_matrix": [[str(x) for x in row] for row in self.matrix],
+            "jet_matrix": [list(row) for row in self.rows],
         }
 
 
@@ -555,7 +560,7 @@ def rank_scan(
     ("0", min T), v_j = 1 on T, on integer rows, into the stratum table
     ``strata``, where each sample reads its rank by the support of its
     codes; the structured block meets every stratum.  Only an inflected
-    sample is built as a point, and it is reported with its exact Fraction
+    sample is built as a point, and it is reported with the text of its exact
     jet matrix at that point as a certificate.
     """
     derived = scroll.N // scroll.n
@@ -572,14 +577,8 @@ def rank_scan(
         rank = strata[_chart_support(key[2], key[3])]  # code 0 is zero
         if rank < full_rank:
             point = _point(*key)
-            inflected.append(
-                InflectedSample(
-                    point=point,
-                    rank=rank,
-                    corank=full_rank - rank,
-                    matrix=jet_matrix(scroll, k, point).entries,
-                )
-            )
+            rows = _jet_text(scroll, k, point)
+            inflected.append(InflectedSample(point, rank, full_rank - rank, rows))
 
     notes: List[str] = []
     if not inflected:

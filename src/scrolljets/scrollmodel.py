@@ -30,7 +30,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, perm
+from math import gcd, lcm, perm
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
@@ -312,14 +312,11 @@ class JetMatrix:
         return len(self.entries[0])
 
 
-def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMatrix:
-    """Evaluate all reduced partials of the section basis at the point, exactly.
+def _jet_text(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> Tuple[tuple, ...]:
+    """The jet template of the point's chart at the point, each entry as its Fraction's text.
 
-    For u = p/q and v_j = r_j/s_j, with the ints p^e, q^e, r_j p^e and s_j q^e
-    taken once, a nonzero entry coeff u^e v_j is one Fraction(coeff r_j p^e,
-    s_j q^e) and every zero is one shared Fraction(0): the canonical Fraction
-    of the rational that :func:`evaluate_jet_template` gives at the point.
-    The row width is read off the cached template.
+    At u = p/q and v_j = r_j/s_j, a nonzero entry coeff u^e v_j is a/b = coeff r_j p^e / s_j q^e
+    with b > 0, written from one g = gcd(a, b) as str(Fraction(a, b)); a zero is the shared "0".
     """
     _check_point(scroll, point)
     u, top = point.u, range(max(scroll.degrees) + 1)
@@ -327,15 +324,24 @@ def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMat
     for j, x in zip(other_summands(scroll.n, point.fiber_chart), point.v):
         terms[j] = [(x.numerator * p, x.denominator * q) for p, q in terms[None]]
     template = jet_template(scroll, k, point.base_chart, point.fiber_chart)
-    zero, entries = Fraction(0), []
+    rows = []
     for row in template.rows:
-        filled = [zero] * template.ncols
+        filled = ["0"] * template.ncols
         for column, coeff, e, summand in row:
-            p, q = terms[summand][e]
-            if p:
-                filled[column] = Fraction(coeff * p, q)
-        entries.append(tuple(filled))
-    return JetMatrix(tuple(entries))
+            a, b = terms[summand][e]
+            if a:
+                a *= coeff
+                g = gcd(a, b)
+                filled[column] = str(a // g) if g == b else f"{a // g}/{b // g}"
+        rows.append(tuple(filled))
+    return tuple(rows)
+
+
+def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMatrix:
+    """Evaluate all reduced partials of the section basis at the point, exactly: the
+    Fractions of :func:`_jet_text`'s entries, every zero one shared Fraction(0)."""
+    zero, text = Fraction(0), _jet_text(scroll, k, point)
+    return JetMatrix(tuple(tuple(zero if x == "0" else Fraction(x) for x in row) for row in text))
 
 
 def bareiss(rows: List[list]) -> Tuple[int, int]:

@@ -413,8 +413,9 @@ def test_rank_scan_unbalanced_detects_directrix():
     for sample in report.inflected:
         assert sample.corank == 1
         assert fiber_coordinate(X, sample.point, 2) == 0
-        # certificate is independently checkable
+        # certificate is independently checkable, and its Fractions print as its text
         assert exact_rank(sample.matrix) == sample.rank
+        assert [[str(x) for x in row] for row in sample.matrix] == [list(r) for r in sample.rows]
         assert exact_rank(jet_matrix(X, 2, sample.point).entries) == sample.rank
     assert any("w2 = 0" in note for note in report.notes)
     clean_points = report.points_examined - len(report.inflected)

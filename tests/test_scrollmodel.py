@@ -12,6 +12,7 @@ from scrolljets.scrollmodel import (
     BASE_ZERO,
     DecomposableScroll,
     ScrollPoint,
+    _jet_text,
     bareiss,
     evaluate_jet_template,
     exact_rank,
@@ -533,17 +534,21 @@ def test_sparse_template_evaluates_to_the_dense_jet_matrix(data):
 @example([2, 3, 4], Fraction(0), [Fraction(-5, 3), Fraction(0)])
 @example([1, 4], Fraction(0), [Fraction(0)])
 @example([3, 1, 2], Fraction(-7, 4), [Fraction(0), Fraction(2, 5)])
+@example([1, 3, 3], Fraction(-5, 2), [Fraction(4, 3), Fraction(-9, 2)])
 def test_jet_matrix_is_the_fraction_evaluation_of_the_template(degrees, u, v):
-    # jet_matrix builds each nonzero entry as one Fraction from integer
-    # numerator and denominator and skips the zeros (u = 0, v_j = 0); entry
-    # by entry it is the generic evaluator's Fraction arithmetic at the same
-    # point, in lowest terms, in both base charts and every fiber chart
+    # a certificate writes each nonzero entry a/b from one gcd and every
+    # zero (u = 0, v_j = 0) as "0", and jet_matrix reads its Fractions off
+    # that text; entry by entry both are the generic evaluator's Fraction
+    # arithmetic at the same point, in lowest terms, in both base charts and
+    # every fiber chart (the last example cancels v's denominator 3 against
+    # the coefficients 3 and 6, and its numerator 4 against u's 2^e)
     X = DecomposableScroll(tuple(degrees))
     v = tuple(v[: X.n - 1])
     for k in range(1, X.N // X.n + 1):
         for base in (BASE_ZERO, BASE_INF):
             for iota in range(1, X.n + 1):
-                entries = jet_matrix(X, k, ScrollPoint(base, u, iota, v)).entries
+                point = ScrollPoint(base, u, iota, v)
+                entries = jet_matrix(X, k, point).entries
                 values = dict(zip(other_summands(X.n, iota), v))
                 expected = evaluate_jet_template(X, k, base, iota, u, values)
                 assert len(entries) == len(expected) == X.N + 1
@@ -552,6 +557,9 @@ def test_jet_matrix_is_the_fraction_evaluation_of_the_template(degrees, u, v):
                     assert [(x.numerator, x.denominator) for x in row] == [
                         (x.numerator, x.denominator) for x in reference
                     ], (k, base, iota)
+                assert [list(row) for row in _jet_text(X, k, point)] == [
+                    [str(x) for x in row] for row in expected
+                ], (k, base, iota)
 
 
 def stratum_rank(degrees, support, k):
