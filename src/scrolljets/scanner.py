@@ -21,9 +21,11 @@ Three oracles are provided:
   summand degrees, in every chart, and the charts must agree.
 
 * Seeded exact-rank scans otherwise: deterministic pseudo-random rational
-  sample points (plus structured points with fiber coordinates zeroed in
-  all patterns and u in {0, +-1, +-2, inf}) are tested for jet-rank drop,
-  read off one table that ranks each of the 2^n - 1 support strata once.
+  sample points, getrandbits rejection draws that give Random.randint's
+  stream for a nonnegative seed (plus structured points with fiber
+  coordinates zeroed in all patterns and u in {0, +-1, +-2, inf}), are
+  tested for jet-rank drop, read off one table that ranks each of the
+  2^n - 1 support strata once; an all-clean table reads no sample.
   Each inflected sample carries its exact jet matrix as a certificate; a
   scan's notes never claim emptiness, but cross-validate's verdict does,
   from the table, when no support stratum is inflected.
@@ -55,10 +57,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, repeat
 from math import factorial, gcd, prod
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .chow import ChowClass
 from .formulas import ScrollParams, curve_inflection_degree, inflectional_class, inflectional_degree
@@ -470,22 +472,32 @@ _U_VALUES = len(_VALUES)
 _V_VALUES = len({code for (a, b), code in _RATIONALS.items()
                  if abs(a) <= _NARROW[0] and b <= _NARROW[1]})
 
+#: Per bound pair (top, den): how many values randint(-top, top) and randint(1, den) take,
+#: and the code of each pair of draws i, j (from 0) at i * den + j.
+_WIDE_DRAW, _NARROW_DRAW = (
+    (2 * top + 1, den, [_RATIONALS[a, b] for a in range(-top, top + 1) for b in range(1, den + 1)])
+    for top, den in (_WIDE, _NARROW))
 
-def _random_rational(rng: random.Random, nonzero: bool = False, wide: bool = False) -> int:
-    """The code of a random rational (0 for zero)."""
-    bound, den = _WIDE if wide else _NARROW
+
+def _below(bits, m: int) -> Iterator[int]:
+    """Endless draws from range(m), each by Random.randint's and Random.choice's rule
+    (_randbelow_with_getrandbits): m.bit_length() bits of ``bits``, redrawn while >= m."""
+    k = m.bit_length()
     while True:
-        code = _RATIONALS[rng.randint(-bound, bound), rng.randint(1, den)]
+        r = bits(k)
+        if r < m:
+            yield r
+
+
+def _codes(bits, draw, nonzero: bool = False) -> Iterator[int]:
+    """Endless codes of random rationals, each drawn as randint(-top, top), randint(1, den);
+    with ``nonzero`` a draw of zero is drawn again."""
+    tops, dens, table = draw
+    numerators, denominators = _below(bits, tops), _below(bits, dens)
+    for a in numerators:
+        code = table[a * dens + next(denominators)]
         if code or not nonzero:
-            return code
-
-
-def _zero_pattern(rng: random.Random, n: int, pattern: int) -> Tuple[int, ...]:
-    """Fiber coordinate codes, zero where ``pattern`` has a bit, random nonzero elsewhere."""
-    return tuple(
-        0 if pattern & (1 << slot) else _random_rational(rng, nonzero=True)
-        for slot in range(n - 1)
-    )
+            yield code
 
 
 def scan_points(
@@ -506,9 +518,11 @@ def scan_points(
 
 
 def _draws(scroll: DecomposableScroll, samples: int, seed: int) -> List[tuple]:
-    """The distinct draws of :func:`scan_points`, in its order, as int-code keys."""
+    """The distinct draws of :func:`scan_points`, in its order, as int-code keys: getrandbits
+    rejection draws (:func:`_below`), advanced lazily in the order of the randint and choice
+    calls they stand for, so they are randint's stream for the nonnegative seed."""
     samples = exact_int(samples, "the number of samples", 1)
-    rng = random.Random(exact_int(seed, "the seed"))
+    bits = random.Random(exact_int(seed, "the seed", 0)).getrandbits
     n = scroll.n
     structured_u = [_RATIONALS[x, 1] for x in (0, 1, -1, 2, -2)]
     structured = 2 * n * len(structured_u) * 2 ** (n - 1)
@@ -519,25 +533,29 @@ def _draws(scroll: DecomposableScroll, samples: int, seed: int) -> List[tuple]:
         )
     if samples > 2 * n * _U_VALUES * _V_VALUES ** (n - 1):
         raise ValueError(f"could not sample {samples} distinct points on {scroll}")
+    charts, fibers, wide = _below(bits, 2), _below(bits, n), _codes(bits, _WIDE_DRAW)
+    narrow, nonzero, zero = _codes(bits, _NARROW_DRAW), _codes(bits, _NARROW_DRAW, True), repeat(0)
+    # per zero pattern, the iterator each fiber coordinate reads: zero on a bit, else nonzero
+    patterns = [[zero if pattern >> slot & 1 else nonzero for slot in range(n - 1)]
+                for pattern in range(2 ** (n - 1))]
     points: Dict[Tuple[str, int, int, Tuple[int, ...]], None] = {}  # int codes, in draw order
     for base_chart in (BASE_ZERO, BASE_INF):
         for fiber_chart in range(1, n + 1):
             for u in structured_u:
-                for pattern in range(2 ** (n - 1)):
-                    points[base_chart, u, fiber_chart, _zero_pattern(rng, n, pattern)] = None
+                for pattern in patterns:
+                    points[base_chart, u, fiber_chart, tuple(map(next, pattern))] = None
 
-    attempts = 0
+    attempts, nonempty = 0, _below(bits, 2 ** (n - 1) - 1)  # advanced only when n > 1
     while len(points) < samples:
         attempts += 1
         if attempts > 100 * samples:
             raise ValueError(f"could not sample {samples} distinct points on {scroll}")
-        base_chart = rng.choice((BASE_ZERO, BASE_INF))
-        fiber_chart = rng.randint(1, n)
-        u = _random_rational(rng, wide=True)
-        if attempts % 2 == 0 and n > 1:
-            v = _zero_pattern(rng, n, rng.randint(1, 2 ** (n - 1) - 1))
+        base_chart = (BASE_ZERO, BASE_INF)[next(charts)]
+        fiber_chart, u = 1 + next(fibers), next(wide)
+        if attempts % 2 == 0 and n > 1:  # a random nonempty zero pattern
+            v = tuple(map(next, patterns[1 + next(nonempty)]))
         else:
-            v = tuple(_random_rational(rng) for _ in range(n - 1))
+            v = tuple(islice(narrow, n - 1))
         points[base_chart, u, fiber_chart, v] = None
     return list(points)
 
@@ -555,25 +573,26 @@ def rank_scan(
 ) -> ScanReport:
     """Probe the k-th inflectional locus by exact ranks at sampled points.
 
-    After drawing the points of :func:`scan_points` as int codes, the scan
-    ranks each of the 2^n - 1 support strata T once, at u = 0 in chart
-    ("0", min T), v_j = 1 on T, on integer rows, into the stratum table
-    ``strata``, where each sample reads its rank by the support of its
-    codes; the structured block meets every stratum.  Only an inflected
-    sample is built as a point, and it is reported with the text of its exact
-    jet matrix at that point as a certificate.
+    After drawing the points of :func:`scan_points` as int codes (getrandbits
+    rejection draws, randint's stream), the scan ranks each of the 2^n - 1
+    support strata T once, at u = 0 in chart ("0", min T), v_j = 1 on T, on
+    integer rows, into the stratum table ``strata``.  If a stratum is
+    inflected, each sample reads its rank by the support of its codes (the
+    structured block meets every stratum), and only an inflected sample is
+    built as a point, reported with the text of its exact jet matrix there as
+    a certificate; an all-clean table reads no sample, as none can be inflected.
     """
     derived = scroll.N // scroll.n
     k = derived if k is None else exact_int(k, "jet order k", 1, derived)
     samples = exact_int(samples, "the number of samples", 1)
-    seed = exact_int(seed, "the seed")
+    seed = exact_int(seed, "the seed", 0)
     full_rank = k * scroll.n + 1
     keys = _draws(scroll, samples, seed)
     summands = range(1, scroll.n + 1)
     strata = {support: _representative_rank(scroll, k, support)
               for size in summands for support in combinations(summands, size)}
     inflected: List[InflectedSample] = []
-    for key in keys:
+    for key in keys if min(strata.values()) < full_rank else ():  # a clean table reads no key
         rank = strata[_chart_support(key[2], key[3])]  # code 0 is zero
         if rank < full_rank:
             point = _point(*key)
@@ -736,7 +755,7 @@ def cross_validate(
     :data:`CURVE_TRIALS` generic subsystems of sections.
     """
     samples = exact_int(samples, "the number of samples", 1)
-    seed = exact_int(seed, "the seed")
+    seed = exact_int(seed, "the seed", 0)
     derived = scroll.N // scroll.n
     k = derived if k is None else exact_int(k, "jet order k", 1, derived)
     if scroll.n == 1:

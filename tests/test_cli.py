@@ -427,6 +427,16 @@ def test_cross_validate_gates_the_sample_count_on_every_path(capsys):
         assert err == "error: the number of samples must be at least 1, got 0\n"
 
 
+def test_a_negative_seed_is_one_error_line(capsys):
+    # Random seeds with abs(seed): --seed -7 would draw seed 7's points and print seed=-7
+    for argv in (("scan", "--scroll", "1,3", "--seed", "-7"),
+                 ("cross-validate", "--scroll", "1,2,2", "--seed", "-7"),
+                 ("cross-validate", "--scroll", "5", "--k", "3", "--seed", "-7")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == "error: the seed must be at least 0, got -7\n"
+
+
 def test_scan_beyond_the_sampler_supply_fails_at_once(capsys):
     # a curve's sampler can build 502 distinct points; asking for a million
     # used to retry for 100 attempts per sample before giving up

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 
 from scrolljets.chow import ChowClass
 from scrolljets.formulas import ScrollParams, classify_uninflected, inflectional_class
+import scrolljets.scanner as scanner_mod
 from scrolljets.scanner import (
     HYPOTHESIS_VIOLATED,
     MATCH,
     MISMATCH,
+    MAX_STRUCTURED_POINTS,
     GenericRankFailure,
     _chart_determinant,
+    _draws,
     cross_validate,
     determinant_divisor,
     rank_scan,
@@ -29,6 +32,7 @@ from scrolljets.scrollmodel import (
     BASE_ZERO,
     DecomposableScroll,
     ScrollPoint,
+    _chart_support,
     _support,
     evaluate_jet_template,
     exact_rank,
@@ -576,6 +580,133 @@ def test_scan_points_draws_at_most_the_points_the_sampler_can_build():
         assert len(points) == len(set(points)) == 502
     with pytest.raises(ValueError, match="could not sample 503 distinct points on"):
         scan_points(curve, 503, seed=0)
+
+
+def _randint_rational(rng, nonzero=False, wide=False):
+    """The code of a random rational (0 for zero)."""
+    bound, den = scanner_mod._WIDE if wide else scanner_mod._NARROW
+    while True:
+        code = scanner_mod._RATIONALS[rng.randint(-bound, bound), rng.randint(1, den)]
+        if code or not nonzero:
+            return code
+
+
+def _randint_zero_pattern(rng, n, pattern):
+    """Fiber coordinate codes, zero where ``pattern`` has a bit, random nonzero elsewhere."""
+    return tuple(
+        0 if pattern & (1 << slot) else _randint_rational(rng, nonzero=True)
+        for slot in range(n - 1)
+    )
+
+
+def randint_draws(scroll, samples, seed):
+    """The sampler as it was written on Random.randint and Random.choice: the
+    reference model of the stream that scanner._draws reads from getrandbits."""
+    rng = random.Random(seed)
+    n = scroll.n
+    structured_u = [scanner_mod._RATIONALS[x, 1] for x in (0, 1, -1, 2, -2)]
+    structured = 2 * n * len(structured_u) * 2 ** (n - 1)
+    if structured > MAX_STRUCTURED_POINTS:
+        raise ValueError(
+            f"scroll {scroll} has {n} summands: its structured scan block of {structured} "
+            f"points exceeds the limit of {MAX_STRUCTURED_POINTS}"
+        )
+    if samples > 2 * n * scanner_mod._U_VALUES * scanner_mod._V_VALUES ** (n - 1):
+        raise ValueError(f"could not sample {samples} distinct points on {scroll}")
+    points = {}
+    for base_chart in (BASE_ZERO, BASE_INF):
+        for fiber_chart in range(1, n + 1):
+            for u in structured_u:
+                for pattern in range(2 ** (n - 1)):
+                    v = _randint_zero_pattern(rng, n, pattern)
+                    points[base_chart, u, fiber_chart, v] = None
+
+    attempts = 0
+    while len(points) < samples:
+        attempts += 1
+        if attempts > 100 * samples:
+            raise ValueError(f"could not sample {samples} distinct points on {scroll}")
+        base_chart = rng.choice((BASE_ZERO, BASE_INF))
+        fiber_chart = rng.randint(1, n)
+        u = _randint_rational(rng, wide=True)
+        if attempts % 2 == 0 and n > 1:
+            v = _randint_zero_pattern(rng, n, rng.randint(1, 2 ** (n - 1) - 1))
+        else:
+            v = tuple(_randint_rational(rng) for _ in range(n - 1))
+        points[base_chart, u, fiber_chart, v] = None
+    return list(points)
+
+
+def _outcome(sampler, *args):
+    try:
+        return sampler(*args)
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), min_size=1, max_size=5),
+    st.integers(0, 2**40),
+    st.one_of(st.integers(1, 600), st.just(502)),
+)
+def test_draws_are_the_stream_randint_would_draw(degrees, seed, samples):
+    # _draws reads getrandbits by the rejection rule of randint and choice, so
+    # its keys, their order and its errors are those of the randint sampler
+    X = DecomposableScroll(tuple(degrees))
+    assert _outcome(_draws, X, samples, seed) == _outcome(randint_draws, X, samples, seed)
+
+
+def test_draws_match_randint_up_to_the_capacity_of_a_curve():
+    # a curve's 502 points take thousands of random draws to collect; one more
+    # sample than that raises at once, with the same message
+    curve = DecomposableScroll((3,))
+    for seed in (0, 1, 1729, 2**40):
+        assert _draws(curve, 502, seed) == randint_draws(curve, 502, seed)
+    message = "could not sample 503 distinct points on (3)"
+    assert _outcome(randint_draws, curve, 503, 0) == message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scan_points(curve, 503, 0)
+
+
+def test_negative_seeds_are_rejected():
+    # Random seeds with abs(seed), so a negative seed would repeat its positive twin
+    X = DecomposableScroll((1, 3))
+    for call in (lambda: rank_scan(X, samples=20, seed=-7), lambda: scan_points(X, 20, -7),
+                 lambda: _draws(X, 20, -1), lambda: cross_validate(X, seed=-7),
+                 lambda: cross_validate(DecomposableScroll((5,)), k=3, seed=-7)):
+        with pytest.raises(ValueError, match="the seed must be at least 0, got -"):
+            call()
+    assert rank_scan(X, samples=20, seed=0).seed == 0
+
+
+def test_a_clean_stratum_table_reads_no_sample(monkeypatch):
+    # when every stratum has full rank no sample can be inflected, so a scan
+    # looks up no support; it still draws, and counts, every sample
+    def refuse(*args):
+        raise AssertionError("a sample's support was looked up")
+
+    monkeypatch.setattr(scanner_mod, "_chart_support", refuse)
+    for degrees in ((2, 2), (2, 2, 2)):
+        X = DecomposableScroll(degrees)
+        report = rank_scan(X, samples=150, seed=3)
+        assert min(report.strata.values()) == report.full_rank
+        assert report.inflected == ()
+        assert report.points_examined == len(_draws(X, 150, 3)) == report.clean_count
+    # an inflected stratum makes the scan read every sample's support
+    X = DecomposableScroll((1, 2, 2))
+    looked_up = []
+
+    def counted(fiber_chart, v):
+        looked_up.append(v)
+        return _chart_support(fiber_chart, v)
+
+    monkeypatch.setattr(scanner_mod, "_chart_support", counted)
+    report = rank_scan(X, samples=150, seed=3)
+    assert len(looked_up) == report.points_examined == len(_draws(X, 150, 3))
+    assert report.inflected
+    for sample in report.inflected:
+        assert report.strata[_support(sample.point)] == sample.rank < report.full_rank
 
 
 def test_oversized_scan_raises_before_building_a_point(monkeypatch):
