@@ -11,8 +11,6 @@ formulas.
 
 from .chern import (
     RankProfile,
-    curve_factor,
-    line_twist_factor,
     osculating_chern,
     rank_profile,
     segre_closed_form,
@@ -87,7 +85,6 @@ __all__ = [
     "WronskianReport",
     "classify_uninflected",
     "cross_validate",
-    "curve_factor",
     "curve_inflection_degree",
     "determinant_divisor",
     "double_point_check",
@@ -98,7 +95,6 @@ __all__ = [
     "inflectional_degree",
     "is_inflected",
     "jet_matrix",
-    "line_twist_factor",
     "osculating_chern",
     "osculating_dim",
     "point_rank",

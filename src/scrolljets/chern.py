@@ -69,21 +69,6 @@ def _linear_class(n: int, a: CoeffPoly, b: CoeffPoly) -> ChowClass:
     return ChowClass._make(n, (_ONE, a) + pad, (_ZERO, b) + pad)
 
 
-def curve_factor(n: int, i: int) -> ChowClass:
-    """Chern factor 1 - (d + 2in(g-1))F pulled back from the base curve, for twist index i.
-
-    As F*F = 0 its inverse, ``curve_factor(n, i).inverse()``, is 1 + (d + 2in(g-1))F.
-    """
-    n, i = scroll_dimension(n), exact_int(i, "twist index i", 0)
-    return _linear_class(n, _ZERO, _fiber_coeff(1, 2 * i * n))
-
-
-def line_twist_factor(n: int, k: int) -> ChowClass:
-    """Total Chern class of the line-bundle factor: 1 - 2k(g-1)F - L."""
-    k = exact_int(k, "jet order k", 0)
-    return _linear_class(scroll_dimension(n), -_ONE, _fiber_coeff(0, 2 * k))
-
-
 def osculating_chern(n: int, k: int) -> ChowClass:
     """Total Chern class of the rank kn+1 osculating bundle at order k.
 

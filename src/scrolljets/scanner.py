@@ -36,8 +36,8 @@ certifies that the expected-codimension hypothesis of the class formula fails
 its exact measurement equals the formula's; the report's verdict is
 HYPOTHESIS-VIOLATED, MATCH or MISMATCH accordingly.  A report stores only
 what its oracle measured, derives the rest (full rank, clean count, total
-weight, a determinant divisor's primary-chart ``delta`` and its ``factors``)
-and prints through ``to_dict``.
+weight, the notes of a scan and of a Wronskian, a determinant divisor's
+primary-chart ``delta`` and its ``factors``) and prints through ``to_dict``.
 
 All three oracles read one sparse jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it once per
@@ -55,7 +55,7 @@ monomial.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice, repeat
 from math import factorial, gcd, prod
@@ -115,7 +115,9 @@ class InconsistentCharts(RuntimeError):
 @dataclass(frozen=True)
 class WronskianReport:
     """Weighted inflection count of a curve from its Wronskian; the measured
-    fields default to those of a degenerate basis, which has no weights."""
+    fields default to those of a degenerate basis, which has no weights.
+    ``notes`` are derived: a dependent basis has undefined weights, and
+    otherwise the finite weights that no rational point carries are counted."""
 
     k: int
     coefficients: Tuple[Tuple[int, ...], ...]
@@ -126,11 +128,19 @@ class WronskianReport:
     finite_total: int = 0
     rational_points: Tuple[Tuple[Fraction, int], ...] = ()
     infinity_weight: int = 0
-    notes: Tuple[str, ...] = ()
 
     @property
     def total(self) -> int:
         return self.finite_total + self.infinity_weight
+
+    @property
+    def notes(self) -> Tuple[str, ...]:
+        if self.degenerate:
+            return ("basis is linearly dependent; weights are undefined",)
+        irrational = self.finite_total - sum(mult for _, mult in self.rational_points)
+        if not irrational:
+            return ()
+        return (f"{irrational} of the finite weights sit at irrational or complex points",)
 
     def to_dict(self) -> dict:
         return {
@@ -194,8 +204,7 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
     basis = None if isinstance(curve, DecomposableScroll) else rows
     wronskian = _chart_determinant(monomial_curve, k, BASE_ZERO, 1, basis)
     if not wronskian:
-        note = "basis is linearly dependent; weights are undefined"
-        return WronskianReport(k, rows, degree, degenerate=True, notes=(note,))
+        return WronskianReport(k, rows, degree, degenerate=True)
     wronskian_inf = _chart_determinant(monomial_curve, k, BASE_INF, 1, basis)
 
     finite_total = wronskian.degree()
@@ -203,13 +212,6 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
     rational_points = rational_roots([terms.get((e,), 0) for e in range(finite_total + 1)])
 
     infinity_weight = min(m[0] for m in wronskian_inf.monoms())
-
-    notes = []
-    irrational = finite_total - sum(mult for _, mult in rational_points)
-    if irrational:
-        notes.append(
-            f"{irrational} of the finite weights sit at irrational or complex points"
-        )
     return WronskianReport(
         k=k,
         coefficients=rows,
@@ -220,7 +222,6 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
         finite_total=finite_total,
         rational_points=rational_points,
         infinity_weight=infinity_weight,
-        notes=tuple(notes),
     )
 
 
@@ -421,7 +422,9 @@ class InflectedSample:
 class ScanReport:
     """Outcome of a deterministic exact-rank scan.  ``strata`` maps each of the 2^n - 1
     supports T, ascending, to its rank, all ranked once (``cross_validate``'s verdict reads
-    it, not the samples); it is left out of ``to_dict``, equality and hashing."""
+    it, not the samples); it is left out of ``to_dict``, equality and hashing.  ``notes``
+    are derived from the samples and the table: how many samples are inflected, and each
+    section w_j = 0 that holds every inflected sample because no inflected stratum has j."""
 
     scroll: DecomposableScroll
     k: int
@@ -429,7 +432,6 @@ class ScanReport:
     samples_requested: int
     points_examined: int
     inflected: Tuple[InflectedSample, ...]
-    notes: Tuple[str, ...]
     strata: Dict[Tuple[int, ...], int] = field(compare=False)
 
     @property
@@ -439,6 +441,17 @@ class ScanReport:
     @property
     def clean_count(self) -> int:
         return self.points_examined - len(self.inflected)
+
+    @property
+    def notes(self) -> Tuple[str, ...]:
+        if not self.inflected:
+            return ("no inflected sample found (sampling cannot certify emptiness)",)
+        # the j with w_j != 0 somewhere on the locus
+        on = set().union(*(T for T, rank in self.strata.items() if rank < self.full_rank))
+        return (f"{len(self.inflected)} inflected samples among {self.points_examined} points; "
+                "each carries its exact jet matrix as certificate",
+                *(f"every inflected sample lies on the section w{j} = 0"
+                  for j in range(1, self.scroll.n + 1) if j not in on))
 
     def to_dict(self) -> dict:
         return {
@@ -598,28 +611,7 @@ def rank_scan(
             point = _point(*key)
             rows = _jet_text(scroll, k, point)
             inflected.append(InflectedSample(point, rank, full_rank - rank, rows))
-
-    notes: List[str] = []
-    if not inflected:
-        notes.append("no inflected sample found (sampling cannot certify emptiness)")
-    else:
-        notes.append(
-            f"{len(inflected)} inflected samples among {len(keys)} points; "
-            "each carries its exact jet matrix as certificate"
-        )
-        on = set().union(*(T for T, rank in strata.items() if rank < full_rank))  # j with w_j != 0
-        notes.extend(f"every inflected sample lies on the section w{j} = 0"
-                     for j in summands if j not in on)
-    return ScanReport(
-        scroll=scroll,
-        k=k,
-        seed=seed,
-        samples_requested=samples,
-        points_examined=len(keys),
-        inflected=tuple(inflected),
-        notes=tuple(notes),
-        strata=strata,
-    )
+    return ScanReport(scroll, k, seed, samples, len(keys), tuple(inflected), strata)
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +708,9 @@ def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, el
     if there is none, else of class prod (L - a_j F) over j not in T, for T the largest."""
     scan = rank_scan(scroll, k, samples=samples, seed=seed)
     top = max((T for T, rank in scan.strata.items() if rank < scan.full_rank), key=len, default=())
-    kept = replace(scan, inflected=scan.inflected[:10]).to_dict()  # keep the summary bounded
-    summary = {**kept, "inflected_count": len(scan.inflected), "clean_count": scan.clean_count}
-    notes = list(scan.notes)
+    summary = scan.to_dict()
+    summary["inflected"] = summary["inflected"][:10]  # keep the summary bounded
+    notes = list(summary["notes"])
     agrees = None
     if len(top) == scroll.n:  # the full-support stratum
         notes.append(

@@ -117,19 +117,17 @@ class DecomposableScroll:
         """Degree of a summand, indexed 1..n."""
         return self.degrees[exact_int(summand, "summand index", 1, self.n) - 1]
 
-    def section_basis(
-        self, base_chart: str, fiber_chart: int
-    ) -> Tuple["SectionMonomial", ...]:
-        """The N+1 basis sections as monomials in the given chart.
+    def section_basis(self, base_chart: str) -> Tuple["SectionMonomial", ...]:
+        """The N+1 basis sections as monomials in the given base chart.
 
-        In base chart "0" and fiber chart i, the sections of summand j are
-        v_j * u^m for 0 <= m <= a_j (with the v_i of the chart summand
-        itself normalized away).  In base chart "inf" the exponents
-        reverse, m -> a_j - m.
+        In base chart "0" the sections of summand j are v_j * u^m for
+        0 <= m <= a_j.  In base chart "inf" the exponents reverse,
+        m -> a_j - m.  The basis does not depend on the fiber chart i: there
+        the v_i of the chart summand is normalized to 1, which a section
+        names only by its summand.
         """
         if base_chart not in _BASE_CHARTS:
             raise ValueError(f"base chart must be one of {_BASE_CHARTS}")
-        exact_int(fiber_chart, "fiber chart", 1, self.n)
         basis: List[SectionMonomial] = []
         for summand, a in enumerate(self.degrees, start=1):
             for m in range(a + 1):
@@ -182,7 +180,8 @@ class ScrollPoint:
 
 def _check_point(scroll: DecomposableScroll, point: ScrollPoint) -> None:
     # ScrollPoint has checked its base chart and made its fiber chart an int,
-    # so a range check suffices and a scan's per-point cost stays flat
+    # so a range check suffices; a scan checks only its inflected samples,
+    # as _jet_text writes their certificates
     if not 1 <= point.fiber_chart <= scroll.n:
         raise ValueError(f"fiber chart {point.fiber_chart} outside 1..{scroll.n}")
     if len(point.v) != scroll.n - 1:
@@ -252,7 +251,7 @@ def jet_template(
     own charts, so it needs at most 2n charts.
     """
     jet_order(k)
-    basis = scroll.section_basis(base_chart, fiber_chart)
+    basis = scroll.section_basis(base_chart)
     cols = jet_columns(scroll.n, k, fiber_chart)
     rows = []
     for section in basis:

@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrolljets.chern import (
-    curve_factor,
-    line_twist_factor,
-    osculating_chern,
-    rank_profile,
-    segre_closed_form,
-    segre_term,
-)
+from scrolljets.chern import osculating_chern, rank_profile, segre_closed_form, segre_term
 from scrolljets.chow import ChowClass, CoeffPoly, D, G
 
 
@@ -67,8 +60,19 @@ def test_rank_additivity():
 
 
 # ---------------------------------------------------------------------------
-# Chern factors
+# Chern factors: the reference the total class is checked against, written
+# from the public algebra alone
 # ---------------------------------------------------------------------------
+
+
+def curve_factor(n, i):
+    """The curve factor 1 - (d + 2in(g-1))F for twist index i."""
+    return ChowClass(n, [(0, 1, 0), (1, 0, -(D + 2 * i * n * (G - 1)))])
+
+
+def line_twist_factor(n, k):
+    """The line twist factor 1 - L - 2k(g-1)F at order k."""
+    return ChowClass(n, [(0, 1, 0), (1, -1, -2 * k * (G - 1))])
 
 
 def test_curve_factor_untwisted():

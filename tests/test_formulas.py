@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrolljets.chern import (
-    curve_factor,
-    line_twist_factor,
     osculating_chern,
     rank_profile,
     segre_closed_form,
@@ -341,10 +339,6 @@ INTEGER_SLOTS = [
     lambda v: segre_closed_form(2, 2, v),
     lambda v: rank_profile(v, 2),
     lambda v: rank_profile(2, v),
-    lambda v: curve_factor(v, 1),
-    lambda v: curve_factor(2, v),
-    lambda v: line_twist_factor(v, 1),
-    lambda v: line_twist_factor(2, v),
     lambda v: osculating_chern(v, 2),
     lambda v: osculating_chern(2, v),
     lambda v: curve_inflection_degree(4, 0, v),
@@ -400,8 +394,8 @@ OUT_OF_RANGE = [
     lambda: ChowClass(2, [(-1, 1, 0)]),
     lambda: classify_uninflected(2, 2, 0),
     lambda: classify_uninflected(2, 2, 3),
-    lambda: curve_factor(2, -1),
-    lambda: line_twist_factor(2, -1),
+    lambda: osculating_chern(2, 0),
+    lambda: segre_closed_form(2, 2, 3),
     lambda: D**-1,
     lambda: CoeffPoly({(-1, 0): 1}),
     lambda: ScrollParams(n=2, ambient=2),

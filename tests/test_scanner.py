@@ -235,7 +235,7 @@ def differentiated_jet_matrix(scroll, k, base, iota, u, vs):
                 sp.diff(f, u, col[1], *([vs[col[2]]] if col[0] == "uv" else []))
                 for col in jet_columns(scroll.n, k, iota)
             ]
-            for f in (vs.get(s.summand, 1) * u**s.exponent for s in scroll.section_basis(base, iota))
+            for f in (vs.get(s.summand, 1) * u**s.exponent for s in scroll.section_basis(base))
         ]
     )
 
@@ -424,6 +424,28 @@ def test_rank_scan_unbalanced_detects_directrix():
     assert any("w2 = 0" in note for note in report.notes)
     clean_points = report.points_examined - len(report.inflected)
     assert clean_points == report.clean_count > 0
+
+
+def test_derived_notes_are_the_notes_the_reports_printed_before():
+    # the scan's and the Wronskian's notes are worked out from what they
+    # measured; each tuple here is the text the stored notes held
+    assert rank_scan(DecomposableScroll((2, 2))).notes == (
+        "no inflected sample found (sampling cannot certify emptiness)",
+    )
+    assert rank_scan(DecomposableScroll((1, 2, 2))).notes == (
+        "14 inflected samples among 200 points; each carries its exact jet matrix as certificate",
+        "every inflected sample lies on the section w2 = 0",
+        "every inflected sample lies on the section w3 = 0",
+    )
+    dependent = wronskian_weights([[1], [0, 1], [1, 1], [0, 0, 0, 1]], 3)
+    assert dependent.notes == ("basis is linearly dependent; weights are undefined",)
+    assert wronskian_weights([[1], [0, 1], [0, 0, 0, 1]], 2).notes == ()
+    # W = u**4 + 2*u**2 + 1 = (u**2 + 1)**2 has no rational root
+    irrational = wronskian_weights([[1, 0, 1], [0, 1, 0, 1]], 1)
+    assert irrational.wronskian == "u**4 + 2*u**2 + 1" and irrational.rational_points == ()
+    assert irrational.notes == ("4 of the finite weights sit at irrational or complex points",)
+    for report in (dependent, irrational):
+        assert report.to_dict()["notes"] == list(report.notes)
 
 
 def test_rank_scan_semibalanced_at_its_own_order_is_clean():
@@ -926,6 +948,14 @@ def test_cross_validate_prints_ten_certificates_and_counts_every_sample():
     assert summary["inflected"] == [sample.to_dict() for sample in scan.inflected[:10]]
     assert summary["inflected_count"] == len(scan.inflected)
     assert summary["clean_count"] == scan.clean_count == scan.points_examined - len(scan.inflected)
+    # at the default samples and seed, the cut document keeps the whole scan's counts and notes
+    X = DecomposableScroll((1, 2, 2))
+    summary, full = cross_validate(X).oracle_summary, rank_scan(X).to_dict()
+    assert summary["inflected"] == full["inflected"][:10] and len(full["inflected"]) == 14
+    assert (summary["inflected_count"], summary["clean_count"]) == (14, 186)
+    assert summary["notes"] == full["notes"] == list(rank_scan(X).notes)
+    assert {key: value for key, value in summary.items() if key != "inflected"} == {
+        key: value for key, value in full.items() if key != "inflected"}
 
 
 def test_cross_validate_deterministic():

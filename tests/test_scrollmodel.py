@@ -79,7 +79,7 @@ def test_scroll_from_text():
 
 def test_section_basis_size_and_reversal():
     X = DecomposableScroll((1, 2))
-    basis0 = X.section_basis(BASE_ZERO, 1)
+    basis0 = X.section_basis(BASE_ZERO)
     assert len(basis0) == X.N + 1
     assert [(s.summand, s.exponent) for s in basis0] == [
         (1, 0),
@@ -88,7 +88,7 @@ def test_section_basis_size_and_reversal():
         (2, 1),
         (2, 2),
     ]
-    basis_inf = X.section_basis(BASE_INF, 1)
+    basis_inf = X.section_basis(BASE_INF)
     assert [(s.summand, s.exponent) for s in basis_inf] == [
         (1, 1),
         (1, 0),
@@ -173,7 +173,7 @@ def test_jet_matrix_rejects_bad_input():
         with pytest.raises(ValueError, match="base chart must be one of"):
             ScrollPoint(chart, 1)
         with pytest.raises(ValueError, match="base chart must be one of"):
-            X.section_basis(chart, 1)
+            X.section_basis(chart)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ INDEX_SCROLL = DecomposableScroll((1, 2, 3))
 INDEX_POINT = pt(1, (2, 3))
 INDEX_SLOTS = [
     lambda v: INDEX_SCROLL.degree_of(v),
-    lambda v: INDEX_SCROLL.section_basis(BASE_ZERO, v),
+    lambda v: jet_template(INDEX_SCROLL, 2, BASE_ZERO, v),
     lambda v: fiber_coordinate(INDEX_SCROLL, INDEX_POINT, v),
     lambda v: jet_columns(3, 2, v),
 ]
@@ -451,7 +451,7 @@ def test_jet_template_is_diagonally_scaled_by_powers_of_u(data):
         for iota in range(1, X.n + 1):
             values = dict(zip(other_summands(X.n, iota), v))
             for order in {k, X.N // X.n}:
-                exponents = [section.exponent for section in X.section_basis(base, iota)]
+                exponents = [section.exponent for section in X.section_basis(base)]
                 orders = [column[1] for column in jet_columns(X.n, order, iota)]
                 at_u = evaluate_jet_template(X, order, base, iota, u, values)
                 at_one = evaluate_jet_template(X, order, base, iota, 1, values)
@@ -474,7 +474,7 @@ def dense_jet_matrix(scroll, k, base, iota, u, values):
     only the sections of summand i.
     """
     matrix = []
-    for section in scroll.section_basis(base, iota):
+    for section in scroll.section_basis(base):
         e, j = section.exponent, section.summand
         row = []
         for column in jet_columns(scroll.n, k, iota):
