@@ -27,6 +27,7 @@ multiplies CoeffPolys) and tidy it once, skipping zero coefficients.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
@@ -66,15 +67,24 @@ def _monomial(*powers: Tuple[str, int]) -> str:
     return "*".join(symbol if e == 1 else f"{symbol}^{e}" for symbol, e in powers if e)
 
 
+def _text(c: Scalar) -> str:
+    """str(c); past the int-to-text digit limit, the digits that Decimal prints exactly."""
+    try:
+        return str(c)
+    except ValueError:
+        top, bottom = str(Decimal(c.numerator)), str(Decimal(c.denominator))
+        return top if bottom == "1" else f"{top}/{bottom}"
+
+
 def _term(c: Scalar, name: str) -> Tuple[str, str]:
     """The (sign, body) pair of the constant c times the monomial ``name`` ("" for 1)."""
     mag = abs(c)
     if not name:
-        body = str(mag)
+        body = _text(mag)
     elif mag == 1:
         body = name
     else:
-        body = f"{mag}*{name}"
+        body = f"{_text(mag)}*{name}"
     return ("-" if c < 0 else "+"), body
 
 

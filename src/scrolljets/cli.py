@@ -38,7 +38,7 @@ from .scanner import (
     rank_scan,
     wronskian_weights,
 )
-from .scrollmodel import DecomposableScroll
+from .scrollmodel import DecomposableScroll, exact_int
 
 
 def _fraction(text: str) -> Fraction:
@@ -100,15 +100,12 @@ def _cmd_degree(args) -> Outcome:
 
 
 def _cmd_verify(args) -> Outcome:
-    if args.max_n < 1 or args.max_k < 1:
-        raise ValueError(
-            f"--max-n and --max-k must be at least 1, got {args.max_n} and {args.max_k}"
-        )
+    max_n, max_k = exact_int(args.max_n, "--max-n", 1), exact_int(args.max_k, "--max-k", 1)
     failures = []
     checked = 0
     lines = []
-    for n in range(1, args.max_n + 1):
-        for k in range(1, args.max_k + 1):
+    for n in range(1, max_n + 1):
+        for k in range(1, max_k + 1):
             for j in range(1, n + 1):
                 checked += 1
                 ok = segre_term(n, k, j) == segre_closed_form(n, k, j)
@@ -120,7 +117,7 @@ def _cmd_verify(args) -> Outcome:
     lines.append(
         f"{checked} identities checked, {len(failures)} failed"
     )
-    inputs = {"max_n": args.max_n, "max_k": args.max_k}
+    inputs = {"max_n": max_n, "max_k": max_k}
     result = {
         "identities": checked,
         "failures": failures,

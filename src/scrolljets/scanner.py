@@ -13,12 +13,10 @@ Three oracles are provided:
   matrix of the full section basis is square, and the inflectional locus
   is the zero divisor of its determinant.  Whether the generic rank
   reaches kn+1 is decided first, exactly, by one integer rank at the
-  full-support point u = 0, v_j = 1: GL_2 x (C*)^n acts on the scroll
-  preserving its sections, and the points with every fiber coordinate
-  nonzero form one open orbit.  Only then are the chart determinants
-  built; each must be a monomial (its zero locus is a union of orbits),
-  and the divisor class L + bF is read off from the u-degrees against the
-  summand degrees, in every chart, and the charts must agree.
+  full-support point (the orbit argument of :mod:`scrolljets.scrollmodel`).
+  Only then are the chart determinants built; each must be a monomial, and
+  the divisor class L + bF is read off from the u-degrees against the
+  summand degrees in every chart, and the charts must agree.
 
 * Seeded exact-rank scans otherwise: deterministic pseudo-random rational
   sample points, getrandbits rejection draws that give Random.randint's
@@ -35,16 +33,16 @@ certifies that the expected-codimension hypothesis of the class formula fails
 (a scan: an inflected stratum T of dimension |T| above n - ell), else whether
 its exact measurement equals the formula's; the report's verdict is
 HYPOTHESIS-VIOLATED, MATCH or MISMATCH accordingly.  A report stores only
-what its oracle measured, derives the rest (full rank, clean count, total
-weight, the notes of a scan and of a Wronskian, a determinant divisor's
+what its oracle measured, derives the rest (a scan's full rank, clean count
+and notes; a Wronskian's ``k``, ``degree``, ``degenerate`` flag, total weight
+and notes; an inflected sample's ``corank``; a determinant divisor's
 primary-chart ``delta`` and its ``factors``) and prints through ``to_dict``.
 
 All three oracles read one sparse jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it once per
-support stratum T, at u = 0 in chart ("0", min T), v_j = 1 on T (a
-certificate at a rational point is text, one gcd per nonzero entry),
-and the Wronskian and determinant oracles share one chart determinant, so
-nothing here differentiates.  One integer elimination,
+support stratum (a certificate at a rational point is text, one gcd per
+nonzero entry), and the Wronskian and determinant oracles share one chart
+determinant, so nothing here differentiates.  One integer elimination,
 :func:`scrolljets.scrollmodel.bareiss`, gives every rank and determinant;
 a chart determinant is read back from its digits (Kronecker substitution)
 into an :class:`~scrolljets.intpoly.IntPoly`, and no oracle factors one: a
@@ -96,11 +94,9 @@ CURVE_TRIALS = 20
 
 
 class GenericRankFailure(Exception):
-    """The jet matrix is singular everywhere: the generic-rank hypothesis fails.
-
-    Decided by the full-support rank, which is the generic rank: the points
-    with every fiber coordinate nonzero form one open orbit of GL_2 x (C*)^n.
-    """
+    """The jet matrix is singular everywhere, so the generic-rank hypothesis fails: the
+    full-support rank, the generic rank by the orbit argument of :mod:`scrolljets.scrollmodel`,
+    is below kn+1."""
 
 
 class InconsistentCharts(RuntimeError):
@@ -114,20 +110,28 @@ class InconsistentCharts(RuntimeError):
 
 @dataclass(frozen=True)
 class WronskianReport:
-    """Weighted inflection count of a curve from its Wronskian; the measured
-    fields default to those of a degenerate basis, which has no weights.
-    ``notes`` are derived: a dependent basis has undefined weights, and
-    otherwise the finite weights that no rational point carries are counted."""
+    """Weighted inflection count of a curve from its Wronskian; the measured fields default to a
+    dependent basis's: Wronskian 0, no weights.  Derived: ``k``, ``degree`` and ``degenerate``
+    from the rows and the Wronskian, the total, and notes on undefined or irrational weights."""
 
-    k: int
     coefficients: Tuple[Tuple[int, ...], ...]
-    degree: int
-    degenerate: bool
     wronskian: str = "0"
     wronskian_at_infinity: str = "0"
     finite_total: int = 0
     rational_points: Tuple[Tuple[Fraction, int], ...] = ()
     infinity_weight: int = 0
+
+    @property
+    def k(self) -> int:
+        return len(self.coefficients) - 1
+
+    @property
+    def degree(self) -> int:
+        return max(len(row) for row in self.coefficients) - 1
+
+    @property
+    def degenerate(self) -> bool:
+        return self.wronskian == "0"
 
     @property
     def total(self) -> int:
@@ -204,7 +208,7 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
     basis = None if isinstance(curve, DecomposableScroll) else rows
     wronskian = _chart_determinant(monomial_curve, k, BASE_ZERO, 1, basis)
     if not wronskian:
-        return WronskianReport(k, rows, degree, degenerate=True)
+        return WronskianReport(rows)
     wronskian_inf = _chart_determinant(monomial_curve, k, BASE_INF, 1, basis)
 
     finite_total = wronskian.degree()
@@ -213,10 +217,7 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
 
     infinity_weight = min(m[0] for m in wronskian_inf.monoms())
     return WronskianReport(
-        k=k,
         coefficients=rows,
-        degree=degree,
-        degenerate=False,
         wronskian=str(wronskian),
         wronskian_at_infinity=str(wronskian_inf),
         finite_total=finite_total,
@@ -285,16 +286,14 @@ def _chart_determinant(
     # a column's sections are distinct monomials, so l1 norms add along a row of rows x M'
     norms = [sum(entry.coeff // divisors[entry.column] for entry in row) for row in template]
     if rows is None:  # e_r is the u-exponent of a row's first entry, the section itself
-        first, live = 1, template
-        shift = sum(row[0].u_exponent for row in template) - sum(orders)
+        first, shift = 1, sum(row[0].u_exponent for row in template) - sum(orders)
     else:
-        used = {r for row in rows for r, c in enumerate(row) if c}
-        first, shift, live = 0, 0, [template[r] for r in used]
+        first, shift = 0, 0
         norms = [sum(abs(c) * norm for c, norm in zip(row, norms)) for row in rows]
     radix = 2 * prod(norms) + 1
     exponent = [lambda e: e.u_exponent] + [lambda e, j=j: int(e.summand == j) for j in others]
-    columns = {}  # the live entries of each column
-    for entry in (entry for row in live for entry in row):
+    columns = {}  # the entries of each column
+    for entry in (entry for row in template for entry in row):
         columns.setdefault(entry.column, []).append(entry)
     degrees = {var: sum(max(map(exponent[var], column)) for column in columns.values())
                for var in range(first, len(others) + 1)}
@@ -348,13 +347,12 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
 
     Requires N = kn so the matrix is square.  The determinant vanishes
     identically iff the generic rank is below kn+1, which one rank at the
-    full-support point decides without building it
-    (:func:`scrolljets.scrollmodel.full_support_rank`; the points with every
-    fiber coordinate nonzero form one open orbit of GL_2 x (C*)^n, which
-    meets every chart).  Raises :class:`GenericRankFailure` when that rank
-    is short, and :class:`InconsistentCharts` when a chart determinant built
-    after it vanishes identically, is not a monomial or is not affine-linear
-    in the fiber coordinates, or when the per-chart class extractions disagree.
+    full-support point decides without building it (the orbit argument of
+    :mod:`scrolljets.scrollmodel`).  Raises :class:`GenericRankFailure` when
+    that rank is short, and :class:`InconsistentCharts` when a chart
+    determinant built after it vanishes identically, is not a monomial or is
+    not affine-linear in the fiber coordinates, or when the per-chart class
+    extractions disagree.
     """
     k = jet_order(k)
     if scroll.N != k * scroll.n:
@@ -396,8 +394,11 @@ class InflectedSample:
 
     point: ScrollPoint
     rank: int
-    corank: int
     rows: Tuple[Tuple[str, ...], ...]
+
+    @property
+    def corank(self) -> int:
+        return len(self.rows[0]) - self.rank
 
     @property
     def matrix(self) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -480,16 +481,14 @@ _RATIONALS = {(a, b): _CODES.setdefault((a // gcd(a, b), b // gcd(a, b)), len(_C
               for a in range(-_WIDE[0], _WIDE[0] + 1) for b in range(1, _WIDE[1] + 1)}
 _VALUES = tuple(Fraction(*pair) for pair in _CODES)
 
-#: How many distinct values u and each v_j can take: 251 and 51.
-_U_VALUES = len(_VALUES)
-_V_VALUES = len({code for (a, b), code in _RATIONALS.items()
-                 if abs(a) <= _NARROW[0] and b <= _NARROW[1]})
-
 #: Per bound pair (top, den): how many values randint(-top, top) and randint(1, den) take,
 #: and the code of each pair of draws i, j (from 0) at i * den + j.
 _WIDE_DRAW, _NARROW_DRAW = (
     (2 * top + 1, den, [_RATIONALS[a, b] for a in range(-top, top + 1) for b in range(1, den + 1)])
     for top, den in (_WIDE, _NARROW))
+
+#: How many distinct values u and each v_j can take: 251 and 51.
+_U_VALUES, _V_VALUES = (len(set(draw[2])) for draw in (_WIDE_DRAW, _NARROW_DRAW))
 
 
 def _below(bits, m: int) -> Iterator[int]:
@@ -588,8 +587,7 @@ def rank_scan(
 
     After drawing the points of :func:`scan_points` as int codes (getrandbits
     rejection draws, randint's stream), the scan ranks each of the 2^n - 1
-    support strata T once, at u = 0 in chart ("0", min T), v_j = 1 on T, on
-    integer rows, into the stratum table ``strata``.  If a stratum is
+    support strata once on integer rows, into the stratum table ``strata``.  If a stratum is
     inflected, each sample reads its rank by the support of its codes (the
     structured block meets every stratum), and only an inflected sample is
     built as a point, reported with the text of its exact jet matrix there as
@@ -610,7 +608,7 @@ def rank_scan(
         if rank < full_rank:
             point = _point(*key)
             rows = _jet_text(scroll, k, point)
-            inflected.append(InflectedSample(point, rank, full_rank - rank, rows))
+            inflected.append(InflectedSample(point, rank, rows))
     return ScanReport(scroll, k, seed, samples, len(keys), tuple(inflected), strata)
 
 

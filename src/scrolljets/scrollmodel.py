@@ -17,11 +17,18 @@ reverses the exponent m of a degree-a section to a - m) and n fiber charts
 (fiber chart i normalizes the i-th homogeneous fiber coordinate to 1).
 Everything is exact rational arithmetic; ranks and determinants come from
 one fraction-free elimination with deterministic pivoting (:func:`bareiss`).
-A row of the template stores only its nonzero entries.  A point's rank
-needs no fractions: the jet rank is constant on the orbits of
-GL_2 x (C*)^n, the support strata, so :func:`point_rank` reads a point's
-rank off its support T, ranked once per support stratum, at u = 0 in
-chart ("0", min T), v_j = 1 on T and 0 off it.
+A row of the template stores only its nonzero entries.
+
+The orbit argument: GL_2 x (C*)^n acts on the scroll and preserves the
+complete linear system, so the jet rank is constant on its orbits, the
+support strata (a point's support T is its chart summand and every j with
+v_j != 0): GL_2 moves any base point to u = 0 in chart "0", and
+v_j -> t_j v_j (t_j != 0) scales the fiber coordinates on T to 1.  So
+:func:`point_rank` ranks a point by its stratum's integer matrix, at u = 0
+in chart ("0", min T), v_j = 1 on T and 0 off it.  T = {1..n} is one open dense
+orbit that meets every chart, so its rank is the generic rank
+(:func:`full_support_rank`), and a jet determinant, whose zero locus is a
+union of orbits, is a monomial in every chart.
 """
 
 from __future__ import annotations
@@ -198,8 +205,7 @@ def fiber_coordinate(
     summand = exact_int(summand, "summand index", 1, scroll.n)
     if summand == point.fiber_chart:
         return Fraction(1)
-    slot = summand - 1 if summand < point.fiber_chart else summand - 2
-    return point.v[slot]
+    return point.v[other_summands(scroll.n, point.fiber_chart).index(summand)]
 
 
 # Column descriptors for the reduced jet matrix: ("u", h) is the pure
@@ -246,9 +252,8 @@ def jet_template(
     perm(e, h) u^(e-h) v_j (v_j = 1 on the chart summand) and, for its own
     summand j only, the mixed d/dv_j derivative perm(e, h) u^(e-h).  Every
     numeric, symbolic and Wronskian jet matrix is this template evaluated.
-    The cache is bounded: a scan is ranked once per support stratum, at
-    u = 0 in chart ("0", min T), v_j = 1 on T, and certified in its points'
-    own charts, so it needs at most 2n charts.
+    The cache is bounded: a scan ranks its strata in the charts ("0", i)
+    and certifies in its points' own charts, so it needs at most 2n charts.
     """
     jet_order(k)
     basis = scroll.section_basis(base_chart)
@@ -397,11 +402,6 @@ def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
     return bareiss(cleared)[0]
 
 
-def _support(point: ScrollPoint) -> Tuple[int, ...]:
-    """A checked point's support T, ascending: its chart summand and every j with v_j != 0."""
-    return _chart_support(point.fiber_chart, point.v)
-
-
 def _chart_support(fiber_chart: int, v: tuple) -> Tuple[int, ...]:
     """The support of the fiber coordinates v (values, or codes that are 0 for zero) in a chart."""
     v = v[:fiber_chart - 1] + (1,) + v[fiber_chart - 1:]
@@ -415,28 +415,22 @@ def _representative_rank(scroll: DecomposableScroll, k: int, support: Tuple[int,
 
 
 def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
-    """Rank of the k-jet matrix at a point, ranked once per support stratum on integer rows.
+    """Rank of the k-jet matrix at a point: its support stratum's, by the module's orbit argument.
 
-    GL_2 x (C*)^n acts on P(O(a_1) + ... + O(a_n)) and preserves the
-    complete linear system, so the jet rank is constant on its orbits,
-    the support strata: GL_2 moves any base point to u = 0 in chart "0",
-    and v_j -> t_j v_j (t_j != 0) scales the nonzero fiber coordinates, on
-    the point's support T, to 1.  So the point has the rank of the template
-    at u = 0 in chart ("0", min T), v_j = 1 on T and 0 off it: an integer
-    matrix, and no Fraction is built.  :func:`exact_rank` of the
-    :func:`jet_matrix` entries is the independent Fraction check.
+    The stratum is ranked on integer rows, so no Fraction is built.
+    :func:`exact_rank` of the :func:`jet_matrix` entries, the certificate
+    text of :func:`_jet_text` parsed, checks it in the point's own chart,
+    independently of the orbit reduction and the stratum elimination.
     """
     _check_point(scroll, point)
-    return _representative_rank(scroll, k, _support(point))
+    return _representative_rank(scroll, k, _chart_support(point.fiber_chart, point.v))
 
 
 def full_support_rank(scroll: DecomposableScroll, k: int) -> int:
     """The generic k-jet rank: the stratum T = {1..n}, at u = 0, every v_j = 1, in chart ("0", 1).
 
-    This is exact, not a sample.  The points whose fiber coordinates are
-    all nonzero form one orbit of GL_2 x (C*)^n, which is open and dense,
-    and this is its representative, as :func:`point_rank` ranks it; so its
-    rank is the generic rank, and every full-support point has it.
+    Exact, not a sample: by the module's orbit argument T = {1..n} is the
+    open dense orbit, so every full-support point has this rank.
     """
     return _representative_rank(scroll, k, tuple(range(1, scroll.n + 1)))
 

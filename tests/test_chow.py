@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,19 @@ def test_coeffpoly_str_canonical_order():
     assert str(CoeffPoly()) == "0"
     assert str(-D) == "-d"
     assert str(CoeffPoly.const(Fraction(3, 2)) * D) == "3/2*d"
+
+
+def test_coefficients_past_the_int_to_text_limit_print_exactly():
+    # str(int) stops at 4,300 digits by default; a coefficient is printed in
+    # full past that, an int or a Fraction, and the limit is left as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    big = 10**5000 + 1
+    digits = "1" + "0" * 4999 + "1"
+    assert str(CoeffPoly.const(big)) == digits
+    assert str(-big * D + 1) == f"-{digits}*d + 1"
+    assert str(CoeffPoly.const(Fraction(big, 3)) * G) == f"{digits}/3*g"
+    assert str(CoeffPoly.const(Fraction(1, big))) == f"1/{digits}"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 @settings(max_examples=150)

@@ -351,6 +351,25 @@ def test_wronskian_verb_reports_a_dependent_basis(capsys, tmp_path):
     assert doc["result"]["degenerate"] is True and doc["result"]["total"] == 0
 
 
+def test_wronskians_past_the_int_to_text_limit_print_from_the_cli(capsys):
+    # prod h! over h <= 82 has 4,400 digits, past the 4,300 that str prints
+    # by default; both verbs print it and exit 0, and leave the limit as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for d in ("82", "90"):
+        code, doc, err = run_json(capsys, "wronskian", "--degrees", d, "--k", d)
+        assert (code, err) == (0, "")
+        wronskian = doc["result"]["wronskian"]
+        assert wronskian.isdigit() and len(wronskian) > 4300
+        assert doc["result"]["total"] == 0
+        code, out, err = run(capsys, "wronskian", "--degrees", d, "--k", d)
+        assert (code, err) == (0, "")
+        assert f"\n  wronskian: {wronskian}\n" in out
+        code, out, err = run(capsys, "cross-validate", "--scroll", d)
+        assert (code, err) == (0, "")
+        assert out.endswith("  verdict: MATCH\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_wronskian_verb_requires_one_source(capsys):
     code, _, err = run(capsys, "wronskian", "--k", "3")
     assert code == 1

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -301,6 +302,38 @@ def test_low_codimension_is_inflected_because_the_class_meets_a_fiber_curve_once
                 assert classify_uninflected(n, k, ell) is None
                 cases += 1
     assert cases == 217
+
+
+def test_porteous_classes_of_corank_two_or_more_vanish():
+    # the locus where the jet rank drops by r has the Thom-Porteous class
+    # det[s_(ell+r-1+j-i)] of the Segre terms; each s_m = L^m + (alpha +
+    # beta m) L^(m-1) F, so modulo F^2 that matrix has rank 1 and every
+    # r >= 2 determinant is zero in d and g: no corank-2 locus, for any
+    # scroll, at any (n, k, ell) where its codimension r(ell + r - 1) fits
+    cases = 0
+    for n in range(1, 9):
+        unit, zero = ChowClass.unit(n), ChowClass(n)
+        for k in range(1, 9):
+            segre = {m: segre_term(n, k, m) for m in range(1, n + 1)}
+            segre[0] = unit
+            for ell in range(1, n + 1):
+                for r in range(2, n + 1):
+                    if r * (ell + r - 1) > n:
+                        break
+                    matrix = [[segre.get(ell + r - 1 + j - i, zero) for j in range(r)]
+                              for i in range(r)]
+                    det = zero
+                    for sigma in itertools.permutations(range(r)):
+                        inversions = sum(a > b for a, b in itertools.combinations(sigma, 2))
+                        term = unit
+                        for i, j in enumerate(sigma):
+                            term = term * matrix[i][j]
+                        det = det - term if inversions % 2 else det + term
+                    # the cancellation is real: the diagonal term fits in codimension n
+                    assert not (matrix[0][0] ** r).is_zero(), (n, k, ell, r)
+                    assert det.is_zero(), (n, k, ell, r, det)
+                    cases += 1
+    assert cases == 72
 
 
 def test_classify_rejects_out_of_range():

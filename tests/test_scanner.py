@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import json
+import math
 import numbers
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,8 @@ from scrolljets.scanner import (
     MISMATCH,
     MAX_STRUCTURED_POINTS,
     GenericRankFailure,
+    InflectedSample,
+    WronskianReport,
     _chart_determinant,
     _draws,
     cross_validate,
@@ -33,7 +38,6 @@ from scrolljets.scrollmodel import (
     DecomposableScroll,
     ScrollPoint,
     _chart_support,
-    _support,
     evaluate_jet_template,
     exact_rank,
     fiber_coordinate,
@@ -105,6 +109,57 @@ def test_wronskian_degenerate_basis():
     report = wronskian_weights([[1], [0, 1], [1, 1], [0, 0, 0, 1]], 3)
     assert report.degenerate
     assert "dependent" in report.notes[0]
+
+
+def test_reports_store_only_what_their_oracles_measured():
+    # k, degree and degenerate are read off the basis rows and the Wronskian,
+    # and a sample's corank off its certificate's kn + 1 columns, so neither
+    # report can contradict itself
+    names = lambda report: [field.name for field in dataclasses.fields(report)]
+    assert names(WronskianReport) == [
+        "coefficients", "wronskian", "wronskian_at_infinity", "finite_total",
+        "rational_points", "infinity_weight",
+    ]
+    assert names(InflectedSample) == ["point", "rank", "rows"]
+    rows = ((1,), (0, 1), (1, 1), (0, 0, 0, 1))
+    report = wronskian_weights(rows, 3)
+    assert report == WronskianReport(rows)
+    assert (report.k, report.degree, report.degenerate, report.total) == (3, 3, True, 0)
+    report = wronskian_weights([[1], [0, 1], [0, 0, 1], [0, 0, 0, 0, 1]], 3)
+    assert (report.k, report.degree, report.degenerate) == (3, 4, False)
+    report = wronskian_weights(DecomposableScroll((5,)), 5)
+    assert (report.k, report.degree, report.degenerate) == (5, 5, False)
+    scan = rank_scan(DecomposableScroll((1, 1, 4)), samples=100, seed=7)
+    assert scan.inflected
+    for sample in scan.inflected:
+        assert sample.corank == scan.full_rank - sample.rank == 1
+        assert sample.to_dict()["corank"] == sample.corank
+
+
+def _digits(n):
+    """The decimal text of an int n >= 0, written 1,000 digits at a time, so
+    below Python's limit on int-to-text conversion."""
+    chunks = []
+    while n:
+        n, chunk = divmod(n, 10**1000)
+        chunks.append(f"{chunk:01000d}")
+    return "".join(reversed(chunks)).lstrip("0") or "0"
+
+
+def test_wronskians_past_the_int_to_text_limit_print_exactly():
+    # the Wronskian of the full monomial basis of degree d is the constant
+    # prod h! over h <= d: 4,400 digits at d = 82, past the 4,300 that str
+    # prints by default, and no interpreter setting may change to print it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for d, length in ((82, 4400), (90, 5451)):
+        report = wronskian_weights(DecomposableScroll((d,)), d)
+        expected = _digits(math.prod(math.factorial(h) for h in range(d + 1)))
+        assert len(expected) == length
+        assert report.wronskian == expected
+        assert report.wronskian_at_infinity.lstrip("-") == expected
+        assert (report.total, report.notes) == (0, ())
+        assert json.loads(json.dumps(report.to_dict()))["wronskian"] == expected
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_wronskian_random_spanning_bases():
@@ -526,7 +581,7 @@ def test_scan_points_meet_every_support_stratum(degrees, seed):
     summands = range(1, X.n + 1)
     supports = set()
     for point in scan_points(X, 1, seed):
-        support = _support(point)
+        support = _chart_support(point.fiber_chart, point.v)
         assert support == tuple(j for j in summands if fiber_coordinate(X, point, j))
         supports.add(support)
     every = {t for size in summands for t in itertools.combinations(summands, size)}
@@ -728,7 +783,8 @@ def test_a_clean_stratum_table_reads_no_sample(monkeypatch):
     assert len(looked_up) == report.points_examined == len(_draws(X, 150, 3))
     assert report.inflected
     for sample in report.inflected:
-        assert report.strata[_support(sample.point)] == sample.rank < report.full_rank
+        support = _chart_support(sample.point.fiber_chart, sample.point.v)
+        assert report.strata[support] == sample.rank < report.full_rank
 
 
 def test_oversized_scan_raises_before_building_a_point(monkeypatch):

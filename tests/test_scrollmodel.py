@@ -614,3 +614,22 @@ def test_scan_strata_are_the_closed_form_on_every_small_type():
                 assert rank_scan(X, k, samples=1).strata == expected, (degrees, k)
                 cases += 1
     assert cases == 313
+
+
+def test_no_stratum_has_corank_two_where_the_generic_rank_is_full():
+    # the oracle side of the vanishing Porteous classes of corank r >= 2: on
+    # every nondecreasing type with n <= 4 and a_j <= 6, at every order
+    # k <= N // n of full generic rank kn + 1, every support stratum has
+    # rank at least kn, so no point has corank 2 or more
+    pairs = strata = 0
+    for n in (1, 2, 3, 4):
+        for degrees in itertools.combinations_with_replacement(range(1, 7), n):
+            X = DecomposableScroll(degrees)
+            for k in range(1, X.N // n + 1):
+                if full_support_rank(X, k) < k * n + 1:
+                    continue
+                table = rank_scan(X, k, samples=1).strata
+                assert min(table.values()) >= k * n, (degrees, k, table)
+                pairs += 1
+                strata += len(table)
+    assert (pairs, strata) == (640, 7046)
