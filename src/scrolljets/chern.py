@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .chow import _ONE, _ZERO, ChowClass, CoeffPoly, D, G, _tidy
+from .chow import _ONE, _ZERO, ChowClass, CoeffPoly, _tidy
 from .scrollmodel import exact_int, jet_order, scroll_dimension
 
 
@@ -76,8 +76,8 @@ def osculating_chern(n: int, k: int) -> ChowClass:
     indices i = 0..k-1, and the line twist factor at k.  As F*F = 0 the
     curve factors multiply to 1 - (c_0 + ... + c_(k-1))F, so one class
     product remains; the c_i are summed coefficientwise as ints, in a loop
-    over i.  Nothing is cached: ``segre_term`` builds and inverts this
-    product on every call, which keeps its check against
+    over i.  Nothing is cached: ``segre_term`` builds this product and
+    inverts its truncation on every call, which keeps its check against
     ``segre_closed_form`` independent of earlier answers.
     """
     n, k = scroll_dimension(n), jet_order(k)
@@ -95,18 +95,29 @@ def _piece(n: int, j: int, alpha: CoeffPoly, beta: CoeffPoly) -> ChowClass:
 
 
 def segre_term(n: int, k: int, j: int) -> ChowClass:
-    """Codimension-j piece of the inverse total Chern class, via the product."""
+    """Codimension-j piece of the inverse total Chern class, via the product.
+
+    Only the codimension <= j part of ``osculating_chern(n, k)`` is inverted,
+    as a class on dimension j: dropping the codimensions above j is a ring
+    map, so it commutes with inversion, and y_j = -sum x_i*y_(j-i) reads only
+    x_1..x_j.  The piece is the same as that of the full inverse.
+    """
     n = scroll_dimension(n)
     j = exact_int(j, "codimension j", 1, n)
-    return _piece(n, j, *osculating_chern(n, k).inverse().term(j))
+    return _piece(n, j, *osculating_chern(n, k)._truncated(j).inverse().term(j))
 
 
 def segre_closed_form(n: int, k: int, j: int) -> ChowClass:
     """Closed form of the same graded piece:
 
     L^j + k*(d + (n(k-1) + 2j)(g-1)) * L^(j-1)*F
+
+    The fiber coefficient k*d + t*(g - 1), t = k(n(k-1) + 2j), is written as
+    its three int terms, all nonzero as k, t >= 1.  It is not built by
+    ``_fiber_coeff``, which the product side uses, so the identity check
+    stays independent.
     """
     n, k = scroll_dimension(n), jet_order(k)
     j = exact_int(j, "codimension j", 1, n)
-    beta: CoeffPoly = k * (D + (n * (k - 1) + 2 * j) * (G - 1))
-    return _piece(n, j, _ONE, beta)
+    t = k * (n * (k - 1) + 2 * j)
+    return _piece(n, j, _ONE, CoeffPoly._make({(1, 0): k, (0, 1): t, (0, 0): -t}))

@@ -94,6 +94,26 @@ def _signed_sum(parts: list) -> str:
     return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
+def _exact(value, what: str) -> Scalar:
+    """An exact rational as an int when integral, else as a Fraction; bools and floats fail."""
+    if type(value) is not int and type(value) is not Fraction:
+        value = exact_rational(value, what)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _substituted(terms: dict, d: Optional[Scalar], g: Optional[Scalar]) -> "CoeffPoly":
+    """The polynomial of ``terms`` with checked values put in for d and/or g (None stays formal)."""
+    out: dict = {}
+    for (ed, eg), c in terms.items():
+        if d is not None:
+            c, ed = c * d**ed, 0
+        if g is not None:
+            c, eg = c * g**eg, 0
+        if c:
+            out[ed, eg] = out.get((ed, eg), 0) + c
+    return CoeffPoly._make(_tidy(out))
+
+
 class CoeffPoly:
     """Polynomial in the formal parameters d and g.
 
@@ -208,27 +228,18 @@ class CoeffPoly:
         d: Optional[Scalar] = None,
         g: Optional[Scalar] = None,
     ) -> "CoeffPoly":
-        """Plug exact values into d and/or g; omitted parameters stay formal."""
-        d = None if d is None else exact_rational(d, "d")
-        g = None if g is None else exact_rational(g, "g")
-        out: dict[Tuple[int, int], Scalar] = {}
-        for (ed, eg), c in self._terms.items():
-            value: Scalar = c
-            key_d, key_g = ed, eg
-            if d is not None:
-                value = value * d**ed
-                key_d = 0
-            if g is not None:
-                value = value * g**eg
-                key_g = 0
-            key = (key_d, key_g)
-            out[key] = out.get(key, 0) + value
-        return CoeffPoly(out)
+        """Plug exact values into d and/or g; omitted parameters stay formal.
+
+        Each value is checked once, and an integral one is substituted as an
+        int, so integer data builds no Fraction.
+        """
+        d = None if d is None else _exact(d, "d")
+        g = None if g is None else _exact(g, "g")
+        return _substituted(self._terms, d, g)
 
     def evaluate(self, d: Scalar, g: Scalar) -> Fraction:
         """Evaluate at exact rational values; this is a ring homomorphism."""
-        d, g = exact_rational(d, "d"), exact_rational(g, "g")
-        return Fraction(self.substitute(d, g).constant_value())
+        return Fraction(_substituted(self._terms, _exact(d, "d"), _exact(g, "g")).constant_value())
 
     def _sorted_terms(self) -> list[Tuple[Tuple[int, int], Scalar]]:
         # canonical printing order: degree-lexicographic, d before g
@@ -396,6 +407,14 @@ class ChowClass:
             result = result * self
         return result
 
+    def _truncated(self, j: int) -> "ChowClass":
+        """The pieces of codimension <= j, as a class on dimension j (1 <= j <= n).
+
+        Dropping every codimension above j is a ring map, so it commutes with
+        products and with :meth:`inverse`.
+        """
+        return ChowClass._make(j, self._alpha[: j + 1], self._beta[: j + 1])
+
     def inverse(self) -> "ChowClass":
         """Multiplicative inverse, as a power series truncated beyond codim n.
 
@@ -433,11 +452,17 @@ class ChowClass:
         d: Optional[Scalar] = None,
         g: Optional[Scalar] = None,
     ) -> "ChowClass":
-        """Substitute exact values for d and/or g in every coefficient."""
+        """Substitute exact values for d and/or g in every coefficient.
+
+        The values are checked once for the whole class, integral ones go in
+        as ints, and zero coefficients are passed over.
+        """
+        d = None if d is None else _exact(d, "d")
+        g = None if g is None else _exact(g, "g")
         return ChowClass._make(
             self._n,
-            tuple(a.substitute(d, g) for a in self._alpha),
-            tuple(b.substitute(d, g) for b in self._beta),
+            tuple(_substituted(a._terms, d, g) if a._terms else a for a in self._alpha),
+            tuple(_substituted(b._terms, d, g) if b._terms else b for b in self._beta),
         )
 
     def degree_poly(self) -> CoeffPoly:

@@ -24,6 +24,7 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import Optional, Tuple
 
 from .chern import rank_profile, segre_closed_form, segre_term
+from .chow import _text
 from .formulas import (
     ScrollParams,
     classify_uninflected,
@@ -71,8 +72,8 @@ def _params(args) -> Tuple[ScrollParams, dict, str]:
     inputs = {
         "n": args.n,
         "ambient": args.ambient,
-        "d": None if args.d is None else str(args.d),
-        "g": None if args.g is None else str(args.g),
+        "d": None if args.d is None else _text(args.d),
+        "g": None if args.g is None else _text(args.g),
     }
     header = f"scroll: n={args.n} in P^{args.ambient} (k={params.k}, ell={params.ell})"
     return params, inputs, header
@@ -93,8 +94,8 @@ def _cmd_class(args) -> Outcome:
 
 def _cmd_degree(args) -> Outcome:
     params, inputs, header = _params(args)
-    value = inflectional_degree(params)
-    result = {"degree": str(value), "source": "inflectional-degree-closed-form"}
+    value = _text(inflectional_degree(params))  # a Fraction past the digit limit prints too
+    result = {"degree": value, "source": "inflectional-degree-closed-form"}
     lines = [header, f"inflectional locus degree: {value}"]
     return {"inputs": inputs, "result": result}, lines, 0
 

@@ -199,6 +199,16 @@ def test_segre_pipeline_matches_closed_form_grid():
                 assert segre_term(n, k, j) == segre_closed_form(n, k, j)
 
 
+def test_segre_term_is_the_piece_of_the_untruncated_inverse():
+    # segre_term inverts only the codimension <= j part of the total class;
+    # its piece must be the one the whole inverse carries in codimension j
+    for n in range(1, 13):
+        for k in range(1, 9):
+            full = osculating_chern(n, k).inverse()
+            for j in range(1, n + 1):
+                assert segre_term(n, k, j) == ChowClass(n, [(j, *full.term(j))]), (n, k, j)
+
+
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

@@ -440,6 +440,69 @@ def test_inverse_matches_reference_model(classes):
 
 
 @settings(max_examples=80, deadline=None)
+@given(ref_classes(count=1, unit=True))
+def test_inverting_a_truncation_gives_the_low_pieces_of_the_inverse(classes):
+    # dropping every codimension above j is a ring map, so it commutes with
+    # inversion; segre_term inverts only the codimension <= j part
+    (x,) = classes
+    n, full = x.n, x.inverse()
+    for j in range(1, n + 1):
+        low = x._truncated(j)
+        inv = low.inverse()
+        assert low.n == inv.n == j
+        assert [low.term(m) for m in range(j + 1)] == [x.term(m) for m in range(j + 1)]
+        assert [inv.term(m) for m in range(j + 1)] == [full.term(m) for m in range(j + 1)]
+        assert to_ref(inv) == ref_inverse(ref_reduce(to_ref(x), j), j)
+
+
+def fraction_substitute(poly, d, g):
+    """Term-by-term reference: every coefficient and value a Fraction, None left formal."""
+    out = {}
+    for (ed, eg), c in poly.terms().items():
+        value = Fraction(c)
+        if d is not None:
+            value, ed = value * Fraction(d) ** ed, 0
+        if g is not None:
+            value, eg = value * Fraction(g) ** eg, 0
+        out[ed, eg] = out.get((ed, eg), 0) + value
+    return {key: c for key, c in out.items() if c}
+
+
+non_integral_fractions = small_fractions.filter(lambda q: q.denominator > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ref_classes(count=1),
+    st.integers(-9, 9),
+    st.integers(-9, 9),
+    non_integral_fractions,
+    non_integral_fractions,
+)
+def test_substitution_matches_a_fraction_reference(classes, d_int, g_int, d_frac, g_frac):
+    # integral values go in as ints, the same values as Fractions give the
+    # same terms, and so do non-integral Fractions, with every integral
+    # coefficient stored as an int
+    (x,) = classes
+    polys = [p for _, a, b in x.pieces() for p in (a, b)] or [CoeffPoly()]
+    for d, g in ((d_int, g_int), (Fraction(d_int), Fraction(g_int)), (d_frac, g_frac)):
+        for values in ((d, g), (d, None), (None, g)):
+            for poly in polys:
+                got = poly.substitute(*values)
+                assert got.terms() == fraction_substitute(poly, *values)
+                assert_canonical(got)
+            evaluated = x.evaluate(*values)
+            assert_canonical(evaluated)
+            for j in range(x.n + 1):
+                for coeff, poly in zip(evaluated.term(j), x.term(j)):
+                    assert coeff.terms() == fraction_substitute(poly, *values)
+        for poly in polys:
+            value = poly.evaluate(d, g)
+            assert type(value) is Fraction
+            assert value == fraction_substitute(poly, d, g).get((0, 0), 0)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     ref_coeffs,
     coeff_polys,

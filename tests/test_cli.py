@@ -370,6 +370,43 @@ def test_wronskians_past_the_int_to_text_limit_print_from_the_cli(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_values_past_the_int_to_text_limit_print_from_class_and_degree(capsys):
+    # 1e5000 reads as 10^5000, whose 5,001 digits are past the 4,300 that str
+    # prints by default; the echoed input, the class and the degree print in
+    # full, in text and in --json, and the limit is left as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    big = "1" + "0" * 5000
+    two_big_less_12 = "1" + "9" * 4998 + "88"  # 2*10^5000 - 12
+    three_big_less_12 = "2" + "9" * 4998 + "88"  # 3*10^5000 - 12
+    twelve_big_less_12 = "11" + "9" * 4998 + "88"  # 12*10^5000 - 12
+    header = "scroll: n=2 in P^5 (k=2, ell=2)\n"
+    scroll = ("--n", "2", "--ambient", "5")
+
+    code, out, err = run(capsys, "class", *scroll, "--d", "1e5000")
+    assert (code, err) == (0, "")
+    assert out == f"{header}inflectional locus class: L^2 + (12*g + {two_big_less_12})*L*F\n"
+    code, doc, err = run_json(capsys, "class", *scroll, "--g", "1e5000")
+    assert (code, err) == (0, "")
+    assert (doc["inputs"]["d"], doc["inputs"]["g"]) == (None, big)
+    assert doc["result"]["class"] == f"L^2 + (2*d + {twelve_big_less_12})*L*F"
+
+    code, out, err = run(capsys, "degree", *scroll, "--d", "1e5000", "--g", "0")
+    assert (code, err) == (0, "")
+    assert out == f"{header}inflectional locus degree: {three_big_less_12}\n"
+    code, doc, err = run_json(capsys, "degree", *scroll, "--d", "1e5000", "--g", "0")
+    assert (code, err) == (0, "")
+    assert (doc["inputs"]["d"], doc["inputs"]["g"]) == (big, "0")
+    assert doc["result"]["degree"] == three_big_less_12
+    code, out, err = run(capsys, "degree", *scroll, "--g", "1e5000")
+    assert (code, err) == (0, "")
+    assert out == f"{header}inflectional locus degree: 3*d + {twelve_big_less_12}\n"
+    code, doc, err = run_json(capsys, "degree", *scroll, "--g", "1e5000")
+    assert (code, err) == (0, "")
+    assert (doc["inputs"]["d"], doc["inputs"]["g"]) == (None, big)
+    assert doc["result"]["degree"] == f"3*d + {twelve_big_less_12}"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_wronskian_verb_requires_one_source(capsys):
     code, _, err = run(capsys, "wronskian", "--k", "3")
     assert code == 1
