@@ -47,7 +47,6 @@ from .scrollmodel import (
     BASE_INF,
     BASE_ZERO,
     DecomposableScroll,
-    JetMatrix,
     ScrollPoint,
     exact_rank,
     fiber_coordinate,
@@ -75,7 +74,6 @@ __all__ = [
     "HYPOTHESIS_VIOLATED",
     "InconsistentCharts",
     "InflectedSample",
-    "JetMatrix",
     "MATCH",
     "MISMATCH",
     "RankProfile",

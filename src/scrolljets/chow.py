@@ -27,11 +27,10 @@ multiplies CoeffPolys) and tidy it once, skipping zero coefficients.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .scrollmodel import exact_int, exact_rational, scroll_dimension
+from .scrollmodel import _text, exact_int, exact_rational, scroll_dimension
 
 Scalar = Union[int, Fraction]
 CoeffLike = Union["CoeffPoly", int, Fraction]
@@ -65,15 +64,6 @@ def _addmul(acc: dict, x: dict, y: dict) -> None:
 def _monomial(*powers: Tuple[str, int]) -> str:
     """The name of a product of (symbol, exponent) powers, like "d^2*g" or "L*F"; "" for 1."""
     return "*".join(symbol if e == 1 else f"{symbol}^{e}" for symbol, e in powers if e)
-
-
-def _text(c: Scalar) -> str:
-    """str(c); past the int-to-text digit limit, the digits that Decimal prints exactly."""
-    try:
-        return str(c)
-    except ValueError:
-        top, bottom = str(Decimal(c.numerator)), str(Decimal(c.denominator))
-        return top if bottom == "1" else f"{top}/{bottom}"
 
 
 def _term(c: Scalar, name: str) -> Tuple[str, str]:

@@ -24,7 +24,6 @@ from json.encoder import encode_basestring_ascii as _string
 from typing import Optional, Tuple
 
 from .chern import rank_profile, segre_closed_form, segre_term
-from .chow import _text
 from .formulas import (
     ScrollParams,
     classify_uninflected,
@@ -39,12 +38,12 @@ from .scanner import (
     rank_scan,
     wronskian_weights,
 )
-from .scrollmodel import DecomposableScroll, exact_int
+from .scrollmodel import DecomposableScroll, _rational, _text, exact_int
 
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r} ({exc})")
 
@@ -102,22 +101,16 @@ def _cmd_degree(args) -> Outcome:
 
 def _cmd_verify(args) -> Outcome:
     max_n, max_k = exact_int(args.max_n, "--max-n", 1), exact_int(args.max_k, "--max-k", 1)
-    failures = []
-    checked = 0
-    lines = []
+    failures, lines = [], []
     for n in range(1, max_n + 1):
         for k in range(1, max_k + 1):
             for j in range(1, n + 1):
-                checked += 1
                 ok = segre_term(n, k, j) == segre_closed_form(n, k, j)
-                lines.append(
-                    f"n={n} k={k} j={j}: {'PASS' if ok else 'FAIL'}"
-                )
+                lines.append(f"n={n} k={k} j={j}: {'PASS' if ok else 'FAIL'}")
                 if not ok:
                     failures.append({"n": n, "k": k, "j": j})
-    lines.append(
-        f"{checked} identities checked, {len(failures)} failed"
-    )
+    checked = len(lines)
+    lines.append(f"{checked} identities checked, {len(failures)} failed")
     inputs = {"max_n": max_n, "max_k": max_k}
     result = {
         "identities": checked,
@@ -189,7 +182,8 @@ def _read_basis(path: str) -> list[list[int]]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([int(tok) for tok in line.replace(",", " ").split()])
+            values = map(_rational, line.replace(",", " ").split())
+            rows.append([x.numerator if x.denominator == 1 else x for x in values])
     if not rows:
         raise ValueError(f"basis file {path!r} contains no polynomials")
     return rows
@@ -326,7 +320,10 @@ def _document_text(value, pad: str = "\n") -> str:
     if kind is str:
         return _string(value)
     if kind is int:
-        return int.__repr__(value)
+        try:
+            return int.__repr__(value)
+        except ValueError:  # past the int-to-text digit limit
+            return _text(value)
     if kind is bool:
         return "true" if value else "false"
     if value is None:

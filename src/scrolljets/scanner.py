@@ -33,15 +33,17 @@ certifies that the expected-codimension hypothesis of the class formula fails
 (a scan: an inflected stratum T of dimension |T| above n - ell), else whether
 its exact measurement equals the formula's; the report's verdict is
 HYPOTHESIS-VIOLATED, MATCH or MISMATCH accordingly.  A report stores only
-what its oracle measured, derives the rest (a scan's full rank, clean count
-and notes; a Wronskian's ``k``, ``degree``, ``degenerate`` flag, total weight
-and notes; an inflected sample's ``corank``; a determinant divisor's
-primary-chart ``delta`` and its ``factors``) and prints through ``to_dict``.
+what its oracle measured, derives the rest (a scan's full rank, clean count,
+inflected strata and notes; a Wronskian's ``k``, ``degree``, ``degenerate``
+flag, total weight and notes; an inflected sample's ``corank``; a determinant
+divisor's primary-chart ``delta`` and ``factors``) and prints via ``to_dict``.
 
 All three oracles read one sparse jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it once per
 support stratum (a certificate at a rational point is text, one gcd per
-nonzero entry), and the Wronskian and determinant oracles share one chart
+nonzero entry, exact at any size, that parses back to
+:func:`~scrolljets.scrollmodel.jet_matrix`, the template at the point's
+Fractions), and the Wronskian and determinant oracles share one chart
 determinant, so nothing here differentiates.  One integer elimination,
 :func:`scrolljets.scrollmodel.bareiss`, gives every rank and determinant;
 a chart determinant is read back from its digits (Kronecker substitution)
@@ -70,7 +72,9 @@ from .scrollmodel import (
     ScrollPoint,
     _chart_support,
     _jet_text,
+    _rational,
     _representative_rank,
+    _text,
     bareiss,
     evaluate_jet_template,
     exact_int,
@@ -157,7 +161,7 @@ class WronskianReport:
             "wronskian_at_infinity": self.wronskian_at_infinity,
             "finite_total": self.finite_total,
             "rational_points": [
-                {"u": str(root), "weight": mult} for root, mult in self.rational_points
+                {"u": _text(root), "weight": mult} for root, mult in self.rational_points
             ],
             "infinity_weight": self.infinity_weight,
             "total": self.total,
@@ -403,7 +407,7 @@ class InflectedSample:
     @property
     def matrix(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """The exact jet matrix, parsed from ``rows``."""
-        return tuple(tuple(map(Fraction, row)) for row in self.rows)
+        return tuple(tuple(map(_rational, row)) for row in self.rows)
 
     def to_dict(self) -> dict:
         return {
@@ -444,11 +448,15 @@ class ScanReport:
         return self.points_examined - len(self.inflected)
 
     @property
+    def inflected_strata(self) -> Tuple[Tuple[int, ...], ...]:
+        """The supports T of rank below kn+1, in ``strata`` order."""
+        return tuple(T for T, rank in self.strata.items() if rank < self.full_rank)
+
+    @property
     def notes(self) -> Tuple[str, ...]:
         if not self.inflected:
             return ("no inflected sample found (sampling cannot certify emptiness)",)
-        # the j with w_j != 0 somewhere on the locus
-        on = set().union(*(T for T, rank in self.strata.items() if rank < self.full_rank))
+        on = set().union(*self.inflected_strata)  # the j with w_j != 0 somewhere on the locus
         return (f"{len(self.inflected)} inflected samples among {self.points_examined} points; "
                 "each carries its exact jet matrix as certificate",
                 *(f"every inflected sample lies on the section w{j} = 0"
@@ -685,18 +693,10 @@ def _square_oracle(scroll: DecomposableScroll, k: int, formula_cls: ChowClass):
     try:
         result = determinant_divisor(scroll, k)
     except GenericRankFailure as failure:
-        return (
-            "determinant-divisor",
-            None,
-            {"error": str(failure)},
-            ["determinant vanishes identically: generic jet rank is below kn+1"],
-        )
-    return (
-        "determinant-divisor",
-        result.divisor_class == formula_cls,
-        result.to_dict(),
-        [f"divisor class extracted in {2 * scroll.n} charts, all agreeing"],
-    )
+        return ("determinant-divisor", None, {"error": str(failure)},
+                ["determinant vanishes identically: generic jet rank is below kn+1"])
+    return ("determinant-divisor", result.divisor_class == formula_cls, result.to_dict(),
+            [f"divisor class extracted in {2 * scroll.n} charts, all agreeing"])
 
 
 def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, ell: int, expected,
@@ -705,7 +705,7 @@ def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, el
     The locus is the union of the X_T over the inflected strata T: of dimension max |T|, empty
     if there is none, else of class prod (L - a_j F) over j not in T, for T the largest."""
     scan = rank_scan(scroll, k, samples=samples, seed=seed)
-    top = max((T for T, rank in scan.strata.items() if rank < scan.full_rank), key=len, default=())
+    top = max(scan.inflected_strata, key=len, default=())
     summary = scan.to_dict()
     summary["inflected"] = summary["inflected"][:10]  # keep the summary bounded
     notes = list(summary["notes"])

@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal, InvalidOperation
+from fractions import _RATIONAL_FORMAT, Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
@@ -80,6 +81,30 @@ def exact_rational(value, what: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, numbers.Rational):
         raise ValueError(f"{what} must be an exact rational, got {value!r}")
     return Fraction(value)
+
+
+def _text(c: Rational) -> str:
+    """str(c); past the int-to-text digit limit, the digits that Decimal prints exactly."""
+    try:
+        return str(c)
+    except ValueError:
+        top, bottom = str(Decimal(c.numerator)), str(Decimal(c.denominator))
+        return top if bottom == "1" else f"{top}/{bottom}"
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text) with no int-from-text digit limit: a text in Fraction's own grammar that
+    it refuses for its length is read through Decimal, which has none."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        top, _, bottom = text.partition("/")
+        try:
+            if _RATIONAL_FORMAT.match(text):
+                return Fraction(Decimal(top)) / int(Decimal(bottom or "1"))
+        except InvalidOperation:  # an exponent Decimal cannot hold: 10**exponent has no int
+            pass
+        raise
 
 
 def other_summands(n: int, fiber_chart: int) -> List[int]:
@@ -276,12 +301,13 @@ def evaluate_jet_template(
     """The jet template of a chart with u and the fiber coordinates substituted.
 
     ``v`` maps every summand other than the chart summand to its fiber
-    coordinate.  The package passes ints only (stratum representatives and
-    Kronecker-packed chart determinants); Fractions and sympy symbols come
-    from the tests.  The powers of u are taken once, only the nonzero entries
-    are filled, the zeros stay in u's own number type, and the rows are new
-    lists.  (A symbol's u * u or 1 - 1 would build an Add, whose first use
-    imports sympy's tensor module: hence u**e and the zero 0 * u**0.)
+    coordinate.  The package passes ints (stratum representatives and
+    Kronecker-packed chart determinants) and, from :func:`jet_matrix`, a
+    point's Fractions; sympy symbols come from the tests.  The powers of u
+    are taken once, only the nonzero entries are filled, the zeros stay in
+    u's own number type, and the rows are new lists.  (A symbol's u * u or
+    1 - 1 would build an Add, whose first use imports sympy's tensor module:
+    hence u**e and the zero 0 * u**0.)
     """
     template = jet_template(scroll, k, base_chart, fiber_chart)
     powers = [u**e for e in range(max(scroll.degrees) + 1)]
@@ -297,30 +323,12 @@ def evaluate_jet_template(
     return matrix
 
 
-@dataclass(frozen=True)
-class JetMatrix:
-    """Exact matrix of reduced k-jets of the section basis at a point.
-
-    Rows follow the section basis order (summands ascending, exponents
-    ascending); columns follow :func:`jet_columns`, kn+1 of them.
-    """
-
-    entries: Tuple[Tuple[Fraction, ...], ...]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0])
-
-
 def _jet_text(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> Tuple[tuple, ...]:
     """The jet template of the point's chart at the point, each entry as its Fraction's text.
 
     At u = p/q and v_j = r_j/s_j, a nonzero entry coeff u^e v_j is a/b = coeff r_j p^e / s_j q^e
     with b > 0, written from one g = gcd(a, b) as str(Fraction(a, b)); a zero is the shared "0".
+    An entry past the int-to-text digit limit is written by :func:`_text`.
     """
     _check_point(scroll, point)
     u, top = point.u, range(max(scroll.degrees) + 1)
@@ -336,16 +344,21 @@ def _jet_text(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> Tuple[t
             if a:
                 a *= coeff
                 g = gcd(a, b)
-                filled[column] = str(a // g) if g == b else f"{a // g}/{b // g}"
+                try:
+                    filled[column] = str(a // g) if g == b else f"{a // g}/{b // g}"
+                except ValueError:
+                    filled[column] = _text(Fraction(a, b))
         rows.append(tuple(filled))
     return tuple(rows)
 
 
-def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> JetMatrix:
-    """Evaluate all reduced partials of the section basis at the point, exactly: the
-    Fractions of :func:`_jet_text`'s entries, every zero one shared Fraction(0)."""
-    zero, text = Fraction(0), _jet_text(scroll, k, point)
-    return JetMatrix(tuple(tuple(zero if x == "0" else Fraction(x) for x in row) for row in text))
+def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> Tuple[tuple, ...]:
+    """Evaluate all reduced partials of the section basis at the point, exactly: the rows of
+    the point's chart template at its Fractions, in :func:`jet_columns` order."""
+    _check_point(scroll, point)
+    v = dict(zip(other_summands(scroll.n, point.fiber_chart), point.v))
+    rows = evaluate_jet_template(scroll, k, point.base_chart, point.fiber_chart, point.u, v)
+    return tuple(map(tuple, rows))
 
 
 def bareiss(rows: List[list]) -> Tuple[int, int]:
@@ -418,8 +431,8 @@ def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
     """Rank of the k-jet matrix at a point: its support stratum's, by the module's orbit argument.
 
     The stratum is ranked on integer rows, so no Fraction is built.
-    :func:`exact_rank` of the :func:`jet_matrix` entries, the certificate
-    text of :func:`_jet_text` parsed, checks it in the point's own chart,
+    :func:`exact_rank` of the :func:`jet_matrix` rows, the point's chart
+    template at its Fractions, checks it in the point's own chart,
     independently of the orbit reduction and the stratum elimination.
     """
     _check_point(scroll, point)

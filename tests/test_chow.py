@@ -57,6 +57,15 @@ def test_coeffpoly_constants_and_eq():
     assert (D + G) - D == G
 
 
+def test_coeffpoly_power_and_constant_value():
+    assert (D + 1) ** 3 == D * D * D + 3 * D * D + 3 * D + 1
+    assert (D - G) ** 0 == 1 and (D - G) ** 1 == D - G
+    assert CoeffPoly.const(Fraction(5, 2)).constant_value() == Fraction(5, 2)
+    assert CoeffPoly().constant_value() == 0
+    with pytest.raises(ValueError, match="is not constant"):
+        (2 * D + 1).constant_value()
+
+
 def test_coeffpoly_evaluate_is_ring_hom_examples():
     p = 2 * D + 4 * (G - 1)
     assert p.evaluate(3, 1) == 6
@@ -138,6 +147,10 @@ def test_class_str_pins_every_printer_branch():
     assert str(ChowClass(3, flipped)) == "-3/2 - L + 5/3*F + (-d + 2*g)*L^2 + 3*L*F + L^2*F"
     # a polynomial in codimension 0 is printed bare
     assert str(ChowClass(2, [(0, D - 1, 0), (1, 0, -2)])) == "(d - 1) - 2*F"
+    # the zero class, and repr names the dimension
+    assert str(ChowClass(2)) == "0"
+    assert repr(ChowClass(2)) == "ChowClass(n=2, 0)"
+    assert repr(ChowClass(3, [(1, 1, -D)])) == "ChowClass(n=3, L + (-d)*F)"
 
 
 def test_make_fiber_class():

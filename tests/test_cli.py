@@ -407,6 +407,40 @@ def test_values_past_the_int_to_text_limit_print_from_class_and_degree(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_plain_digits_past_the_int_to_text_limit_are_read_exactly(capsys, tmp_path):
+    # int(text) stops at 4,300 digits by default: a 4,401-digit --d prints the
+    # lines that 1e4400 prints, and a 4,401-digit basis coefficient and a root
+    # of 4,401 digits print in text and in --json (checked as text, since
+    # json.loads has the same limit); the limit is left as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    big = "1" + "0" * 4400
+    scroll = ("--n", "2", "--ambient", "5")
+    for extra in ((), ("--json",)):
+        plain = run(capsys, "degree", *scroll, "--d", big, *extra)
+        assert plain == run(capsys, "degree", *scroll, "--d", "1e4400", *extra)
+        assert plain[0] == 0 and "2" + "9" * 4398 + "88" in plain[1]  # 3*10^4400 - 12
+    # W = 1 for the rows 1 + 10^4400 u and u
+    (tmp_path / "wide.txt").write_text(f"1 {big}\n0 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "wronskian", "--basis", str(tmp_path / "wide.txt"), "--k", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("wronskian oracle, k=1, basis degree 1\n  wronskian: 1\n")
+    code, out, err = run(capsys, "wronskian", "--basis", str(tmp_path / "wide.txt"), "--k", "1",
+                         "--json")
+    assert (code, err) == (0, "")
+    assert out.count(f"        {big}\n") == 2  # the inputs' and the report's basis
+    # W = u^2 - 2*10^4400 u for the rows u - 10^4400 and u^2
+    (tmp_path / "root.txt").write_text(f"-{big} 1\n0 0 1\n", encoding="utf-8")
+    root = "2" + "0" * 4400
+    code, out, err = run(capsys, "wronskian", "--basis", str(tmp_path / "root.txt"), "--k", "1")
+    assert (code, err) == (0, "")
+    assert f"\n  weight 1 at u = {root}\n" in out
+    code, out, err = run(capsys, "wronskian", "--basis", str(tmp_path / "root.txt"), "--k", "1",
+                         "--json")
+    assert (code, err) == (0, "")
+    assert f'"u": "{root}",' in out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_wronskian_verb_requires_one_source(capsys):
     code, _, err = run(capsys, "wronskian", "--k", "3")
     assert code == 1

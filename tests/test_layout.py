@@ -1,8 +1,8 @@
 """Source layout: no module imports sympy (determinants and roots are
 integer arithmetic in the package itself, and sympy serves only the tests'
-reference models), one gate decides what counts as an exact number, and the
-CLI reads oracle reports only through the documents their ``to_dict``
-builds.
+reference models), one gate decides what counts as an exact number, one
+module converts exact numbers to and from text, and the CLI reads oracle
+reports only through the documents their ``to_dict`` builds.
 
 Every module of the package is parsed, so a sympy import or a report read
 on a path no test runs is still seen.
@@ -173,6 +173,25 @@ def test_only_the_exactness_gates_test_number_types():
                 )
                 seen += 1
     assert seen >= len(EXACTNESS_GATES)  # the gates themselves are found
+
+
+def test_one_module_converts_exact_numbers_to_and_from_text():
+    # decimal carries digits past Python's int/text limit, so only the codec's
+    # module imports it, and no module changes that limit for the interpreter
+    importers = set()
+    for path in MODULES:
+        source = path.read_text(encoding="utf-8")
+        assert "set_int_max_str_digits" not in source, path.name
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules = {(node.module or "").split(".")[0]}
+            else:
+                continue
+            if "decimal" in modules:
+                importers.add(path.name)
+    assert importers == {"scrollmodel.py"}
 
 
 def test_cli_reads_oracle_reports_only_through_their_documents():

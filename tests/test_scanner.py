@@ -431,7 +431,7 @@ def test_numeric_jet_matrix_is_symbolic_one_at_the_point(degrees, k, u, v):
             matrix = sp.Matrix(evaluate_jet_template(X, k, base, iota, usym, vs))
             assert matrix == differentiated_jet_matrix(X, k, base, iota, usym, vs)
             at_point = {usym: u, **{vs[j]: x for j, x in zip(sorted(vs), v)}}
-            numeric = jet_matrix(X, k, ScrollPoint(base, u, iota, v)).entries
+            numeric = jet_matrix(X, k, ScrollPoint(base, u, iota, v))
             assert matrix.subs(at_point) == sp.Matrix(numeric)
 
 
@@ -475,7 +475,7 @@ def test_rank_scan_unbalanced_detects_directrix():
         # certificate is independently checkable, and its Fractions print as its text
         assert exact_rank(sample.matrix) == sample.rank
         assert [[str(x) for x in row] for row in sample.matrix] == [list(r) for r in sample.rows]
-        assert exact_rank(jet_matrix(X, 2, sample.point).entries) == sample.rank
+        assert exact_rank(jet_matrix(X, 2, sample.point)) == sample.rank
     assert any("w2 = 0" in note for note in report.notes)
     clean_points = report.points_examined - len(report.inflected)
     assert clean_points == report.clean_count > 0
@@ -522,6 +522,27 @@ def test_rank_scan_semibalanced_at_top_order_finds_directrix():
         assert sample.corank == 1
 
 
+def test_certificates_parse_back_to_the_jet_matrix_at_their_points():
+    # a certificate is written by int-pair arithmetic (_jet_text) and
+    # jet_matrix evaluates the template at the point's Fractions: on the
+    # benchmark's certified shapes, over three seeds, every inflected sample's
+    # parsed text is that matrix, and the inflected strata hold its support
+    shapes = (((1, 3), None), ((2, 3), 3), ((1, 1, 4), None), ((3, 5), None), ((5, 7), None))
+    checked = 0
+    for degrees, k in shapes:
+        X = DecomposableScroll(degrees)
+        for seed in (1, 2, 3):
+            report = rank_scan(X, k, samples=100, seed=seed)
+            strata = report.inflected_strata
+            assert strata == tuple(T for T, r in report.strata.items() if r < report.full_rank)
+            for sample in report.inflected:
+                assert sample.matrix == jet_matrix(X, report.k, sample.point), (degrees, seed)
+                on = tuple(j for j in range(1, X.n + 1) if fiber_coordinate(X, sample.point, j))
+                assert on in strata, (degrees, seed)
+                checked += 1
+    assert checked == 420
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_rank_scan_ranks_every_point_as_its_fraction_jet_matrix(data):
@@ -535,7 +556,7 @@ def test_rank_scan_ranks_every_point_as_its_fraction_jet_matrix(data):
     full_rank = k * X.n + 1
     expected = []
     for point in scan_points(X, samples, seed):
-        rank = exact_rank(jet_matrix(X, k, point).entries)
+        rank = exact_rank(jet_matrix(X, k, point))
         if rank < full_rank:
             expected.append((point, rank))
     report = rank_scan(X, k, samples=samples, seed=seed)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import perm
 
@@ -13,6 +14,8 @@ from scrolljets.scrollmodel import (
     DecomposableScroll,
     ScrollPoint,
     _jet_text,
+    _rational,
+    _text,
     bareiss,
     evaluate_jet_template,
     exact_rank,
@@ -122,7 +125,7 @@ def test_jet_matrix_explicit_five_by_five():
         [v * u, v, u, 0, 1],
         [v * u**2, 2 * u * v, u**2, 2 * v, 2 * u],
     ]
-    assert [list(row) for row in m.entries] == expected
+    assert [list(row) for row in m] == expected
 
 
 def test_jet_matrix_balanced_shape():
@@ -130,18 +133,18 @@ def test_jet_matrix_balanced_shape():
         X = DecomposableScroll((k,) * n)
         p = pt(1, (1,) * (n - 1))
         m = jet_matrix(X, k, p)
-        assert m.nrows == X.N + 1 == k * n + n
-        assert m.ncols == k * n + 1
+        assert len(m) == X.N + 1 == k * n + n
+        assert {len(row) for row in m} == {k * n + 1}
 
 
 def test_jet_matrix_curve_is_derivative_vandermonde():
     X = DecomposableScroll((4,))
     u = Fraction(2)
     m = jet_matrix(X, 3, pt(u))
-    assert m.nrows == 5 and m.ncols == 4
+    assert len(m) == 5 and {len(row) for row in m} == {4}
     from math import perm
 
-    for row, e in zip(m.entries, range(5)):
+    for row, e in zip(m, range(5)):
         for col, h in zip(row, range(4)):
             assert col == (perm(e, h) * u ** (e - h) if h <= e else 0)
 
@@ -294,7 +297,7 @@ def test_point_rank_is_the_fraction_rank(degrees, u, v):
         for base in (BASE_ZERO, BASE_INF):
             for iota in range(1, X.n + 1):
                 p = ScrollPoint(base, u, iota, v)
-                entries = jet_matrix(X, k, p).entries
+                entries = jet_matrix(X, k, p)
                 rank = exact_rank(entries)
                 assert point_rank(X, k, p) == rank == sympy_rank(entries)
                 assert osculating_dim(X, k, p) == rank - 1
@@ -306,14 +309,14 @@ def test_jet_rank_balanced_everywhere_full():
     rng = random.Random(3)
     for _ in range(25):
         p = random_point(rng, X)
-        assert exact_rank(jet_matrix(X, 2, p).entries) == 5
+        assert exact_rank(jet_matrix(X, 2, p)) == 5
 
 
 def test_jet_rank_unbalanced_directrix_drop():
     X = DecomposableScroll((1, 3))
-    assert exact_rank(jet_matrix(X, 2, pt(2, (0,))).entries) == 4
-    assert exact_rank(jet_matrix(X, 2, pt(2, (5,))).entries) == 5
-    assert exact_rank(jet_matrix(X, 2, pt(0, (0,), base_chart=BASE_INF)).entries) == 4
+    assert exact_rank(jet_matrix(X, 2, pt(2, (0,)))) == 4
+    assert exact_rank(jet_matrix(X, 2, pt(2, (5,)))) == 5
+    assert exact_rank(jet_matrix(X, 2, pt(0, (0,), base_chart=BASE_INF))) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +365,7 @@ def test_rank_bound_invariant():
         for k in range(1, X.N // X.n + 1):
             for _ in range(5):
                 p = random_point(rng, X)
-                rank = exact_rank(jet_matrix(X, k, p).entries)
+                rank = exact_rank(jet_matrix(X, k, p))
                 assert rank <= min(k * X.n + 1, X.N + 1)
 
 
@@ -372,7 +375,7 @@ def test_first_jets_have_immersion_rank():
         X = DecomposableScroll(degrees)
         for _ in range(10):
             p = random_point(rng, X)
-            assert exact_rank(jet_matrix(X, 1, p).entries) == X.n + 1
+            assert exact_rank(jet_matrix(X, 1, p)) == X.n + 1
 
 
 def test_rank_monotonic_in_jet_order():
@@ -382,7 +385,7 @@ def test_rank_monotonic_in_jet_order():
         kmax = X.N // X.n
         for _ in range(8):
             p = random_point(rng, X)
-            ranks = [exact_rank(jet_matrix(X, k, p).entries) for k in range(1, kmax + 1)]
+            ranks = [exact_rank(jet_matrix(X, k, p)) for k in range(1, kmax + 1)]
             assert ranks == sorted(ranks)
 
 
@@ -409,7 +412,7 @@ def test_rank_is_chart_independent():
                 v_zero = tuple(w[j - 1] / w[i - 1] for j in others)
                 v_inf = tuple(x * u ** (a_i - X.degree_of(j)) for j, x in zip(others, v_zero))
                 for point in (pt(u, v_zero, i), pt(1 / u, v_inf, i, BASE_INF)):
-                    ranks.add(exact_rank(jet_matrix(X, k, point).entries))
+                    ranks.add(exact_rank(jet_matrix(X, k, point)))
             assert len(ranks) == 1, (degrees, u, w, ranks)
 
 
@@ -432,7 +435,7 @@ def test_full_support_rank_is_the_rank_on_the_open_orbit(data):
             u = data.draw(st.fractions(min_value=-6, max_value=6, max_denominator=5))
             v = tuple(data.draw(st.lists(nonzero_coordinates, min_size=X.n - 1, max_size=X.n - 1)))
             p = ScrollPoint(base, u, iota, v)
-            rank = exact_rank(jet_matrix(X, k, p).entries)
+            rank = exact_rank(jet_matrix(X, k, p))
             assert point_rank(X, k, p) == rank == generic, (base, iota)
 
 
@@ -536,19 +539,19 @@ def test_sparse_template_evaluates_to_the_dense_jet_matrix(data):
 @example([3, 1, 2], Fraction(-7, 4), [Fraction(0), Fraction(2, 5)])
 @example([1, 3, 3], Fraction(-5, 2), [Fraction(4, 3), Fraction(-9, 2)])
 def test_jet_matrix_is_the_fraction_evaluation_of_the_template(degrees, u, v):
-    # a certificate writes each nonzero entry a/b from one gcd and every
-    # zero (u = 0, v_j = 0) as "0", and jet_matrix reads its Fractions off
-    # that text; entry by entry both are the generic evaluator's Fraction
-    # arithmetic at the same point, in lowest terms, in both base charts and
-    # every fiber chart (the last example cancels v's denominator 3 against
-    # the coefficients 3 and 6, and its numerator 4 against u's 2^e)
+    # jet_matrix is the generic evaluator at the point's Fractions, with each
+    # v_j on its own summand, and a certificate writes each nonzero entry a/b
+    # from one gcd and every zero (u = 0, v_j = 0) as "0"; entry by entry the
+    # text is that Fraction arithmetic, in lowest terms, in both base charts
+    # and every fiber chart (the last example cancels v's denominator 3
+    # against the coefficients 3 and 6, and its numerator 4 against u's 2^e)
     X = DecomposableScroll(tuple(degrees))
     v = tuple(v[: X.n - 1])
     for k in range(1, X.N // X.n + 1):
         for base in (BASE_ZERO, BASE_INF):
             for iota in range(1, X.n + 1):
                 point = ScrollPoint(base, u, iota, v)
-                entries = jet_matrix(X, k, point).entries
+                entries = jet_matrix(X, k, point)
                 values = dict(zip(other_summands(X.n, iota), v))
                 expected = evaluate_jet_template(X, k, base, iota, u, values)
                 assert len(entries) == len(expected) == X.N + 1
@@ -593,7 +596,7 @@ def test_point_rank_is_constant_on_each_support_stratum(data):
             point = ScrollPoint(base, u, iota, v)
             # the Fraction rank at the sampled point itself, which does not
             # go through the representative that point_rank ranks
-            fraction_rank = exact_rank(jet_matrix(X, k, point).entries)
+            fraction_rank = exact_rank(jet_matrix(X, k, point))
             assert fraction_rank == rank, (support, base, iota, u, v)
             assert point_rank(X, k, point) == rank, (support, base, iota, u, v)
             assert rank == stratum_rank(X.degrees, support, k), (support, k)
@@ -633,3 +636,56 @@ def test_no_stratum_has_corank_two_where_the_generic_rank_is_full():
                 pairs += 1
                 strata += len(table)
     assert (pairs, strata) == (640, 7046)
+
+
+# ---------------------------------------------------------------------------
+# exact number text
+# ---------------------------------------------------------------------------
+
+
+def test_number_text_round_trips_past_the_int_to_text_limit():
+    # str(int) and int(text) stop at 4,300 digits by default; the codec
+    # writes and reads exact numbers of any size, and leaves the limit as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    big = 10**5000 + 1
+    top, bottom = 10**4999 + 7, 3 * 10**4999 + 1  # coprime parts of 5,000 digits
+    for value in (big, -big, Fraction(top, bottom), Fraction(-top, bottom), 0, Fraction(-3, 7)):
+        assert _rational(_text(value)) == value
+    digits = "1" + "0" * 4999 + "1"  # big
+    assert _text(-big) == f"-{digits}"
+    assert _text(Fraction(top, bottom)) == f"1{'0' * 4998}7/3{'0' * 4998}1"
+    assert _rational(f"  -1{'0' * 4998}7/3{'0' * 4998}1 ") == Fraction(-top, bottom)
+    assert _rational(f"{digits}.5e-1") == Fraction(2 * big + 1, 20)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_number_reader_accepts_exactly_what_fraction_accepts():
+    # the same value, or the same error type and message, as Fraction(text)
+    for text in ("nan", "inf", "-inf", "1/0", "0x10", "1.5", " \t-3/4\n", "1e3", "", "1/", "x"):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as info:
+                _rational(text)
+            assert str(info.value) == str(exc), text
+        else:
+            assert type(_rational(text)) is Fraction and _rational(text) == expected, text
+    # past the limit: a malformed text is still refused, and an exponent too long
+    # for any power to be built fails as Fraction(text) does
+    with pytest.raises(ValueError, match="Invalid literal"):
+        _rational("0x" + "1" * 5000)
+    with pytest.raises(ValueError):
+        _rational("1e" + "9" * 5000)
+    with pytest.raises(ZeroDivisionError):
+        _rational("1" * 5000 + "/0")
+
+
+def test_a_certificate_past_the_int_to_text_limit_parses_back_to_the_jet_matrix():
+    # at u = (10^30 + 1)/7 the powers u^e of (1, 160) reach 4,939 digits, past
+    # the 4,300 that str prints by default, in both base charts
+    X = DecomposableScroll((1, 160))
+    for base, iota in ((BASE_ZERO, 1), (BASE_INF, 2)):
+        point = ScrollPoint(base, Fraction(10**30 + 1, 7), iota, (Fraction(-2, 3),))
+        rows = _jet_text(X, 2, point)
+        assert max(len(x) for row in rows for x in row) > 4300
+        assert tuple(tuple(map(_rational, row)) for row in rows) == jet_matrix(X, 2, point)
