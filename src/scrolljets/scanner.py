@@ -44,12 +44,12 @@ support stratum (a certificate at a rational point is text, one gcd per
 nonzero entry, exact at any size, that parses back to
 :func:`~scrolljets.scrollmodel.jet_matrix`, the template at the point's
 Fractions), and the Wronskian and determinant oracles share one chart
-determinant, so nothing here differentiates.  One integer elimination,
-:func:`scrolljets.scrollmodel.bareiss`, gives every rank and determinant;
-a chart determinant is read back from its digits (Kronecker substitution)
-into an :class:`~scrolljets.intpoly.IntPoly`, and no oracle factors one: a
-Wronskian's weights are its rational roots, and a square determinant is a
-monomial.
+determinant, so nothing here differentiates.  A stratum is ranked by the sparse
+elimination :func:`scrolljets.scrollmodel._echelon`; a determinant is one dense integer
+Bareiss (:func:`scrolljets.scrollmodel.bareiss`), a monomial by diagonal scaling in the
+square case and read back from its digits (Kronecker substitution) with coefficient rows,
+into an :class:`~scrolljets.intpoly.IntPoly`.  No oracle factors one: a Wronskian's
+weights are its rational roots.
 """
 
 from __future__ import annotations
@@ -272,53 +272,59 @@ def _chart_determinant(
 ) -> IntPoly:
     """Determinant of the jet matrix M of a chart, in ZZ[u, v_j (j != chart)].
 
-    Without ``rows`` M must be square (N = kn); with integer coefficient
-    ``rows`` over the section basis it is det(rows x M), a Wronskian when the
-    scroll is a curve.  It is one integer Bareiss at X^w for each packed
-    variable (Kronecker substitution): mixed-radix weights w above the degree
-    bounds, the sums of each column's largest exponent, and X = 2B + 1 for B
-    the product of the rows' l1 norms, so its coefficients are balanced
-    base-X digits.  A square M is diag(u^e_r) M(1, v) diag(u^-h_c), so
-    det M = u^s det M(1, v), s = sum e_r - sum h_c: only the v_j are packed.
-    Each entry of a column of u-order h_c is h_c! times a binomial, so M' =
-    M diag(1 / h_c!) is eliminated, with a smaller X, and its digits scaled back.
+    Each entry of a column of u-order h_c is h_c! times a binomial, so one integer Bareiss
+    runs on M' = M diag(1 / h_c!), scaled back.  Without ``rows`` M must be square (N = kn):
+    a row of section v_j u^e carries u^e v_j and a column u^-h_c, and v_j^-1 on the k mixed
+    columns of j, so det M = u^s prod_j v_j^e_j det M(1, 1), s = sum e - sum h_c and
+    e_j = (rows of summand j) - k, a monomial by construction; a negative exponent on a nonzero
+    determinant is an inconsistent model.  With integer coefficient ``rows`` over the section
+    basis it is det(rows x M), a Wronskian when the scroll is a curve, packed at X^w for each
+    variable (Kronecker substitution): mixed-radix weights w above the degree bounds, the sums
+    of each column's largest exponent, and X = 2B + 1 for B the product of the rows' l1 norms,
+    so its coefficients are balanced base-X digits.
     """
     others = other_summands(scroll.n, fiber_chart)
+    names = ("u", *(f"v{j}" for j in others))
     template = jet_template(scroll, k, base_chart, fiber_chart).rows
     orders = [column[1] for column in jet_columns(scroll.n, k, fiber_chart)]
     divisors = [factorial(h) for h in orders]
+    scale = prod(divisors)
+    if rows is None:  # a row's first entry is its section itself, u^e v_j
+        exponents = (sum(row[0].u_exponent for row in template) - sum(orders),
+                     *(sum(row[0].summand == j for row in template) - k for j in others))
+        ones = dict.fromkeys(others, 1)
+        matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, 1, ones)
+        det = bareiss([[x // f for x, f in zip(row, divisors)] for row in matrix])[1] * scale
+        if det and min(exponents) < 0:
+            raise InconsistentCharts(f"chart determinant has a negative exponent: {exponents}")
+        return IntPoly(names, {exponents: det})
     # a column's sections are distinct monomials, so l1 norms add along a row of rows x M'
     norms = [sum(entry.coeff // divisors[entry.column] for entry in row) for row in template]
-    if rows is None:  # e_r is the u-exponent of a row's first entry, the section itself
-        first, shift = 1, sum(row[0].u_exponent for row in template) - sum(orders)
-    else:
-        first, shift = 0, 0
-        norms = [sum(abs(c) * norm for c, norm in zip(row, norms)) for row in rows]
+    norms = [sum(abs(c) * norm for c, norm in zip(row, norms)) for row in rows]
     radix = 2 * prod(norms) + 1
     exponent = [lambda e: e.u_exponent] + [lambda e, j=j: int(e.summand == j) for j in others]
     columns = {}  # the entries of each column
     for entry in (entry for row in template for entry in row):
         columns.setdefault(entry.column, []).append(entry)
-    degrees = {var: sum(max(map(exponent[var], column)) for column in columns.values())
-               for var in range(first, len(others) + 1)}
-    values, weight = [1] * (len(others) + 1), 1  # u stays 1 in the square case
-    for var, degree in degrees.items():
+    degrees = [sum(max(map(exponent[var], column)) for column in columns.values())
+               for var in range(len(others) + 1)]
+    values, weight = [0] * len(degrees), 1
+    for var, degree in enumerate(degrees):
         values[var], weight = radix**weight, weight * (degree + 1)
     v = dict(zip(others, values[1:]))
     matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, values[0], v)
     matrix = [[x // f for x, f in zip(row, divisors)] for row in matrix]
-    if rows is not None:
-        matrix = [[sum(map(mul, row, column)) for column in zip(*matrix)] for row in rows]
+    matrix = [[sum(map(mul, row, column)) for column in zip(*matrix)] for row in rows]
     det = bareiss(matrix)[1]
 
-    scale, terms = prod(divisors), {}
+    terms = {}
     for place in range(weight):  # weight is now the number of digits
         det, digit = divmod(det + radix // 2, radix)
-        monom, rest = [shift] + [0] * len(others), place
-        for var, degree in degrees.items():
+        monom, rest = [0] * len(degrees), place
+        for var, degree in enumerate(degrees):
             rest, monom[var] = divmod(rest, degree + 1)
         terms[tuple(monom)] = (digit - radix // 2) * scale  # IntPoly drops the zero digits
-    return IntPoly(("u", *(f"v{j}" for j in others)), terms)
+    return IntPoly(names, terms)
 
 
 def _section_twist(scroll: DecomposableScroll, fiber_chart: int, monomial: IntPoly) -> int:
@@ -352,9 +358,12 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
     Requires N = kn so the matrix is square.  The determinant vanishes
     identically iff the generic rank is below kn+1, which one rank at the
     full-support point decides without building it (the orbit argument of
-    :mod:`scrolljets.scrollmodel`).  Raises :class:`GenericRankFailure` when
-    that rank is short, and :class:`InconsistentCharts` when a chart
-    determinant built after it vanishes identically, is not a monomial or is
+    :mod:`scrolljets.scrollmodel`).  Each chart determinant is then a
+    monomial by :func:`_chart_determinant`'s diagonal scaling, not by
+    observation; the checks below still guard a broken model.  Raises
+    :class:`GenericRankFailure` when that rank is short, and
+    :class:`InconsistentCharts` when a chart determinant built after it
+    vanishes identically, has a negative exponent, is not a monomial or is
     not affine-linear in the fiber coordinates, or when the per-chart class
     extractions disagree.
     """

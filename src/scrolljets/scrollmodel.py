@@ -15,9 +15,9 @@ and every numeric, symbolic or Wronskian jet matrix evaluates it.
 Charts: two base charts ("0" and "inf", exchanging u with 1/u, which
 reverses the exponent m of a degree-a section to a - m) and n fiber charts
 (fiber chart i normalizes the i-th homogeneous fiber coordinate to 1).
-Everything is exact rational arithmetic; ranks and determinants come from
-one fraction-free elimination with deterministic pivoting (:func:`bareiss`).
-A row of the template stores only its nonzero entries.
+Everything is exact rational arithmetic; determinants and :func:`exact_rank` come from
+one dense fraction-free elimination with deterministic pivoting (:func:`bareiss`), stratum
+ranks from a sparse one (:func:`_echelon`).  A template row stores only its nonzero entries.
 
 The orbit argument: GL_2 x (C*)^n acts on the scroll and preserves the
 complete linear system, so the jet rank is constant on its orbits, the
@@ -39,7 +39,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import _RATIONAL_FORMAT, Fraction
 from functools import lru_cache
 from math import gcd, lcm, perm
-from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -273,26 +273,29 @@ def jet_template(
 
     Rows follow :meth:`DecomposableScroll.section_basis`, columns follow
     :func:`jet_columns`; a row lists its partials that do not vanish
-    identically, column 0 first.  A section v_j u^e has pure derivative
+    identically, in column order.  A section v_j u^e has pure derivative
     perm(e, h) u^(e-h) v_j (v_j = 1 on the chart summand) and, for its own
-    summand j only, the mixed d/dv_j derivative perm(e, h) u^(e-h).  Every
-    numeric, symbolic and Wronskian jet matrix is this template evaluated.
+    summand j only, the mixed d/dv_j derivative perm(e, h) u^(e-h): at most
+    2(k+1) entries, emitted directly.  Every numeric, symbolic and Wronskian
+    jet matrix is this template evaluated.
     The cache is bounded: a scan ranks its strata in the charts ("0", i)
     and certifies in its points' own charts, so it needs at most 2n charts.
     """
-    jet_order(k)
+    k, n = jet_order(k), scroll.n
     basis = scroll.section_basis(base_chart)
-    cols = jet_columns(scroll.n, k, fiber_chart)
+    others = other_summands(n, exact_int(fiber_chart, "fiber chart", 1, n))
+    slot = {j: 2 + c for c, j in enumerate(others)}  # ("uv", h-1, j) is column (h-1)n + slot[j]
     rows = []
     for section in basis:
-        e = section.exponent
-        vfac = None if section.summand == fiber_chart else section.summand
-        rows.append(tuple(
-            JetEntry(c, perm(e, col[1]), e - col[1], vfac if col[0] == "u" else None)
-            for c, col in enumerate(cols)
-            if col[1] <= e and (col[0] == "u" or col[2] == section.summand)
-        ))
-    return JetTemplate(len(cols), tuple(rows))
+        e, vfac = section.exponent, section.summand if section.summand in slot else None
+        entries = [JetEntry(0, 1, e, vfac)]
+        for h in range(1, min(e + 1, k) + 1):
+            if h <= e:
+                entries.append(JetEntry((h - 1) * n + 1, perm(e, h), e - h, vfac))
+            if vfac:
+                entries.append(JetEntry((h - 1) * n + slot[vfac], perm(e, h - 1), e - h + 1, None))
+        rows.append(tuple(entries))
+    return JetTemplate(k * n + 1, tuple(rows))
 
 
 def evaluate_jet_template(
@@ -301,9 +304,9 @@ def evaluate_jet_template(
     """The jet template of a chart with u and the fiber coordinates substituted.
 
     ``v`` maps every summand other than the chart summand to its fiber
-    coordinate.  The package passes ints (stratum representatives and
-    Kronecker-packed chart determinants) and, from :func:`jet_matrix`, a
-    point's Fractions; sympy symbols come from the tests.  The powers of u
+    coordinate.  The package passes ints (chart determinants, at u = v_j = 1
+    or Kronecker-packed) and, from :func:`jet_matrix`, a point's Fractions;
+    sympy symbols come from the tests.  The powers of u
     are taken once, only the nonzero entries are filled, the zeros stay in
     u's own number type, and the rows are new lists.  (A symbol's u * u or
     1 - 1 would build an Add, whose first use imports sympy's tensor module:
@@ -328,7 +331,7 @@ def _jet_text(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> Tuple[t
 
     At u = p/q and v_j = r_j/s_j, a nonzero entry coeff u^e v_j is a/b = coeff r_j p^e / s_j q^e
     with b > 0, written from one g = gcd(a, b) as str(Fraction(a, b)); a zero is the shared "0".
-    An entry past the int-to-text digit limit is written by :func:`_text`.
+    Past the int-to-text digit limit the reduced a/g and b/g are each written by :func:`_text`.
     """
     _check_point(scroll, point)
     u, top = point.u, range(max(scroll.degrees) + 1)
@@ -344,10 +347,11 @@ def _jet_text(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> Tuple[t
             if a:
                 a *= coeff
                 g = gcd(a, b)
+                a, b = a // g, b // g
                 try:
-                    filled[column] = str(a // g) if g == b else f"{a // g}/{b // g}"
+                    filled[column] = str(a) if b == 1 else f"{a}/{b}"
                 except ValueError:
-                    filled[column] = _text(Fraction(a, b))
+                    filled[column] = _text(a) if b == 1 else f"{_text(a)}/{_text(b)}"
         rows.append(tuple(filled))
     return tuple(rows)
 
@@ -421,10 +425,31 @@ def _chart_support(fiber_chart: int, v: tuple) -> Tuple[int, ...]:
     return tuple(j for j, x in enumerate(v, start=1) if x)
 
 
+def _echelon(rows: Iterable[Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+    """The pivot rows of a sparse integer matrix, keyed by leading column; their number is its
+    rank.  Each row, a {column: nonzero int} dict, is reduced fraction-free by the pivot of its
+    leading column and divided by its content until it is zero or leads a new pivot."""
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        lead = min(row, default=None)
+        while lead in pivots:
+            pivot = pivots[lead]
+            a, b = pivot[lead], row[lead]
+            row = {c: a * row.get(c, 0) - b * pivot.get(c, 0) for c in row.keys() | pivot.keys()}
+            g = gcd(*row.values())
+            row = {c: x // g for c, x in row.items() if x}
+            lead = min(row, default=None)
+        if row:
+            pivots[lead] = row
+    return pivots
+
+
 def _representative_rank(scroll: DecomposableScroll, k: int, support: Tuple[int, ...]) -> int:
-    """The k-jet rank of a support stratum, at u = 0 in chart ("0", min T), v_j = 1 on T."""
-    v = {j: int(j in support) for j in other_summands(scroll.n, support[0])}
-    return bareiss(evaluate_jet_template(scroll, k, BASE_ZERO, support[0], 0, v))[0]
+    """The k-jet rank of a support stratum, at u = 0 in chart ("0", min T), v_j = 1 on T: the
+    number of :func:`_echelon` pivots of the template's u-exponent-0 entries on T's summands."""
+    rows = jet_template(scroll, k, BASE_ZERO, support[0]).rows
+    return len(_echelon({e.column: e.coeff for e in row if not e.u_exponent
+                         and (e.summand is None or e.summand in support)} for row in rows))
 
 
 def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:

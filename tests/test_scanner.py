@@ -7,6 +7,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy as sp
@@ -348,6 +349,68 @@ def test_row_block_chart_determinants_match_sympy():
                 assert _chart_determinant(X, k, base, iota, identity) == square
 
 
+def square_types(max_n, max_degree):
+    """Every splitting type with n <= max_n and a_j <= max_degree whose jet matrix is square."""
+    for n in range(1, max_n + 1):
+        for degrees in itertools.combinations_with_replacement(range(1, max_degree + 1), n):
+            if (sum(degrees) + n - 1) % n == 0:
+                yield DecomposableScroll(degrees)
+
+
+def test_scaled_chart_determinants_are_the_packed_ones():
+    # without rows a square chart determinant is u^s prod v_j^e_j det M(1, 1),
+    # one elimination at u = v_j = 1; the identity row block takes the packed
+    # path, which substitutes u and every v_j and reads all coefficients back,
+    # so it checks the scaling in every chart, vanishing determinants included.
+    # Packing u as well costs minutes beyond N = 12 (the 88 charts of n = 4,
+    # N = 16 alone take about 19 s), so larger types are left to the test at
+    # rational points below
+    charts = 0
+    for X in (X for X in square_types(4, 6) if X.N <= 12):
+        k = X.N // X.n
+        identity = [[int(r == c) for c in range(X.N + 1)] for r in range(X.N + 1)]
+        for base in (BASE_ZERO, BASE_INF):
+            for iota in range(1, X.n + 1):
+                packed = _chart_determinant(X, k, base, iota, identity)
+                assert _chart_determinant(X, k, base, iota) == packed, (X, base, iota)
+                charts += 1
+    assert charts == 170
+
+
+def fraction_determinant(rows):
+    """The determinant by Gaussian elimination over Fractions."""
+    rows, det = [[Fraction(x) for x in row] for row in rows], Fraction(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot], det = rows[pivot], rows[c], -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_scaled_chart_determinants_are_the_determinants_at_rational_points(data):
+    # the scaled monomial evaluated at a random rational point of a random
+    # chart is the Fraction determinant of the jet matrix there, so every
+    # exponent, e_j included, and the coefficient are checked at once
+    X = data.draw(st.sampled_from(list(square_types(4, 6))))
+    k = X.N // X.n
+    base = data.draw(st.sampled_from((BASE_ZERO, BASE_INF)))
+    iota = data.draw(st.integers(1, X.n))
+    coordinate = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    u = data.draw(coordinate)
+    v = tuple(data.draw(st.lists(coordinate, min_size=X.n - 1, max_size=X.n - 1)))
+    det = _chart_determinant(X, k, base, iota)
+    value = sum(c * prod(x**e for x, e in zip((u, *v), m)) for m, c in det.terms)
+    assert value == fraction_determinant(jet_matrix(X, k, ScrollPoint(base, u, iota, v)))
+
+
 def test_determinant_divisor_requires_square_case():
     with pytest.raises(ValueError):
         determinant_divisor(DecomposableScroll((2, 2)), 2)
@@ -570,13 +633,13 @@ def test_rank_scan_eliminates_once_per_support_stratum(monkeypatch):
     import scrolljets.scrollmodel as scrollmodel_mod
 
     calls = []
-    bareiss = scrollmodel_mod.bareiss
+    echelon = scrollmodel_mod._echelon
 
     def counted(rows):
-        calls.append(len(rows))
-        return bareiss(rows)
+        calls.append(rows)
+        return echelon(rows)
 
-    monkeypatch.setattr(scrollmodel_mod, "bareiss", counted)
+    monkeypatch.setattr(scrollmodel_mod, "_echelon", counted)
     report = rank_scan(DecomposableScroll((2, 3)), k=3, samples=200)
     assert report.points_examined == 200 and report.inflected
     assert len(calls) == len(report.strata) == 3

@@ -12,9 +12,12 @@ from scrolljets.scrollmodel import (
     BASE_INF,
     BASE_ZERO,
     DecomposableScroll,
+    JetEntry,
     ScrollPoint,
+    _echelon,
     _jet_text,
     _rational,
+    _representative_rank,
     _text,
     bareiss,
     evaluate_jet_template,
@@ -529,6 +532,109 @@ def test_sparse_template_evaluates_to_the_dense_jet_matrix(data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_jet_template_is_diagonally_scaled_by_the_fiber_coordinates(data):
+    # M(u, v) = D_rows(v) M(u, 1) D_cols(v)^-1: a row of summand j other than
+    # the chart summand carries v_j, and so do the k mixed columns d/dv_j, the
+    # only columns where those rows carry no v_j; this is how a square chart
+    # determinant becomes u^s prod v_j^e_j det M(1, 1)
+    X = DecomposableScroll(tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))))
+    k = data.draw(st.integers(1, X.N // X.n + 1))
+    base = data.draw(st.sampled_from((BASE_ZERO, BASE_INF)))
+    iota = data.draw(st.integers(1, X.n))
+    u = data.draw(small_fractions)
+    v = dict(zip(other_summands(X.n, iota), data.draw(
+        st.lists(nonzero_coordinates, min_size=X.n - 1, max_size=X.n - 1))))
+    rows = [v.get(section.summand, 1) for section in X.section_basis(base)]
+    columns = [v[column[2]] if column[0] == "uv" else 1 for column in jet_columns(X.n, k, iota)]
+    at_v = evaluate_jet_template(X, k, base, iota, u, v)
+    at_one = evaluate_jet_template(X, k, base, iota, u, dict.fromkeys(v, 1))
+    for r, row_scale in enumerate(rows):
+        for c, column_scale in enumerate(columns):
+            assert at_v[r][c] == row_scale * at_one[r][c] / column_scale, (r, c)
+
+
+def column_filter_template(scroll, k, base, iota):
+    """A chart's template by testing every jet column against every section, densely."""
+    columns = jet_columns(scroll.n, k, iota)
+    rows = []
+    for section in scroll.section_basis(base):
+        e, j = section.exponent, section.summand
+        fiber = None if j == iota else j
+        rows.append(tuple(
+            (c, perm(e, column[1]), e - column[1], fiber if column[0] == "u" else None)
+            for c, column in enumerate(columns)
+            if column[1] <= e and (column[0] == "u" or column[2] == j)
+        ))
+    return len(columns), tuple(rows)
+
+
+def test_jet_template_is_the_column_filter_of_every_section():
+    # the template emits each section's at most 2(k+1) partials directly, in
+    # column order; they are exactly the columns a dense filter keeps
+    templates = 0
+    for n in range(1, 5):
+        for degrees in itertools.combinations_with_replacement(range(1, 6), n):
+            X = DecomposableScroll(degrees)
+            for k in range(1, 6):
+                for base in (BASE_ZERO, BASE_INF):
+                    for iota in range(1, n + 1):
+                        template = jet_template(X, k, base, iota)
+                        assert template == column_filter_template(X, k, base, iota)
+                        entries = itertools.chain(*template.rows)
+                        assert all(type(entry) is JetEntry for entry in entries)
+                        templates += 1
+    assert templates == 4200
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Small sparse integer matrices whose later rows include combinations of earlier ones."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-5, 5))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        (a, i), (b, j) = (draw(st.tuples(st.integers(-3, 3), st.sampled_from(range(len(rows)))))
+                          for _ in range(2))
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_echelon_ranks_sparse_matrices_as_bareiss_does(rows):
+    # the stratum ranks' elimination against the dense one it replaced: the
+    # same rank, each pivot row led by its key, in the row space, and the
+    # pivots below column m are the rank of the first m columns
+    pivots = _echelon({c: x for c, x in enumerate(row) if x} for row in rows)
+    ncols = len(rows[0])
+    assert len(pivots) == bareiss([list(row) for row in rows])[0]
+    dense = [[pivot.get(c, 0) for c in range(ncols)] for pivot in pivots.values()]
+    assert bareiss([list(row) for row in rows] + dense)[0] == len(pivots)
+    for lead, pivot in pivots.items():
+        assert lead == min(pivot) and all(pivot.values())
+    for m in range(ncols + 1):
+        assert sum(lead < m for lead in pivots) == bareiss([row[:m] for row in rows])[0]
+
+
+def test_stratum_ranks_are_the_dense_bareiss_ranks():
+    # every stratum representative of the small types, by the sparse
+    # elimination of its u^0 entries and by dense Bareiss of the evaluated template
+    strata = 0
+    for n in range(1, 5):
+        for degrees in itertools.combinations_with_replacement(range(1, 6), n):
+            X = DecomposableScroll(degrees)
+            for k in range(1, 6):
+                for size in range(1, n + 1):
+                    for support in itertools.combinations(range(1, n + 1), size):
+                        v = {j: int(j in support) for j in other_summands(n, support[0])}
+                        dense = evaluate_jet_template(X, k, BASE_ZERO, support[0], 0, v)
+                        assert _representative_rank(X, k, support) == bareiss(dense)[0]
+                        strata += 1
+    assert strata == 6725
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(1, 5), min_size=1, max_size=3),
     coordinates,
@@ -678,6 +784,20 @@ def test_number_reader_accepts_exactly_what_fraction_accepts():
         _rational("1e" + "9" * 5000)
     with pytest.raises(ZeroDivisionError):
         _rational("1" * 5000 + "/0")
+
+
+def test_long_certificate_entries_are_their_fractions_canonical_text():
+    # past the int-to-text limit the reduced parts are written one by one, in
+    # the digits that str(Fraction) would print: integral entries at an
+    # integral u, and fractions at u = (10^30 + 1)/7
+    X = DecomposableScroll((1, 160))
+    big = 10**30 + 1
+    for u, v, integral in ((big, -2, True), (Fraction(big, 7), Fraction(-2, 3), False)):
+        point = ScrollPoint(BASE_ZERO, u, 1, (v,))
+        rows = _jet_text(X, 2, point)
+        long = [x for row in rows for x in row if len(x) > 4300]
+        assert long and all(("/" not in x) == integral for x in long)
+        assert rows == tuple(tuple(map(_text, row)) for row in jet_matrix(X, 2, point))
 
 
 def test_a_certificate_past_the_int_to_text_limit_parses_back_to_the_jet_matrix():
