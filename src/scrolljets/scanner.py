@@ -46,10 +46,11 @@ nonzero entry, exact at any size, that parses back to
 Fractions), and the Wronskian and determinant oracles share one chart
 determinant, so nothing here differentiates.  A stratum is ranked by the sparse
 elimination :func:`scrolljets.scrollmodel._echelon`; a determinant is one dense integer
-Bareiss (:func:`scrolljets.scrollmodel.bareiss`), a monomial by diagonal scaling in the
-square case and read back from its digits (Kronecker substitution) with coefficient rows,
-into an :class:`~scrolljets.intpoly.IntPoly`.  No oracle factors one: a Wronskian's
-weights are its rational roots.
+Bareiss (:func:`scrolljets.scrollmodel.bareiss`), with each variable set to 1 where the
+exponent box that the section basis leaves it holds one point (every variable of a square
+matrix) and packed elsewhere (Kronecker substitution), read back from its digits into an
+:class:`~scrolljets.intpoly.IntPoly`.  No oracle factors one: a Wronskian's weights are its
+rational roots.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice, product, repeat
 from math import factorial, gcd, prod
 from operator import mul
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -70,6 +71,7 @@ from .scrollmodel import (
     BASE_ZERO,
     DecomposableScroll,
     ScrollPoint,
+    _admissible_order,
     _chart_support,
     _jet_text,
     _rational,
@@ -270,61 +272,50 @@ class DeterminantDivisor(NamedTuple):
 def _chart_determinant(
     scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int, rows=None
 ) -> IntPoly:
-    """Determinant of the jet matrix M of a chart, in ZZ[u, v_j (j != chart)].
+    """Determinant of the jet matrix M of a chart, in ZZ[u, v_j (j != chart)], or with integer
+    coefficient ``rows`` over the section basis det(rows x M), a Wronskian on a curve.
 
-    Each entry of a column of u-order h_c is h_c! times a binomial, so one integer Bareiss
-    runs on M' = M diag(1 / h_c!), scaled back.  Without ``rows`` M must be square (N = kn):
-    a row of section v_j u^e carries u^e v_j and a column u^-h_c, and v_j^-1 on the k mixed
-    columns of j, so det M = u^s prod_j v_j^e_j det M(1, 1), s = sum e - sum h_c and
-    e_j = (rows of summand j) - k, a monomial by construction; a negative exponent on a nonzero
-    determinant is an inconsistent model.  With integer coefficient ``rows`` over the section
-    basis it is det(rows x M), a Wronskian when the scroll is a curve, packed at X^w for each
-    variable (Kronecker substitution): mixed-radix weights w above the degree bounds, the sums
-    of each column's largest exponent, and X = 2B + 1 for B the product of the rows' l1 norms,
-    so its coefficients are balanced base-X digits.
+    Each entry of a column of u-order h_c is h_c! times a binomial, so one integer Bareiss runs
+    on M' = M diag(1 / h_c!), scaled back.  A row of section v_j u^e carries u^e v_j and a
+    column u^-h_c, and v_j^-1 on the k mixed columns of j, so by Cauchy-Binet a term comes from
+    kn+1 sections: its u-exponent lies between the sums of the kn+1 smallest and largest
+    section exponents, less sum h_c, and its v_j-exponent between c_j - (N - kn) - k and
+    min(c_j, kn+1) - k, for c_j the sections of j, and no box starts below 0.  A variable whose
+    box holds one exponent, as each does when M is square, is set to 1 and given it; the others
+    are packed at X^w over 0..top (Kronecker substitution), X = 2B + 1 for B the product of the
+    rows' l1 norms, and read back as balanced base-X digits.  A nonzero determinant with a
+    negative top exponent is an inconsistent model.
     """
     others = other_summands(scroll.n, fiber_chart)
-    names = ("u", *(f"v{j}" for j in others))
     template = jet_template(scroll, k, base_chart, fiber_chart).rows
     orders = [column[1] for column in jet_columns(scroll.n, k, fiber_chart)]
     divisors = [factorial(h) for h in orders]
-    scale = prod(divisors)
-    if rows is None:  # a row's first entry is its section itself, u^e v_j
-        exponents = (sum(row[0].u_exponent for row in template) - sum(orders),
-                     *(sum(row[0].summand == j for row in template) - k for j in others))
-        ones = dict.fromkeys(others, 1)
-        matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, 1, ones)
-        det = bareiss([[x // f for x, f in zip(row, divisors)] for row in matrix])[1] * scale
-        if det and min(exponents) < 0:
-            raise InconsistentCharts(f"chart determinant has a negative exponent: {exponents}")
-        return IntPoly(names, {exponents: det})
+    size, spare = len(orders), len(template) - len(orders)  # kn+1 sections, N - kn left out
+    exponents = sorted(row[0].u_exponent for row in template)  # a row's first entry: its section
+    boxes = [(sum(exponents[:size]) - sum(orders), sum(exponents[spare:]) - sum(orders)),
+             *((a + 1 - spare - k, min(a + 1, size) - k) for a in map(scroll.degree_of, others))]
+    ranges = [range(top + 1) if top > max(low, 0) else range(top, top + 1) for low, top in boxes]
     # a column's sections are distinct monomials, so l1 norms add along a row of rows x M'
     norms = [sum(entry.coeff // divisors[entry.column] for entry in row) for row in template]
-    norms = [sum(abs(c) * norm for c, norm in zip(row, norms)) for row in rows]
-    radix = 2 * prod(norms) + 1
-    exponent = [lambda e: e.u_exponent] + [lambda e, j=j: int(e.summand == j) for j in others]
-    columns = {}  # the entries of each column
-    for entry in (entry for row in template for entry in row):
-        columns.setdefault(entry.column, []).append(entry)
-    degrees = [sum(max(map(exponent[var], column)) for column in columns.values())
-               for var in range(len(others) + 1)]
-    values, weight = [0] * len(degrees), 1
-    for var, degree in enumerate(degrees):
-        values[var], weight = radix**weight, weight * (degree + 1)
+    if rows is not None:
+        norms = [sum(abs(c) * norm for c, norm in zip(row, norms)) for row in rows]
+    radix, weight, values = 2 * prod(norms) + 1, 1, []
+    for box in ranges:  # a packed variable is X^weight, a fixed one 1
+        values.append(radix**weight if len(box) > 1 else 1)
+        weight *= len(box)
     v = dict(zip(others, values[1:]))
     matrix = evaluate_jet_template(scroll, k, base_chart, fiber_chart, values[0], v)
     matrix = [[x // f for x, f in zip(row, divisors)] for row in matrix]
-    matrix = [[sum(map(mul, row, column)) for column in zip(*matrix)] for row in rows]
-    det = bareiss(matrix)[1]
-
-    terms = {}
-    for place in range(weight):  # weight is now the number of digits
+    if rows is not None:
+        matrix = [[sum(map(mul, row, column)) for column in zip(*matrix)] for row in rows]
+    det, tops = bareiss(matrix)[1], tuple(box[-1] for box in ranges)
+    if det and min(tops) < 0:
+        raise InconsistentCharts(f"chart determinant has a negative exponent: {tops}")
+    terms, scale = {}, prod(divisors)
+    for monom in product(*ranges[::-1]):  # u's digit is the least significant
         det, digit = divmod(det + radix // 2, radix)
-        monom, rest = [0] * len(degrees), place
-        for var, degree in enumerate(degrees):
-            rest, monom[var] = divmod(rest, degree + 1)
-        terms[tuple(monom)] = (digit - radix // 2) * scale  # IntPoly drops the zero digits
-    return IntPoly(names, terms)
+        terms[monom[::-1]] = (digit - radix // 2) * scale  # IntPoly drops the zero digits
+    return IntPoly(("u", *(f"v{j}" for j in others)), terms)
 
 
 def _section_twist(scroll: DecomposableScroll, fiber_chart: int, monomial: IntPoly) -> int:
@@ -359,8 +350,9 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
     identically iff the generic rank is below kn+1, which one rank at the
     full-support point decides without building it (the orbit argument of
     :mod:`scrolljets.scrollmodel`).  Each chart determinant is then a
-    monomial by :func:`_chart_determinant`'s diagonal scaling, not by
-    observation; the checks below still guard a broken model.  Raises
+    monomial by construction, as every exponent box of a square matrix is
+    one point (:func:`_chart_determinant`), not by observation; the checks
+    below still guard a broken model.  Raises
     :class:`GenericRankFailure` when that rank is short, and
     :class:`InconsistentCharts` when a chart determinant built after it
     vanishes identically, has a negative exponent, is not a monomial or is
@@ -610,8 +602,7 @@ def rank_scan(
     built as a point, reported with the text of its exact jet matrix there as
     a certificate; an all-clean table reads no sample, as none can be inflected.
     """
-    derived = scroll.N // scroll.n
-    k = derived if k is None else exact_int(k, "jet order k", 1, derived)
+    k = _admissible_order(scroll, k)
     samples = exact_int(samples, "the number of samples", 1)
     seed = exact_int(seed, "the seed", 0)
     full_rank = k * scroll.n + 1
@@ -755,8 +746,7 @@ def cross_validate(
     """
     samples = exact_int(samples, "the number of samples", 1)
     seed = exact_int(seed, "the seed", 0)
-    derived = scroll.N // scroll.n
-    k = derived if k is None else exact_int(k, "jet order k", 1, derived)
+    derived, k = _admissible_order(scroll), _admissible_order(scroll, k)
     if scroll.n == 1:
         ell, formula_cls = 1, None
         formula_deg = curve_inflection_degree(scroll.d, 0, k)

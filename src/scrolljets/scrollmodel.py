@@ -71,6 +71,13 @@ def jet_order(k) -> int:
     return exact_int(k, "jet order k", 1)
 
 
+def _admissible_order(scroll: DecomposableScroll, k=None) -> int:
+    """A scroll's jet order k as an int in 1..N // n, where kn+1 rows fit its N+1 sections;
+    None is the largest, N // n."""
+    top = scroll.N // scroll.n
+    return top if k is None else exact_int(k, "jet order k", 1, top)
+
+
 def scroll_dimension(n) -> int:
     """The dimension n as an int; it must be a positive integer, not a bool or float."""
     return exact_int(n, "dimension n", 1)
@@ -304,7 +311,7 @@ def evaluate_jet_template(
     """The jet template of a chart with u and the fiber coordinates substituted.
 
     ``v`` maps every summand other than the chart summand to its fiber
-    coordinate.  The package passes ints (chart determinants, at u = v_j = 1
+    coordinate.  The package passes ints (chart determinants, each variable 1
     or Kronecker-packed) and, from :func:`jet_matrix`, a point's Fractions;
     sympy symbols come from the tests.  The powers of u
     are taken once, only the nonzero entries are filled, the zeros stay in
@@ -482,7 +489,7 @@ def is_inflected(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> bool
     """Whether the k-jet rank at the point drops below the generic bound kn+1.
 
     Only meaningful while kn does not exceed the ambient dimension N, so k
-    must lie in 1..N // n.
+    must lie in 1..N // n (:func:`_admissible_order`).
     """
-    k = exact_int(k, "jet order k", 1, scroll.N // scroll.n)
+    k = _admissible_order(scroll, k)
     return point_rank(scroll, k, point) < k * scroll.n + 1

@@ -13,6 +13,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from scrolljets.chow import ChowClass
 from scrolljets.formulas import ScrollParams, classify_uninflected, inflectional_class
@@ -227,8 +228,9 @@ def test_wronskian_read_back_of_large_signed_coefficients():
 
 
 def test_scroll_form_wronskian_is_the_identity_basis_wronskian():
-    # the scroll form takes the square path (u^s factored out, nothing
-    # packed) and the identity basis the explicit-rows path: they must agree
+    # the scroll form eliminates the jet matrix itself and the identity basis
+    # the product of its rows with it; both are square, so u keeps its one
+    # exponent and is set to 1: the determinants and the reports must agree
     for d in range(1, 9):
         curve = DecomposableScroll((d,))
         identity = [[int(i == m) for i in range(d + 1)] for m in range(d + 1)]
@@ -330,23 +332,30 @@ def test_determinant_divisor_matches_sympy_determinants():
 
 
 def test_row_block_chart_determinants_match_sympy():
-    # the explicit-rows path packs u and the v_j together: a seeded integer
-    # row block A against sympy's determinant of A times the differentiated
-    # jet matrix, on square scrolls (det A * det M) and projected ones
+    # a seeded integer row block A against sympy's determinant of A times
+    # the differentiated jet matrix, on square scrolls (det A * det M, every
+    # variable fixed) and projected ones, where the variables whose exponent
+    # box is wider than one point are packed: (1, 1, 4) in chart ("0", 3)
+    # packs u alone with both v_j fixed at exponent 0, and (1, 6) in chart
+    # ("0", 2) fixes v1 at its top exponent -1, so its determinant is 0
     rng = random.Random(8)
-    for degrees, k in (((1, 2), 2), ((2, 3), 2), ((3, 4), 3), ((1, 1, 2), 2), ((1, 2, 2), 2)):
+    types = (((1, 2), 2), ((2, 3), 2), ((3, 4), 3), ((1, 1, 2), 2), ((1, 2, 2), 2))
+    cases = [(degrees, k, chart) for degrees, k in types
+             for chart in ((BASE_ZERO, 1), (BASE_INF, len(degrees)))]
+    cases += [((1, 1, 4), 2, (BASE_ZERO, 3)), ((1, 6), 3, (BASE_ZERO, 2))]
+    for degrees, k, (base, iota) in cases:
         X = DecomposableScroll(degrees)
-        for base, iota in ((BASE_ZERO, 1), (BASE_INF, X.n)):
-            rows = [[rng.randint(-3, 3) for _ in range(X.N + 1)] for _ in range(k * X.n + 1)]
-            vs = {j: sp.Symbol(f"v{j}") for j in range(1, X.n + 1) if j != iota}
-            jets = differentiated_jet_matrix(X, k, base, iota, sp.Symbol("u"), vs)
-            reference = sp.expand((sp.Matrix(rows) * jets).det(method="domain-ge"))
-            ours = _chart_determinant(X, k, base, iota, rows)
-            assert ours and str(ours) == sp.sstr(reference), (degrees, base, iota)
-            if X.N == k * X.n:
-                identity = [[int(r == c) for c in range(X.N + 1)] for r in range(X.N + 1)]
-                square = _chart_determinant(X, k, base, iota)
-                assert _chart_determinant(X, k, base, iota, identity) == square
+        rows = [[rng.randint(-3, 3) for _ in range(X.N + 1)] for _ in range(k * X.n + 1)]
+        vs = {j: sp.Symbol(f"v{j}") for j in range(1, X.n + 1) if j != iota}
+        jets = differentiated_jet_matrix(X, k, base, iota, sp.Symbol("u"), vs)
+        reference = sp.expand((sp.Matrix(rows) * jets).det(method="domain-ge"))
+        ours = _chart_determinant(X, k, base, iota, rows)
+        assert str(ours) == sp.sstr(reference), (degrees, base, iota)
+        assert bool(ours) == (degrees != (1, 6)), (degrees, base, iota)
+        if X.N == k * X.n:
+            identity = [[int(r == c) for c in range(X.N + 1)] for r in range(X.N + 1)]
+            square = _chart_determinant(X, k, base, iota)
+            assert _chart_determinant(X, k, base, iota, identity) == square
 
 
 def square_types(max_n, max_degree):
@@ -357,24 +366,25 @@ def square_types(max_n, max_degree):
                 yield DecomposableScroll(degrees)
 
 
-def test_scaled_chart_determinants_are_the_packed_ones():
-    # without rows a square chart determinant is u^s prod v_j^e_j det M(1, 1),
-    # one elimination at u = v_j = 1; the identity row block takes the packed
-    # path, which substitutes u and every v_j and reads all coefficients back,
-    # so it checks the scaling in every chart, vanishing determinants included.
-    # Packing u as well costs minutes beyond N = 12 (the 88 charts of n = 4,
-    # N = 16 alone take about 19 s), so larger types are left to the test at
-    # rational points below
+def test_chart_determinants_are_the_integer_determinants_at_a_point():
+    # every chart of every square type with n <= 4 and a_j <= 6, vanishing
+    # determinants included: the determinant, one elimination at u = v_j = 1
+    # put at the one point of its exponent box, evaluated at u = 2 and
+    # v = (3, 5, 7), against sympy's integer determinant of the jet matrix there
     charts = 0
-    for X in (X for X in square_types(4, 6) if X.N <= 12):
-        k = X.N // X.n
-        identity = [[int(r == c) for c in range(X.N + 1)] for r in range(X.N + 1)]
+    for X in square_types(4, 6):
+        k, (u, *v) = X.N // X.n, (2, 3, 5, 7)[:X.n]
         for base in (BASE_ZERO, BASE_INF):
             for iota in range(1, X.n + 1):
-                packed = _chart_determinant(X, k, base, iota, identity)
-                assert _chart_determinant(X, k, base, iota) == packed, (X, base, iota)
+                det = _chart_determinant(X, k, base, iota)
+                value = sum(c * prod(x**e for x, e in zip((u, *v), m)) for m, c in det.terms)
+                jets = jet_matrix(X, k, ScrollPoint(base, u, iota, tuple(v)))
+                assert all(x.denominator == 1 for row in jets for x in row)
+                integers = [[int(x) for x in row] for row in jets]
+                reference = DomainMatrix(integers, (X.N + 1, X.N + 1), sp.ZZ).det()
+                assert value == reference, (X, base, iota)
                 charts += 1
-    assert charts == 170
+    assert charts == 396
 
 
 def fraction_determinant(rows):
@@ -396,7 +406,7 @@ def fraction_determinant(rows):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_scaled_chart_determinants_are_the_determinants_at_rational_points(data):
-    # the scaled monomial evaluated at a random rational point of a random
+    # the square monomial evaluated at a random rational point of a random
     # chart is the Fraction determinant of the jet matrix there, so every
     # exponent, e_j included, and the coefficient are checked at once
     X = data.draw(st.sampled_from(list(square_types(4, 6))))
