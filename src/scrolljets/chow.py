@@ -367,9 +367,11 @@ class ChowClass:
             )
         self._require_same_ring(other)
         n = self._n
-        alpha, beta = [{} for _ in range(n + 1)], [{} for _ in range(n + 1)]
-        right = [(q, aq._terms, bq._terms) for q, aq, bq in other.pieces()]
-        for p, ap, bp in self.pieces():
+        left, right = self.pieces(), [(q, aq._terms, bq._terms) for q, aq, bq in other.pieces()]
+        # no product reaches past codimension top, so only dicts up to it are made
+        top = min(n, left[-1][0] + right[-1][0]) if left and right else 0
+        alpha, beta = [{} for _ in range(top + 1)], [{} for _ in range(top + 1)]
+        for p, ap, bp in left:
             ap, bp = ap._terms, bp._terms
             for q, aq, bq in right:
                 j = p + q
@@ -382,10 +384,11 @@ class ChowClass:
                     _addmul(beta[j], ap, bq)
                 if bp:
                     _addmul(beta[j], bp, aq)
+        pad = (_ZERO,) * (n - top)
         return ChowClass._make(
             n,
-            tuple(CoeffPoly._make(_tidy(t)) if t else _ZERO for t in alpha),
-            tuple(CoeffPoly._make(_tidy(t)) if t else _ZERO for t in beta),
+            tuple(CoeffPoly._make(_tidy(t)) if t else _ZERO for t in alpha) + pad,
+            tuple(CoeffPoly._make(_tidy(t)) if t else _ZERO for t in beta) + pad,
         )
 
     def __rmul__(self, other: CoeffLike) -> "ChowClass":
@@ -412,15 +415,15 @@ class ChowClass:
         x_i of codimension i.  The inverse y is the recurrence y_0 = 1,
         y_m = -sum_{i=1..m} x_i * y_(m-i), each product by the pair rule
         (a_i, b_i) * (a_r, b_r) = (a_i a_r, a_i b_r + b_i a_r) as F*F = 0:
-        O(n^2) coefficient pair products, summed for each y_m in term dicts
-        that are negated and tidied once.  The result satisfies
+        O(n^2) coefficient pair products.  The x_i are negated once, and each
+        y_m is summed in term dicts tidied once.  The result satisfies
         self * y == 1 on the nose (truncation included).
         """
-        if self._alpha[0] != 1 or self._beta[0]:
+        if self._alpha[0]._terms != {(0, 0): 1} or self._beta[0]._terms:
             raise ValueError("inverse requires constant term 1")
         n = self._n
         alpha, beta = [{(0, 0): 1}], [{}]  # term dicts of y_0, y_1, ...
-        xs = [(i, a_i._terms, b_i._terms) for i, a_i, b_i in self.pieces()[1:]]
+        xs = [(i, (-a_i)._terms, (-b_i)._terms) for i, a_i, b_i in self.pieces()[1:]]
         for m in range(1, n + 1):
             a, b = {}, {}
             for i, a_i, b_i in xs:
@@ -431,8 +434,8 @@ class ChowClass:
                     _addmul(b, a_i, beta[m - i])
                 if b_i:
                     _addmul(b, b_i, alpha[m - i])
-            alpha.append({key: -c for key, c in _tidy(a).items()})
-            beta.append({key: -c for key, c in _tidy(b).items()})
+            alpha.append(_tidy(a))
+            beta.append(_tidy(b))
         return ChowClass._make(
             n, tuple(map(CoeffPoly._make, alpha)), tuple(map(CoeffPoly._make, beta))
         )

@@ -4,9 +4,11 @@ Verbs: class, degree, verify-theorem3, classify, scan, wronskian,
 cross-validate, ranks.  Output is aligned text by default; --json emits a
 single document with a schema marker, the inputs and the result, plus a
 certificate where one exists, as the ASCII text of ``json.dumps(doc,
-indent=2, sort_keys=True)`` with no float in it.  Identical inputs and seed
-give identical output.  Invalid input exits nonzero with a one-line
-diagnostic, and so does a cross-validate MISMATCH, a correctness alarm.
+indent=2, sort_keys=True)`` with no float in it, written by
+:func:`_document_text` in a few C-level joins per container and one per jet
+matrix.  Identical inputs and seed give identical output.  Invalid input
+exits nonzero with a one-line diagnostic, and so does a cross-validate
+MISMATCH, a correctness alarm.
 
 Each verb's handler returns its document fields, its text lines and its
 exit status; an oracle verb reads its text lines from the ``result`` that
@@ -20,6 +22,7 @@ import functools
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from typing import Optional, Tuple
 
@@ -313,32 +316,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _document_text(value, pad: str = "\n") -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, a list of strings
-    encoded in one C-level join; any type but dict, list, tuple, str, int, bool and
-    None, or a non-str key (which _string refuses), raises TypeError."""
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, in few C-level calls.
+
+    A dict sorts its keys once; a dict or list writes its str and int items inline in its
+    one join.  A jet matrix, a list or tuple of nonempty lists or tuples of str, is one
+    join of its rows' joins, its entries quoted by the separators, when one escape check on
+    all of them at once finds none to escape; otherwise it is written as any list.  Types match
+    exactly: any type but dict, list, tuple, str, int, bool and None (a subclass included),
+    or a non-str key (which _string refuses), raises TypeError wherever it sits.
+    """
     kind = type(value)
     if kind is str:
         return _string(value)
     if kind is int:
-        try:
-            return int.__repr__(value)
-        except ValueError:  # past the int-to-text digit limit
-            return _text(value)
+        return _text(value)  # which writes an int past the int-to-text digit limit too
     if kind is bool:
         return "true" if value else "false"
     if value is None:
         return "null"
     inner = pad + "  "
     if kind is dict:
-        items = (f"{_string(key)}: {_document_text(value[key], inner)}" for key in sorted(value))
-        ends = "{}"
+        keys = sorted(value)
+        items, ends = map(value.__getitem__, keys), "{}"
     elif kind is list or kind is tuple:
-        strings = {*map(type, value)} == {str}
-        items = map(_string, value) if strings else (_document_text(item, inner) for item in value)
-        ends = "[]"
+        matrix = {*map(type, value)} <= {list, tuple} and all(value)  # nonempty rows
+        if matrix and {*map(type, chain(*value))} == {str}:
+            text, deeper = "".join(map("".join, value)), inner + "  "
+            if len(_string(text)) == len(text) + 2:  # no entry needs escaping
+                rows = f'"{inner}],{inner}[{deeper}"'.join(map(f'",{deeper}"'.join, value))
+                return f'[{inner}[{deeper}"{rows}"{inner}]{pad}]'
+        items, ends = value, "[]"
     else:
         raise TypeError(f"a {kind.__name__} has no exact JSON form")
-    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if value else ends
+    texts = [_string(x) if type(x) is str else _text(x) if type(x) is int
+             else _document_text(x, inner) for x in items]
+    if kind is dict:
+        texts = map("{}: {}".format, map(_string, keys), texts)
+    return ends[0] + inner + ("," + inner).join(texts) + pad + ends[1] if value else ends
 
 
 @functools.cache

@@ -273,6 +273,23 @@ json_strings = st.one_of(
         st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", "\u2028", "😀"]), max_size=5
     ).map("".join),
 )
+# a certificate's jet matrix: 1 to 4 rows of strings, as lists or tuples; a draw with no entry
+# to escape takes the quoted-row join, and one with an entry to escape, an empty row or a row
+# mixing a str with an int must be left to the per-item path
+json_rows = st.one_of(
+    st.lists(json_strings, min_size=1, max_size=4),
+    st.lists(st.sampled_from(["0", "1", "-3/7", "12"]), min_size=1, max_size=4),
+)
+json_matrices = st.lists(
+    st.one_of(
+        json_rows,
+        json_rows.map(tuple),
+        st.just([]),
+        st.tuples(json_strings, st.integers()),
+    ),
+    min_size=1,
+    max_size=4,
+)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-(10**300), 10**300) | json_strings,
     lambda inner: st.one_of(
@@ -280,6 +297,8 @@ json_values = st.recursive(
         st.lists(inner, max_size=5).map(tuple),
         st.lists(json_strings, max_size=5),
         st.dictionaries(json_strings, inner, max_size=5),
+        json_matrices,
+        json_matrices.map(tuple),
     ),
     max_leaves=20,
 )
@@ -289,6 +308,10 @@ json_values = st.recursive(
 @given(json_values)
 def test_document_text_is_the_stdlib_indented_text(value):
     assert _document_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class Text(str):
+    """A str subclass, which has no exact JSON form however it prints."""
 
 
 @pytest.mark.parametrize(
@@ -304,9 +327,13 @@ def test_document_text_is_the_stdlib_indented_text(value):
         {"result": [{"point": {2: "b"}}]},
         {"result": {("a",): 0}},
         {"a": 1, 2: "b"},
+        {"m": [["1", 1.5]]},
+        [("1",), (Fraction(1),)],
+        {"m": [["1", "2"], ["3", Text("4")]]},
     ],
     ids=["float", "fraction", "nested-float", "matrix-fraction", "nan-in-strings",
-         "tuple-fraction", "int-key", "nested-int-key", "tuple-key", "mixed-keys"],
+         "tuple-fraction", "int-key", "nested-int-key", "tuple-key", "mixed-keys",
+         "matrix-float", "tuple-matrix-fraction", "matrix-str-subclass"],
 )
 def test_a_document_with_a_float_a_fraction_or_a_non_str_key_is_refused(document):
     with pytest.raises(TypeError):

@@ -644,13 +644,16 @@ def test_stratum_ranks_are_the_dense_bareiss_ranks():
 @example([1, 4], Fraction(0), [Fraction(0)])
 @example([3, 1, 2], Fraction(-7, 4), [Fraction(0), Fraction(2, 5)])
 @example([1, 3, 3], Fraction(-5, 2), [Fraction(4, 3), Fraction(-9, 2)])
+@example([2, 5], Fraction(-3), [Fraction(2), Fraction(0)])
+@example([1, 2, 4], Fraction(2), [Fraction(-1), Fraction(3)])
 def test_jet_matrix_is_the_fraction_evaluation_of_the_template(degrees, u, v):
     # jet_matrix is the generic evaluator at the point's Fractions, with each
     # v_j on its own summand, and a certificate writes each nonzero entry a/b
-    # from one gcd and every zero (u = 0, v_j = 0) as "0"; entry by entry the
-    # text is that Fraction arithmetic, in lowest terms, in both base charts
-    # and every fiber chart (the last example cancels v's denominator 3
-    # against the coefficients 3 and 6, and its numerator 4 against u's 2^e)
+    # from at most one gcd and every zero (u = 0, v_j = 0) as "0"; entry by
+    # entry the text is that Fraction arithmetic, in lowest terms, in both base charts
+    # and every fiber chart (the fourth example cancels v's denominator 3
+    # against the coefficients 3 and 6, and its numerator 4 against u's 2^e;
+    # the last two have integral u and v, whose entries are written with no gcd)
     X = DecomposableScroll(tuple(degrees))
     v = tuple(v[: X.n - 1])
     for k in range(1, X.N // X.n + 1):
