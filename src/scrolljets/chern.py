@@ -9,9 +9,10 @@ arithmetic happens in the exact L/F algebra of :mod:`scrolljets.chow`.
 
 Each curve factor is 1 - c_i F, and F*F = 0, so the k of them multiply to
 1 - (sum of the c_i)F: the total class is built as that one sum and one
-class product.  No class is cached, because the Segre terms read off its
-inverse are checked against an independent closed form, and a cached
-answer would only repeat itself.
+class product.  Only its inverse is cached, per (n, k), so the Segre terms
+of one (n, k) share one inversion; no Segre term or closed form is cached,
+and each piece still comes from the product and the recurrence, so every
+check of a Segre term against ``segre_closed_form`` stays independent.
 
 The ranks of the sheaves appearing along the way are pure combinatorics
 and are tracked by :class:`RankProfile`.
@@ -20,6 +21,7 @@ and are tracked by :class:`RankProfile`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .chow import _ONE, _ZERO, ChowClass, CoeffPoly, _tidy
@@ -76,9 +78,8 @@ def osculating_chern(n: int, k: int) -> ChowClass:
     indices i = 0..k-1, and the line twist factor at k.  As F*F = 0 the
     curve factors multiply to 1 - (c_0 + ... + c_(k-1))F, so one class
     product remains; the c_i are summed coefficientwise as ints, in a loop
-    over i.  Nothing is cached: ``segre_term`` builds this product and
-    inverts its truncation on every call, which keeps its check against
-    ``segre_closed_form`` independent of earlier answers.
+    over i.  It is not cached; ``segre_term`` reads its pieces off the
+    cached inverse of this product, one per (n, k).
     """
     n, k = scroll_dimension(n), jet_order(k)
     d_part = twist = 0  # c_0 + ... + c_(k-1) = d_part*d + twist*(g - 1), summed as ints
@@ -94,17 +95,21 @@ def _piece(n: int, j: int, alpha: CoeffPoly, beta: CoeffPoly) -> ChowClass:
     return ChowClass._make(n, pad[:j] + (alpha,) + pad[j:], pad[:j] + (beta,) + pad[j:])
 
 
+@lru_cache(maxsize=32)  # bounded: a grid check interleaves a few (n, k) at a time
+def _segre_class(n: int, k: int) -> ChowClass:
+    """The inverse of ``osculating_chern(n, k)``, for n and k validated as ints."""
+    return osculating_chern(n, k).inverse()
+
+
 def segre_term(n: int, k: int, j: int) -> ChowClass:
     """Codimension-j piece of the inverse total Chern class, via the product.
 
-    Only the codimension <= j part of ``osculating_chern(n, k)`` is inverted,
-    as a class on dimension j: dropping the codimensions above j is a ring
-    map, so it commutes with inversion, and y_j = -sum x_i*y_(j-i) reads only
-    x_1..x_j.  The piece is the same as that of the full inverse.
+    The terms of one (n, k) share one inverse of ``osculating_chern(n, k)``,
+    O(n) recurrence steps, and each call builds a new class from its piece.
     """
     n = scroll_dimension(n)
     j = exact_int(j, "codimension j", 1, n)
-    return _piece(n, j, *osculating_chern(n, k)._truncated(j).inverse().term(j))
+    return _piece(n, j, *_segre_class(n, jet_order(k)).term(j))
 
 
 def segre_closed_form(n: int, k: int, j: int) -> ChowClass:

@@ -400,14 +400,6 @@ class ChowClass:
             result = result * self
         return result
 
-    def _truncated(self, j: int) -> "ChowClass":
-        """The pieces of codimension <= j, as a class on dimension j (1 <= j <= n).
-
-        Dropping every codimension above j is a ring map, so it commutes with
-        products and with :meth:`inverse`.
-        """
-        return ChowClass._make(j, self._alpha[: j + 1], self._beta[: j + 1])
-
     def inverse(self) -> "ChowClass":
         """Multiplicative inverse, as a power series truncated beyond codim n.
 

@@ -420,7 +420,7 @@ class InflectedSample:
             },
             "rank": self.rank,
             "corank": self.corank,
-            "jet_matrix": [list(row) for row in self.rows],
+            "jet_matrix": self.rows,
         }
 
 

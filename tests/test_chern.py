@@ -1,9 +1,12 @@
 import hashlib
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrolljets import chern
 from scrolljets.chern import osculating_chern, rank_profile, segre_closed_form, segre_term
 from scrolljets.chow import ChowClass, CoeffPoly, D, G
 
@@ -200,13 +203,51 @@ def test_segre_pipeline_matches_closed_form_grid():
 
 
 def test_segre_term_is_the_piece_of_the_untruncated_inverse():
-    # segre_term inverts only the codimension <= j part of the total class;
-    # its piece must be the one the whole inverse carries in codimension j
+    # segre_term reads its piece off the cached inverse of the total class;
+    # it must be the piece of an inverse built here, outside the cache
     for n in range(1, 13):
         for k in range(1, 9):
             full = osculating_chern(n, k).inverse()
             for j in range(1, n + 1):
                 assert segre_term(n, k, j) == ChowClass(n, [(j, *full.term(j))]), (n, k, j)
+
+
+def test_segre_terms_survive_eviction_from_the_shared_inverse_cache():
+    # 48 (n, k) pairs, more than the cache holds, asked in a shuffled order:
+    # entries are evicted and rebuilt, and every piece, cold or warm, is the
+    # closed form and the piece of an inverse built outside the cache
+    pairs = [(n, k) for n in range(1, 9) for k in range(1, 7)]
+    inverses = {(n, k): osculating_chern(n, k).inverse() for n, k in pairs}
+    grid = [(n, k, j) for n, k in pairs for j in range(1, n + 1)]
+    random.Random(40).shuffle(grid)
+    chern._segre_class.cache_clear()
+    for n, k, j in grid:
+        term = segre_term(n, k, j)
+        assert term == segre_closed_form(n, k, j), (n, k, j)
+        assert term == ChowClass(n, [(j, *inverses[n, k].term(j))]), (n, k, j)
+    assert chern._segre_class.cache_info().misses > len(pairs)
+
+
+def test_segre_terms_never_read_the_closed_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("segre_term read segre_closed_form")
+
+    monkeypatch.setattr(chern, "segre_closed_form", refuse)
+    chern._segre_class.cache_clear()
+    for n in range(1, 7):
+        for k in range(1, 6):
+            for j in range(1, n + 1):
+                t = k * (n * (k - 1) + 2 * j)
+                assert segre_term(n, k, j).term(j) == (1, k * D + t * (G - 1)), (n, k, j)
+
+
+def test_segre_term_checks_k_before_the_cache():
+    # True == 1.0 == 1 as cache keys, so a warm (2, 1) entry must not
+    # answer for them: k is checked before the cached inverse is read
+    segre_term(2, 1, 1)
+    for k in (True, 1.0, Fraction(1), [1]):
+        with pytest.raises(ValueError, match="jet order k must be an integer"):
+            segre_term(2, k, 1)
 
 
 def _digest(lines) -> str:

@@ -452,22 +452,6 @@ def test_inverse_matches_reference_model(classes):
     assert hash(inv) == hash(ChowClass(n, inv.pieces()))
 
 
-@settings(max_examples=80, deadline=None)
-@given(ref_classes(count=1, unit=True))
-def test_inverting_a_truncation_gives_the_low_pieces_of_the_inverse(classes):
-    # dropping every codimension above j is a ring map, so it commutes with
-    # inversion; segre_term inverts only the codimension <= j part
-    (x,) = classes
-    n, full = x.n, x.inverse()
-    for j in range(1, n + 1):
-        low = x._truncated(j)
-        inv = low.inverse()
-        assert low.n == inv.n == j
-        assert [low.term(m) for m in range(j + 1)] == [x.term(m) for m in range(j + 1)]
-        assert [inv.term(m) for m in range(j + 1)] == [full.term(m) for m in range(j + 1)]
-        assert to_ref(inv) == ref_inverse(ref_reduce(to_ref(x), j), j)
-
-
 def fraction_substitute(poly, d, g):
     """Term-by-term reference: every coefficient and value a Fraction, None left formal."""
     out = {}
