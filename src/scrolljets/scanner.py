@@ -22,8 +22,8 @@ Three oracles are provided:
   sample points, getrandbits rejection draws that give Random.randint's
   stream for a nonnegative seed (plus structured points with fiber
   coordinates zeroed in all patterns and u in {0, +-1, +-2, inf}), are
-  tested for jet-rank drop, read off one table that ranks each of the
-  2^n - 1 support strata once; an all-clean table reads no sample.
+  tested for jet-rank drop, read off one table of the 2^n - 1 support strata
+  that ranks one per summand degree; an all-clean table draws no sample.
   Each inflected sample carries its exact jet matrix as a certificate; a
   scan's notes never claim emptiness, but cross-validate's verdict does,
   from the table, when no support stratum is inflected.
@@ -40,7 +40,7 @@ divisor's primary-chart ``delta`` and ``factors``) and prints via ``to_dict``.
 
 All three oracles read one sparse jet template,
 :func:`scrolljets.scrollmodel.jet_template`: the scan ranks it once per
-support stratum (a certificate at a rational point is text, one gcd per
+summand degree (a certificate at a rational point is text, one gcd per
 nonzero entry, exact at any size, that parses back to
 :func:`~scrolljets.scrollmodel.jet_matrix`, the template at the point's
 Fractions), and the Wronskian and determinant oracles share one chart
@@ -426,11 +426,11 @@ class InflectedSample:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Outcome of a deterministic exact-rank scan.  ``strata`` maps each of the 2^n - 1
-    supports T, ascending, to its rank, all ranked once (``cross_validate``'s verdict reads
-    it, not the samples); it is left out of ``to_dict``, equality and hashing.  ``notes``
-    are derived from the samples and the table: how many samples are inflected, and each
-    section w_j = 0 that holds every inflected sample because no inflected stratum has j."""
+    """Outcome of a deterministic exact-rank scan.  ``strata`` maps each of the 2^n - 1 supports
+    T, ascending, to its largest degree's rank (``cross_validate``'s verdict reads it; samples
+    are drawn only if a stratum is inflected, else counted); it is left out of ``to_dict``,
+    equality and hashing.  ``notes`` derive from the samples and the table: how many samples
+    are inflected, and each w_j = 0 holding every inflected sample, as no inflected T has j."""
 
     scroll: DecomposableScroll
     k: int
@@ -496,8 +496,9 @@ _WIDE_DRAW, _NARROW_DRAW = (
     (2 * top + 1, den, [_RATIONALS[a, b] for a in range(-top, top + 1) for b in range(1, den + 1)])
     for top, den in (_WIDE, _NARROW))
 
-#: How many distinct values u and each v_j can take: 251 and 51.
+#: How many distinct values u and each v_j can take, 251 and 51, and the structured block's u.
 _U_VALUES, _V_VALUES = (len(set(draw[2])) for draw in (_WIDE_DRAW, _NARROW_DRAW))
+_STRUCTURED_U = tuple(_RATIONALS[x, 1] for x in (0, 1, -1, 2, -2))
 
 
 def _below(bits, m: int) -> Iterator[int]:
@@ -538,22 +539,27 @@ def scan_points(
     return [_point(*key) for key in _draws(scroll, samples, seed)]
 
 
+def _sample_count(scroll: DecomposableScroll, samples: int) -> int:
+    """How many keys :func:`_draws` returns, max(samples, the 2n * 5 * 2^(n-1) structured points);
+    a block above MAX_STRUCTURED_POINTS, or more samples than the draws can make, raises at once."""
+    n = scroll.n
+    structured = 2 * n * len(_STRUCTURED_U) * 2 ** (n - 1)
+    if structured > MAX_STRUCTURED_POINTS:
+        raise ValueError(f"scroll {scroll} has {n} summands: its structured scan block of "
+                         f"{structured} points exceeds the limit of {MAX_STRUCTURED_POINTS}")
+    if samples > 2 * n * _U_VALUES * _V_VALUES ** (n - 1):
+        raise ValueError(f"could not sample {samples} distinct points on {scroll}")
+    return max(samples, structured)
+
+
 def _draws(scroll: DecomposableScroll, samples: int, seed: int) -> List[tuple]:
-    """The distinct draws of :func:`scan_points`, in its order, as int-code keys: getrandbits
-    rejection draws (:func:`_below`), advanced lazily in the order of the randint and choice
-    calls they stand for, so they are randint's stream for the nonnegative seed."""
+    """The :func:`_sample_count` distinct draws of :func:`scan_points`, in its order, as int-code
+    keys: getrandbits rejection draws (:func:`_below`), advanced lazily in the order of the randint
+    and choice calls they stand for, so they are randint's stream for the nonnegative seed."""
     samples = exact_int(samples, "the number of samples", 1)
     bits = random.Random(exact_int(seed, "the seed", 0)).getrandbits
     n = scroll.n
-    structured_u = [_RATIONALS[x, 1] for x in (0, 1, -1, 2, -2)]
-    structured = 2 * n * len(structured_u) * 2 ** (n - 1)
-    if structured > MAX_STRUCTURED_POINTS:
-        raise ValueError(
-            f"scroll {scroll} has {n} summands: its structured scan block of {structured} "
-            f"points exceeds the limit of {MAX_STRUCTURED_POINTS}"
-        )
-    if samples > 2 * n * _U_VALUES * _V_VALUES ** (n - 1):
-        raise ValueError(f"could not sample {samples} distinct points on {scroll}")
+    _sample_count(scroll, samples)
     charts, fibers, wide = _below(bits, 2), _below(bits, n), _codes(bits, _WIDE_DRAW)
     narrow, nonzero, zero = _codes(bits, _NARROW_DRAW), _codes(bits, _NARROW_DRAW, True), repeat(0)
     # per zero pattern, the iterator each fiber coordinate reads: zero on a bit, else nonzero
@@ -562,7 +568,7 @@ def _draws(scroll: DecomposableScroll, samples: int, seed: int) -> List[tuple]:
     points: Dict[Tuple[str, int, int, Tuple[int, ...]], None] = {}  # int codes, in draw order
     for base_chart in (BASE_ZERO, BASE_INF):
         for fiber_chart in range(1, n + 1):
-            for u in structured_u:
+            for u in _STRUCTURED_U:
                 for pattern in patterns:
                     points[base_chart, u, fiber_chart, tuple(map(next, pattern))] = None
 
@@ -594,30 +600,31 @@ def rank_scan(
 ) -> ScanReport:
     """Probe the k-th inflectional locus by exact ranks at sampled points.
 
-    After drawing the points of :func:`scan_points` as int codes (getrandbits
-    rejection draws, randint's stream), the scan ranks each of the 2^n - 1
-    support strata once on integer rows, into the stratum table ``strata``.  If a stratum is
-    inflected, each sample reads its rank by the support of its codes (the
-    structured block meets every stratum), and only an inflected sample is
-    built as a point, reported with the text of its exact jet matrix there as
-    a certificate; an all-clean table reads no sample, as none can be inflected.
+    The scan counts the points of :func:`scan_points` (:func:`_sample_count`, which raises for
+    too large a scroll or too many samples before any rank), then ranks one support {i} per
+    distinct summand degree: by the orbit argument of :mod:`scrolljets.scrollmodel` that fills
+    the stratum table ``strata`` of all 2^n - 1 supports, each by its largest degree.  An
+    all-clean table draws no sample, as none can be inflected, so only the capacity check, not a
+    slow random stream, can raise "could not sample" for it.  Otherwise each drawn sample reads
+    its rank by the support of its int codes, and only an inflected sample is built as a point,
+    reported with the text of its exact jet matrix there as a certificate.
     """
     k = _admissible_order(scroll, k)
     samples = exact_int(samples, "the number of samples", 1)
     seed = exact_int(seed, "the seed", 0)
-    full_rank = k * scroll.n + 1
-    keys = _draws(scroll, samples, seed)
-    summands = range(1, scroll.n + 1)
-    strata = {support: _representative_rank(scroll, k, support)
+    full_rank, count = k * scroll.n + 1, _sample_count(scroll, samples)
+    degrees, summands = scroll.degrees, range(1, scroll.n + 1)
+    ranks = {a: _representative_rank(scroll, k, (degrees.index(a) + 1,)) for a in set(degrees)}
+    strata = {support: ranks[max(degrees[j - 1] for j in support)]
               for size in summands for support in combinations(summands, size)}
     inflected: List[InflectedSample] = []
-    for key in keys if min(strata.values()) < full_rank else ():  # a clean table reads no key
+    for key in _draws(scroll, samples, seed) if min(ranks.values()) < full_rank else ():
         rank = strata[_chart_support(key[2], key[3])]  # code 0 is zero
         if rank < full_rank:
             point = _point(*key)
             rows = _jet_text(scroll, k, point)
             inflected.append(InflectedSample(point, rank, rows))
-    return ScanReport(scroll, k, seed, samples, len(keys), tuple(inflected), strata)
+    return ScanReport(scroll, k, seed, samples, count, tuple(inflected), strata)
 
 
 # ---------------------------------------------------------------------------

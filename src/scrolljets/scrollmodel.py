@@ -19,16 +19,19 @@ Everything is exact rational arithmetic; determinants and :func:`exact_rank` com
 one dense fraction-free elimination with deterministic pivoting (:func:`bareiss`), stratum
 ranks from a sparse one (:func:`_echelon`).  A template row stores only its nonzero entries.
 
-The orbit argument: GL_2 x (C*)^n acts on the scroll and preserves the
-complete linear system, so the jet rank is constant on its orbits, the
-support strata (a point's support T is its chart summand and every j with
-v_j != 0): GL_2 moves any base point to u = 0 in chart "0", and
-v_j -> t_j v_j (t_j != 0) scales the fiber coordinates on T to 1.  So
-:func:`point_rank` ranks a point by its stratum's integer matrix, at u = 0
-in chart ("0", min T), v_j = 1 on T and 0 off it.  T = {1..n} is one open dense
-orbit that meets every chart, so its rank is the generic rank
-(:func:`full_support_rank`), and a jet determinant, whose zero locus is a
-union of orbits, is a monomial in every chart.
+The orbit argument: GL_2 x (C*)^n acts on the scroll and preserves the complete linear system,
+so the jet rank is constant on the support strata (a point's support T is its chart summand and
+every j with v_j != 0): GL_2 moves any base point to u = 0 in chart "0", and v_j -> t_j v_j
+(t_j != 0) scales the fiber coordinates on T to 1.  So :func:`point_rank` ranks a point by its
+stratum's integer matrix, at u = 0 in chart ("0", min T), v_j = 1 on T and 0 off it.  The
+automorphisms of E = O(a_1) + ... + O(a_n) join strata (Maruyama, "On automorphism groups of
+ruled surfaces", J. Math. Kyoto Univ. 11, 1971, for n = 2): a map O(a_i) -> O(a_j), times a g(u)
+of degree <= a_j - a_i, acts on the fiber coordinates w by w_i -> w_i + g(u) w_j, linearly and
+invertibly on H^0(E), so it extends to P^N and keeps every osculating rank; with w_j != 0 and
+a_j >= a_i it switches w_i on or off.  So T has the rank of {m} for any m with a_m = max_{j in T}
+a_j: one elimination per degree ranks every stratum.  The strata of the largest degree, {1..n}
+among them, are one open dense orbit, so its rank is the generic rank (:func:`full_support_rank`),
+and a jet determinant, whose zero locus is a union of orbits, is a monomial in every chart.
 """
 
 from __future__ import annotations
@@ -478,8 +481,8 @@ def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
 def full_support_rank(scroll: DecomposableScroll, k: int) -> int:
     """The generic k-jet rank: the stratum T = {1..n}, at u = 0, every v_j = 1, in chart ("0", 1).
 
-    Exact, not a sample: by the module's orbit argument T = {1..n} is the
-    open dense orbit, so every full-support point has this rank.
+    Exact, not a sample: by the module's orbit argument T = {1..n} lies in the open dense
+    orbit, the points with some w_j != 0 of the largest degree, which all have this rank.
     """
     return _representative_rank(scroll, k, tuple(range(1, scroll.n + 1)))
 

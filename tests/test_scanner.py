@@ -8,10 +8,11 @@ import re
 import sys
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
@@ -40,6 +41,7 @@ from scrolljets.scrollmodel import (
     DecomposableScroll,
     ScrollPoint,
     _chart_support,
+    _representative_rank,
     evaluate_jet_template,
     exact_rank,
     fiber_coordinate,
@@ -636,10 +638,18 @@ def test_rank_scan_ranks_every_point_as_its_fraction_jet_matrix(data):
     assert [(sample.point, sample.rank) for sample in report.inflected] == expected
 
 
-def test_rank_scan_eliminates_once_per_support_stratum(monkeypatch):
-    # a support is a nonempty set of summands, and a scan ranks each of the
-    # 2^n - 1 once, whatever its sample count; a non-square cross-validate
-    # reads its generic rank off the same table, with no further elimination
+def full_stratum_table(scroll, k):
+    """The reference table: every one of the 2^n - 1 supports ranked by its own elimination."""
+    summands = range(1, scroll.n + 1)
+    return {support: _representative_rank(scroll, k, support)
+            for size in summands for support in itertools.combinations(summands, size)}
+
+
+def test_rank_scan_eliminates_once_per_summand_degree(monkeypatch):
+    # a support is a nonempty set of summands, and a scan's table holds all
+    # 2^n - 1, but it ranks one support per distinct summand degree, whatever
+    # its sample count; a non-square cross-validate reads its generic rank off
+    # the same table, with no further elimination
     import scrolljets.scrollmodel as scrollmodel_mod
 
     calls = []
@@ -649,17 +659,48 @@ def test_rank_scan_eliminates_once_per_support_stratum(monkeypatch):
         calls.append(rows)
         return echelon(rows)
 
+    X, Y = DecomposableScroll((2, 3)), DecomposableScroll((1, 1, 1, 1, 1, 1, 2))
+    references = {X: full_stratum_table(X, 3), Y: full_stratum_table(Y, 2)}
     monkeypatch.setattr(scrollmodel_mod, "_echelon", counted)
-    report = rank_scan(DecomposableScroll((2, 3)), k=3, samples=200)
+    report = rank_scan(X, k=3, samples=200)
     assert report.points_examined == 200 and report.inflected
-    assert len(calls) == len(report.strata) == 3
+    assert len(calls) == 2 and len(report.strata) == 3
+    assert report.strata == references[X]
     calls.clear()
-    report = rank_scan(DecomposableScroll((1, 1, 1, 1, 1, 1, 2)), samples=1)
+    report = rank_scan(Y, samples=1)
     assert report.points_examined == 10 * 7 * 2**6
-    assert len(calls) == len(report.strata) == 2**7 - 1
+    assert len(calls) == 2 and len(report.strata) == 2**7 - 1
+    assert report.strata == references[Y]
     calls.clear()
     assert cross_validate(DecomposableScroll((1, 1, 3)), samples=50).oracle == "rank-scan"
-    assert len(calls) == 2**3 - 1
+    assert len(calls) == 2
+    calls.clear()
+    # a balanced scroll has one degree, so its 127 strata take one elimination
+    report = rank_scan(DecomposableScroll((3,) * 7), samples=4480)
+    assert len(calls) == 1 and len(report.strata) == 2**7 - 1
+    assert set(report.strata.values()) == {report.full_rank}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+@example([3, 1, 2])
+@example([2, 1, 1, 3])
+def test_stratum_table_ranks_each_support_by_its_largest_degree(degrees):
+    # a map O(a_i) -> O(a_j) of degree a_j - a_i >= 0 switches w_i on or off
+    # where w_j != 0, so every support of one largest degree b is one orbit:
+    # the table of one elimination per degree is the full table, key for key
+    # and in its order, and every {m} with a_m = b has the same rank
+    X = DecomposableScroll(tuple(degrees))
+    for k in range(1, X.N // X.n + 1):
+        reference = full_stratum_table(X, k)
+        with mock.patch.object(scanner_mod, "_draws", lambda *args: []):  # the table only
+            table = rank_scan(X, k, samples=1).strata
+        assert list(table.items()) == list(reference.items())
+        by_degree = {}
+        for m, a in enumerate(X.degrees, 1):
+            by_degree.setdefault(a, set()).add(_representative_rank(X, k, (m,)))
+        for support, rank in reference.items():
+            assert by_degree[max(X.degrees[j - 1] for j in support)] == {rank}
 
 
 @settings(max_examples=25, deadline=None)
@@ -853,18 +894,24 @@ def test_negative_seeds_are_rejected():
 
 def test_a_clean_stratum_table_reads_no_sample(monkeypatch):
     # when every stratum has full rank no sample can be inflected, so a scan
-    # looks up no support; it still draws, and counts, every sample
+    # looks up no support; it draws none, and counts them
     def refuse(*args):
         raise AssertionError("a sample's support was looked up")
 
+    def undrawn(*args):
+        raise AssertionError("a sample was drawn")
+
+    clean = [DecomposableScroll(degrees) for degrees in ((2, 2), (2, 2, 2))]
+    drawn = {X: len(_draws(X, 150, 3)) for X in clean}
     monkeypatch.setattr(scanner_mod, "_chart_support", refuse)
-    for degrees in ((2, 2), (2, 2, 2)):
-        X = DecomposableScroll(degrees)
+    monkeypatch.setattr(scanner_mod, "_draws", undrawn)
+    for X in clean:
         report = rank_scan(X, samples=150, seed=3)
         assert min(report.strata.values()) == report.full_rank
         assert report.inflected == ()
-        assert report.points_examined == len(_draws(X, 150, 3)) == report.clean_count
-    # an inflected stratum makes the scan read every sample's support
+        assert report.points_examined == drawn[X] == report.clean_count
+    # an inflected stratum makes the scan draw, and read every sample's support
+    monkeypatch.setattr(scanner_mod, "_draws", _draws)
     X = DecomposableScroll((1, 2, 2))
     looked_up = []
 
@@ -879,6 +926,39 @@ def test_a_clean_stratum_table_reads_no_sample(monkeypatch):
     for sample in report.inflected:
         support = _chart_support(sample.point.fiber_chart, sample.point.v)
         assert report.strata[support] == sample.rank < report.full_rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.one_of(st.integers(1, 600), st.just(502)),
+    st.integers(0, 2**64),
+)
+def test_a_clean_scan_counts_the_samples_it_would_draw(a, n, samples, seed):
+    # a balanced scroll's table is clean, so its scan draws nothing, yet it
+    # counts exactly the keys that _draws would return, or raises its error
+    X = DecomposableScroll((a,) * n)
+    counted = _outcome(lambda: rank_scan(X, samples=samples, seed=seed).points_examined)
+    assert counted == _outcome(lambda: len(_draws(X, samples, seed)))
+
+
+def test_oversized_scan_raises_before_any_rank(monkeypatch):
+    # the structured-block cap and the sampler's capacity are checked when the
+    # samples are counted, before any stratum is ranked or table built
+    def refuse(*args):
+        raise AssertionError("a stratum was ranked")
+
+    monkeypatch.setattr(scanner_mod, "_representative_rank", refuse)
+    wide = DecomposableScroll((1,) * 20)
+    block = "has 20 summands: its structured scan block of 104857600 points exceeds the limit"
+    for call in (lambda: rank_scan(wide, samples=1), lambda: cross_validate(wide, samples=1)):
+        with pytest.raises(ValueError, match=block):
+            call()
+    X, samples = DecomposableScroll((2, 2)), 2 * 2 * 251 * 51 + 1
+    for call in (lambda: rank_scan(X, samples=samples), lambda: cross_validate(X, samples=samples)):
+        with pytest.raises(ValueError, match="could not sample 51205 distinct points on"):
+            call()
 
 
 def test_oversized_scan_raises_before_building_a_point(monkeypatch):
