@@ -51,9 +51,7 @@ from .scrollmodel import (
     exact_rank,
     fiber_coordinate,
     full_support_rank,
-    is_inflected,
     jet_matrix,
-    osculating_dim,
     point_rank,
 )
 
@@ -91,10 +89,8 @@ __all__ = [
     "full_support_rank",
     "inflectional_class",
     "inflectional_degree",
-    "is_inflected",
     "jet_matrix",
     "osculating_chern",
-    "osculating_dim",
     "point_rank",
     "rank_profile",
     "rank_scan",

@@ -22,11 +22,11 @@ Three oracles are provided:
   sample points, getrandbits rejection draws that give Random.randint's
   stream for a nonnegative seed (plus structured points with fiber
   coordinates zeroed in all patterns and u in {0, +-1, +-2, inf}), are
-  tested for jet-rank drop, read off one table of the 2^n - 1 support strata
-  that ranks one per summand degree; an all-clean table draws no sample.
-  Each inflected sample carries its exact jet matrix as a certificate; a
-  scan's notes never claim emptiness, but cross-validate's verdict does,
-  from the table, when no support stratum is inflected.
+  tested for jet-rank drop, each read off the rank of the orbit of its
+  largest degree, one elimination per summand degree; when every orbit is
+  clean no sample is drawn.  Each inflected sample carries its exact jet
+  matrix as a certificate; a scan's notes never claim emptiness, but
+  cross-validate's verdict does, from the orbit ranks, when none is inflected.
 
 ``cross_validate`` runs the applicable oracle, which answers ``None`` when it
 certifies that the expected-codimension hypothesis of the class formula fails
@@ -34,7 +34,7 @@ certifies that the expected-codimension hypothesis of the class formula fails
 its exact measurement equals the formula's; the report's verdict is
 HYPOTHESIS-VIOLATED, MATCH or MISMATCH accordingly.  A report stores only
 what its oracle measured, derives the rest (a scan's full rank, clean count,
-inflected strata and notes; a Wronskian's ``k``, ``degree``, ``degenerate``
+locus and notes; a Wronskian's ``k``, ``degree``, ``degenerate``
 flag, total weight and notes; an inflected sample's ``corank``; a determinant
 divisor's primary-chart ``delta`` and ``factors``) and prints via ``to_dict``.
 
@@ -44,7 +44,7 @@ summand degree (a certificate at a rational point is text, one gcd per
 nonzero entry, exact at any size, that parses back to
 :func:`~scrolljets.scrollmodel.jet_matrix`, the template at the point's
 Fractions), and the Wronskian and determinant oracles share one chart
-determinant, so nothing here differentiates.  A stratum is ranked by the sparse
+determinant, so nothing here differentiates.  An orbit is ranked by the sparse
 elimination :func:`scrolljets.scrollmodel._echelon`; a determinant is one dense integer
 Bareiss (:func:`scrolljets.scrollmodel.bareiss`), with each variable set to 1 where the
 exponent box that the section basis leaves it holds one point (every variable of a square
@@ -58,7 +58,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, islice, product, repeat
+from itertools import compress, islice, product, repeat
 from math import factorial, gcd, prod
 from operator import mul
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -72,7 +72,6 @@ from .scrollmodel import (
     DecomposableScroll,
     ScrollPoint,
     _admissible_order,
-    _chart_support,
     _jet_text,
     _rational,
     _representative_rank,
@@ -426,11 +425,11 @@ class InflectedSample:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Outcome of a deterministic exact-rank scan.  ``strata`` maps each of the 2^n - 1 supports
-    T, ascending, to its largest degree's rank (``cross_validate``'s verdict reads it; samples
-    are drawn only if a stratum is inflected, else counted); it is left out of ``to_dict``,
-    equality and hashing.  ``notes`` derive from the samples and the table: how many samples
-    are inflected, and each w_j = 0 holding every inflected sample, as no inflected T has j."""
+    """Outcome of a deterministic exact-rank scan.  ``orbit_ranks`` maps each summand degree,
+    ascending, to the rank of its orbit, the supports T whose largest degree it is (samples are
+    drawn only if an orbit is inflected, else counted); it is left out of ``to_dict``, equality
+    and hashing.  ``locus`` and ``notes`` derive from it and the samples: how many samples are
+    inflected, and each w_j = 0 holding every inflected sample, as j is not in the locus."""
 
     scroll: DecomposableScroll
     k: int
@@ -438,7 +437,7 @@ class ScanReport:
     samples_requested: int
     points_examined: int
     inflected: Tuple[InflectedSample, ...]
-    strata: Dict[Tuple[int, ...], int] = field(compare=False)
+    orbit_ranks: Dict[int, int] = field(compare=False)
 
     @property
     def full_rank(self) -> int:
@@ -449,15 +448,17 @@ class ScanReport:
         return self.points_examined - len(self.inflected)
 
     @property
-    def inflected_strata(self) -> Tuple[Tuple[int, ...], ...]:
-        """The supports T of rank below kn+1, in ``strata`` order."""
-        return tuple(T for T, rank in self.strata.items() if rank < self.full_rank)
+    def locus(self) -> Tuple[int, ...]:
+        """The support {j : a_j <= b} of the largest inflected stratum, for b the largest degree
+        of rank below kn+1, so every inflected support lies in it; () if there is none."""
+        b = max((a for a, rank in self.orbit_ranks.items() if rank < self.full_rank), default=0)
+        return tuple(j for j, a in enumerate(self.scroll.degrees, 1) if a <= b)
 
     @property
     def notes(self) -> Tuple[str, ...]:
         if not self.inflected:
             return ("no inflected sample found (sampling cannot certify emptiness)",)
-        on = set().union(*self.inflected_strata)  # the j with w_j != 0 somewhere on the locus
+        on = set(self.locus)  # the j with w_j != 0 somewhere on the locus
         return (f"{len(self.inflected)} inflected samples among {self.points_examined} points; "
                 "each carries its exact jet matrix as certificate",
                 *(f"every inflected sample lies on the section w{j} = 0"
@@ -602,29 +603,31 @@ def rank_scan(
 
     The scan counts the points of :func:`scan_points` (:func:`_sample_count`, which raises for
     too large a scroll or too many samples before any rank), then ranks one support {i} per
-    distinct summand degree: by the orbit argument of :mod:`scrolljets.scrollmodel` that fills
-    the stratum table ``strata`` of all 2^n - 1 supports, each by its largest degree.  An
-    all-clean table draws no sample, as none can be inflected, so only the capacity check, not a
-    slow random stream, can raise "could not sample" for it.  Otherwise each drawn sample reads
-    its rank by the support of its int codes, and only an inflected sample is built as a point,
-    reported with the text of its exact jet matrix there as a certificate.
+    distinct summand degree into ``orbit_ranks``: by the orbit argument of
+    :mod:`scrolljets.scrollmodel` a support T has the rank of its largest degree.  When every
+    orbit is clean no sample is drawn, as none can be inflected, so only the capacity check, not
+    a slow random stream, can raise "could not sample" for it.  Otherwise each drawn sample reads
+    the rank of the largest degree that its int codes keep, and only an inflected sample is built
+    as a point, reported with the text of its exact jet matrix there as a certificate.
     """
     k = _admissible_order(scroll, k)
     samples = exact_int(samples, "the number of samples", 1)
     seed = exact_int(seed, "the seed", 0)
     full_rank, count = k * scroll.n + 1, _sample_count(scroll, samples)
-    degrees, summands = scroll.degrees, range(1, scroll.n + 1)
-    ranks = {a: _representative_rank(scroll, k, (degrees.index(a) + 1,)) for a in set(degrees)}
-    strata = {support: ranks[max(degrees[j - 1] for j in support)]
-              for size in summands for support in combinations(summands, size)}
+    degrees = scroll.degrees
+    ranks = {a: _representative_rank(scroll, k, (degrees.index(a) + 1,))
+             for a in sorted(set(degrees))}
+    # per fiber chart i, the degrees of its v_j, then a_i: read against v + (1,), code 0 is zero
+    chart_degrees = {i: (*(degrees[j - 1] for j in other_summands(scroll.n, i)), degrees[i - 1])
+                     for i in range(1, scroll.n + 1)}
     inflected: List[InflectedSample] = []
     for key in _draws(scroll, samples, seed) if min(ranks.values()) < full_rank else ():
-        rank = strata[_chart_support(key[2], key[3])]  # code 0 is zero
+        rank = ranks[max(compress(chart_degrees[key[2]], key[3] + (1,)))]
         if rank < full_rank:
             point = _point(*key)
             rows = _jet_text(scroll, k, point)
             inflected.append(InflectedSample(point, rank, rows))
-    return ScanReport(scroll, k, seed, samples, count, tuple(inflected), strata)
+    return ScanReport(scroll, k, seed, samples, count, tuple(inflected), ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -708,20 +711,19 @@ def _square_oracle(scroll: DecomposableScroll, k: int, formula_cls: ChowClass):
 
 def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, ell: int, expected,
                  formula_cls: ChowClass):
-    """A scan's stratum table against the formulas (N > kn); its samples are only printed.
-    The locus is the union of the X_T over the inflected strata T: of dimension max |T|, empty
-    if there is none, else of class prod (L - a_j F) over j not in T, for T the largest."""
+    """A scan's orbit ranks against the formulas (N > kn); its samples are only printed.
+    The locus is the union of the X_T over the inflected strata T, the largest X_T: of dimension
+    |T|, empty if there is none, else of class prod (L - a_j F) over j not in T."""
     scan = rank_scan(scroll, k, samples=samples, seed=seed)
-    top = max(scan.inflected_strata, key=len, default=())
+    top = scan.locus
     summary = scan.to_dict()
     summary["inflected"] = summary["inflected"][:10]  # keep the summary bounded
     notes = list(summary["notes"])
     agrees = None
     if len(top) == scroll.n:  # the full-support stratum
-        notes.append(
-            f"generic jet rank {scan.strata[top]} is below kn+1 = {scan.full_rank} "
-            "(exact, at the full-support point): the whole scroll is inflected"
-        )
+        rank = scan.orbit_ranks[max(scroll.degrees)]
+        notes.append(f"generic jet rank {rank} is below kn+1 = {scan.full_rank} "
+                     "(exact, at the full-support point): the whole scroll is inflected")
     elif len(top) > scroll.n - ell:
         notes.append(f"the inflected stratum of support {top} has dimension {len(top)} > "
                      f"n - ell = {scroll.n - ell}: the locus has the wrong dimension")

@@ -289,7 +289,7 @@ def jet_template(
     summand j only, the mixed d/dv_j derivative perm(e, h) u^(e-h): at most
     2(k+1) entries, emitted directly.  Every numeric, symbolic and Wronskian
     jet matrix is this template evaluated.
-    The cache is bounded: a scan ranks its strata in the charts ("0", i)
+    The cache is bounded: a scan ranks its orbits in the charts ("0", i)
     and certifies in its points' own charts, so it needs at most 2n charts.
     """
     k, n = jet_order(k), scroll.n
@@ -486,17 +486,3 @@ def full_support_rank(scroll: DecomposableScroll, k: int) -> int:
     """
     return _representative_rank(scroll, k, tuple(range(1, scroll.n + 1)))
 
-
-def osculating_dim(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
-    """Dimension of the k-th osculating space at the point: jet rank - 1."""
-    return point_rank(scroll, k, point) - 1
-
-
-def is_inflected(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> bool:
-    """Whether the k-jet rank at the point drops below the generic bound kn+1.
-
-    Only meaningful while kn does not exceed the ambient dimension N, so k
-    must lie in 1..N // n (:func:`_admissible_order`).
-    """
-    k = _admissible_order(scroll, k)
-    return point_rank(scroll, k, point) < k * scroll.n + 1

@@ -21,7 +21,7 @@ from scrolljets.formulas import (
     inflectional_degree,
 )
 from scrolljets.scanner import rank_scan, scan_points
-from scrolljets.scrollmodel import DecomposableScroll, ScrollPoint, is_inflected
+from scrolljets.scrollmodel import DecomposableScroll, ScrollPoint
 
 
 def test_params_derive_jet_order_and_codim():
@@ -435,7 +435,6 @@ OUT_OF_RANGE = [
     lambda: DecomposableScroll((0,)),
     lambda: ScrollPoint("0", 0, 0),
     lambda: rank_scan(RANGE_SCROLL, k=3),
-    lambda: is_inflected(RANGE_SCROLL, 3, ScrollPoint("0", 1, 1, (1,))),
     lambda: scan_points(RANGE_SCROLL, 0, 1),
     lambda: rank_profile(0, 2),
 ]

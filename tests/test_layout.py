@@ -30,7 +30,7 @@ REPORT_FIELDS = {
     "notes", "inflected", "points_examined", "samples_requested", "full_rank", "clean_count",
     "corank", "verdict", "formula_class", "formula_degree", "oracle_summary", "rational_points",
     "infinity_weight", "finite_total", "total", "degenerate", "wronskian",
-    "wronskian_at_infinity",
+    "wronskian_at_infinity", "orbit_ranks", "locus",
 }
 
 

@@ -26,6 +26,7 @@ from scrolljets.scanner import (
     MAX_STRUCTURED_POINTS,
     GenericRankFailure,
     InflectedSample,
+    ScanReport,
     WronskianReport,
     _chart_determinant,
     _draws,
@@ -125,6 +126,9 @@ def test_reports_store_only_what_their_oracles_measured():
         "rational_points", "infinity_weight",
     ]
     assert names(InflectedSample) == ["point", "rank", "rows"]
+    assert names(ScanReport) == [
+        "scroll", "k", "seed", "samples_requested", "points_examined", "inflected", "orbit_ranks",
+    ]
     rows = ((1,), (0, 1), (1, 1), (0, 0, 0, 1))
     report = wronskian_weights(rows, 3)
     assert report == WronskianReport(rows)
@@ -601,19 +605,20 @@ def test_certificates_parse_back_to_the_jet_matrix_at_their_points():
     # a certificate is written by int-pair arithmetic (_jet_text) and
     # jet_matrix evaluates the template at the point's Fractions: on the
     # benchmark's certified shapes, over three seeds, every inflected sample's
-    # parsed text is that matrix, and the inflected strata hold its support
+    # parsed text is that matrix, its support lies in the locus, and its rank
+    # is the orbit rank of its support's largest degree
     shapes = (((1, 3), None), ((2, 3), 3), ((1, 1, 4), None), ((3, 5), None), ((5, 7), None))
     checked = 0
     for degrees, k in shapes:
         X = DecomposableScroll(degrees)
         for seed in (1, 2, 3):
             report = rank_scan(X, k, samples=100, seed=seed)
-            strata = report.inflected_strata
-            assert strata == tuple(T for T, r in report.strata.items() if r < report.full_rank)
             for sample in report.inflected:
                 assert sample.matrix == jet_matrix(X, report.k, sample.point), (degrees, seed)
                 on = tuple(j for j in range(1, X.n + 1) if fiber_coordinate(X, sample.point, j))
-                assert on in strata, (degrees, seed)
+                assert set(on) <= set(report.locus), (degrees, seed)
+                top = max(X.degrees[j - 1] for j in on)
+                assert report.orbit_ranks[top] == sample.rank < report.full_rank, (degrees, seed)
                 checked += 1
     assert checked == 420
 
@@ -645,11 +650,20 @@ def full_stratum_table(scroll, k):
             for size in summands for support in itertools.combinations(summands, size)}
 
 
+def expanded_table(report):
+    """A scan's orbit ranks spread over every support, each by its largest degree, in the
+    order of :func:`full_stratum_table`."""
+    degrees, summands = report.scroll.degrees, range(1, report.scroll.n + 1)
+    return {support: report.orbit_ranks[max(degrees[j - 1] for j in support)]
+            for size in summands for support in itertools.combinations(summands, size)}
+
+
 def test_rank_scan_eliminates_once_per_summand_degree(monkeypatch):
-    # a support is a nonempty set of summands, and a scan's table holds all
-    # 2^n - 1, but it ranks one support per distinct summand degree, whatever
-    # its sample count; a non-square cross-validate reads its generic rank off
-    # the same table, with no further elimination
+    # a support is a nonempty set of summands, and there are 2^n - 1, but a
+    # scan ranks one support per distinct summand degree, whatever its sample
+    # count, and keeps one rank per degree; spread over the supports, those
+    # are the full table; a non-square cross-validate reads its generic rank
+    # off the same ranks, with no further elimination
     import scrolljets.scrollmodel as scrollmodel_mod
 
     calls = []
@@ -664,21 +678,20 @@ def test_rank_scan_eliminates_once_per_summand_degree(monkeypatch):
     monkeypatch.setattr(scrollmodel_mod, "_echelon", counted)
     report = rank_scan(X, k=3, samples=200)
     assert report.points_examined == 200 and report.inflected
-    assert len(calls) == 2 and len(report.strata) == 3
-    assert report.strata == references[X]
+    assert len(calls) == 2 and len(report.orbit_ranks) == 2
+    assert expanded_table(report) == references[X]
     calls.clear()
     report = rank_scan(Y, samples=1)
     assert report.points_examined == 10 * 7 * 2**6
-    assert len(calls) == 2 and len(report.strata) == 2**7 - 1
-    assert report.strata == references[Y]
+    assert len(calls) == 2 and len(report.orbit_ranks) == 2
+    assert expanded_table(report) == references[Y]
     calls.clear()
     assert cross_validate(DecomposableScroll((1, 1, 3)), samples=50).oracle == "rank-scan"
     assert len(calls) == 2
     calls.clear()
-    # a balanced scroll has one degree, so its 127 strata take one elimination
+    # a balanced scroll has one degree, so its 127 strata are one orbit and take one elimination
     report = rank_scan(DecomposableScroll((3,) * 7), samples=4480)
-    assert len(calls) == 1 and len(report.strata) == 2**7 - 1
-    assert set(report.strata.values()) == {report.full_rank}
+    assert len(calls) == 1 and report.orbit_ranks == {3: report.full_rank}
 
 
 @settings(max_examples=150, deadline=None)
@@ -688,19 +701,26 @@ def test_rank_scan_eliminates_once_per_summand_degree(monkeypatch):
 def test_stratum_table_ranks_each_support_by_its_largest_degree(degrees):
     # a map O(a_i) -> O(a_j) of degree a_j - a_i >= 0 switches w_i on or off
     # where w_j != 0, so every support of one largest degree b is one orbit:
-    # the table of one elimination per degree is the full table, key for key
-    # and in its order, and every {m} with a_m = b has the same rank
+    # the scan's one elimination per degree ranks every support as its own
+    # elimination does, every {m} with a_m = b has the same rank, and the
+    # locus is the union of the inflected supports, itself one of them
     X = DecomposableScroll(tuple(degrees))
     for k in range(1, X.N // X.n + 1):
         reference = full_stratum_table(X, k)
-        with mock.patch.object(scanner_mod, "_draws", lambda *args: []):  # the table only
-            table = rank_scan(X, k, samples=1).strata
-        assert list(table.items()) == list(reference.items())
+        with mock.patch.object(scanner_mod, "_draws", lambda *args: []):  # the ranks only
+            scan = rank_scan(X, k, samples=1)
+        assert set(scan.orbit_ranks) == set(X.degrees)
         by_degree = {}
         for m, a in enumerate(X.degrees, 1):
             by_degree.setdefault(a, set()).add(_representative_rank(X, k, (m,)))
         for support, rank in reference.items():
-            assert by_degree[max(X.degrees[j - 1] for j in support)] == {rank}
+            top = max(X.degrees[j - 1] for j in support)
+            assert scan.orbit_ranks[top] == rank and by_degree[top] == {rank}, support
+        assert list(expanded_table(scan).items()) == list(reference.items())
+        inflected = [support for support, rank in reference.items() if rank < scan.full_rank]
+        assert set(scan.locus) == set().union(*inflected)
+        assert all(set(support) <= set(scan.locus) for support in inflected)
+        assert not inflected or reference[scan.locus] < scan.full_rank  # itself inflected
 
 
 @settings(max_examples=25, deadline=None)
@@ -893,39 +913,40 @@ def test_negative_seeds_are_rejected():
 
 
 def test_a_clean_stratum_table_reads_no_sample(monkeypatch):
-    # when every stratum has full rank no sample can be inflected, so a scan
-    # looks up no support; it draws none, and counts them
+    # when every orbit has full rank no sample can be inflected, so a scan
+    # reads no sample's degrees; it draws none, and counts them
     def refuse(*args):
-        raise AssertionError("a sample's support was looked up")
+        raise AssertionError("a sample's degrees were read")
 
     def undrawn(*args):
         raise AssertionError("a sample was drawn")
 
     clean = [DecomposableScroll(degrees) for degrees in ((2, 2), (2, 2, 2))]
     drawn = {X: len(_draws(X, 150, 3)) for X in clean}
-    monkeypatch.setattr(scanner_mod, "_chart_support", refuse)
+    monkeypatch.setattr(scanner_mod, "compress", refuse)
     monkeypatch.setattr(scanner_mod, "_draws", undrawn)
     for X in clean:
         report = rank_scan(X, samples=150, seed=3)
-        assert min(report.strata.values()) == report.full_rank
+        assert min(report.orbit_ranks.values()) == report.full_rank
         assert report.inflected == ()
         assert report.points_examined == drawn[X] == report.clean_count
-    # an inflected stratum makes the scan draw, and read every sample's support
+    # an inflected orbit makes the scan draw, and read every sample's degrees
     monkeypatch.setattr(scanner_mod, "_draws", _draws)
     X = DecomposableScroll((1, 2, 2))
     looked_up = []
 
-    def counted(fiber_chart, v):
-        looked_up.append(v)
-        return _chart_support(fiber_chart, v)
+    def counted(degrees, codes):
+        looked_up.append(codes)
+        return itertools.compress(degrees, codes)
 
-    monkeypatch.setattr(scanner_mod, "_chart_support", counted)
+    monkeypatch.setattr(scanner_mod, "compress", counted)
     report = rank_scan(X, samples=150, seed=3)
     assert len(looked_up) == report.points_examined == len(_draws(X, 150, 3))
     assert report.inflected
     for sample in report.inflected:
         support = _chart_support(sample.point.fiber_chart, sample.point.v)
-        assert report.strata[support] == sample.rank < report.full_rank
+        top = max(X.degrees[j - 1] for j in support)
+        assert report.orbit_ranks[top] == sample.rank < report.full_rank
 
 
 @settings(max_examples=60, deadline=None)
@@ -1084,11 +1105,11 @@ def test_cross_validate_verdict_census():
         section = [a for a in degrees if a == k - 1]
         violated = min(degrees) < k - 1 or len(section) > n - ell
         assert report.verdict == (HYPOTHESIS_VIOLATED if violated else MATCH), degrees
-        # the paper's headline, from the exact table: only the balanced
+        # the paper's headline, from the exact orbit ranks: only the balanced
         # scroll is uninflected
         scan = rank_scan(report.scroll, k, samples=1)
         own = classify_uninflected(n, k, ell) == report.scroll
-        assert all(rank == scan.full_rank for rank in scan.strata.values()) == own, degrees
+        assert all(rank == scan.full_rank for rank in scan.orbit_ranks.values()) == own, degrees
     assert [report.verdict for report in census.values()].count(MATCH) == 17
     # where ell = n the formula expects no locus, so any inflected stratum has the wrong dimension
     assert "support (1,) has dimension 1 > n - ell = 0" in census[(1, 3)].notes[-1]
@@ -1106,16 +1127,36 @@ def test_cross_validate_verdict_census():
 
 
 def test_the_classified_scroll_is_uninflected_to_both_oracles():
-    # the formula side's answer is a scroll the oracles take as it is: every
-    # support stratum has full rank at order k, and cross-validate matches
+    # the formula side's answer is a scroll the oracles take as it is: its
+    # one orbit, every support, has full rank at order k, and cross-validate matches
     for n in range(1, 5):
         for k in range(1, 5):
             scroll = classify_uninflected(n, k, n)
             assert scroll == DecomposableScroll((k,) * n)
             scan = rank_scan(scroll, samples=1)
-            assert scan.k == k and set(scan.strata.values()) == {k * n + 1}, (n, k)
+            assert scan.k == k and scan.orbit_ranks == {k: k * n + 1}, (n, k)
+            assert scan.locus == (), (n, k)
             report = cross_validate(scroll)
             assert (report.verdict, report.ell) == (MATCH, n), (n, k)
+
+
+def test_only_the_balanced_scroll_has_full_rank_on_every_orbit(monkeypatch):
+    # the paper's headline on the rank side: among all types of degree nk
+    # (ell = n) with n <= 4 and k <= 5, 181 of them, exactly (k, ..., k) has
+    # jet rank kn + 1 on every orbit, so it alone is uninflected
+    monkeypatch.setattr(scanner_mod, "_draws", lambda *args: [])  # the ranks only
+    types = clean = 0
+    for n in range(1, 5):
+        for k in range(1, 6):
+            for degrees in itertools.combinations_with_replacement(range(1, n * k + 1), n):
+                if sum(degrees) != n * k:
+                    continue
+                scan = rank_scan(DecomposableScroll(degrees), k, samples=1)
+                full = all(rank == k * n + 1 for rank in scan.orbit_ranks.values())
+                assert full == (degrees == (k,) * n), (degrees, k, scan.orbit_ranks)
+                types += 1
+                clean += full
+    assert (types, clean) == (181, 20)
 
 
 def test_cross_validate_mismatch_on_the_locus_class(capsys, monkeypatch):

@@ -24,12 +24,10 @@ from scrolljets.scrollmodel import (
     exact_rank,
     fiber_coordinate,
     full_support_rank,
-    is_inflected,
     jet_columns,
     jet_matrix,
     jet_order,
     jet_template,
-    osculating_dim,
     other_summands,
     point_rank,
 )
@@ -303,8 +301,6 @@ def test_point_rank_is_the_fraction_rank(degrees, u, v):
                 entries = jet_matrix(X, k, p)
                 rank = exact_rank(entries)
                 assert point_rank(X, k, p) == rank == sympy_rank(entries)
-                assert osculating_dim(X, k, p) == rank - 1
-                assert is_inflected(X, k, p) == (rank < k * X.n + 1)
 
 
 def test_jet_rank_balanced_everywhere_full():
@@ -323,16 +319,16 @@ def test_jet_rank_unbalanced_directrix_drop():
 
 
 # ---------------------------------------------------------------------------
-# osculating dimension and inflection predicate
+# osculating dimension (jet rank - 1) and inflection (jet rank below kn+1)
 # ---------------------------------------------------------------------------
 
 
 def test_osculating_dim_examples():
-    assert osculating_dim(DecomposableScroll((2, 2)), 2, pt(3, (2,))) == 4
-    assert osculating_dim(DecomposableScroll((1, 3)), 2, pt(1, (0,))) == 3
+    assert point_rank(DecomposableScroll((2, 2)), 2, pt(3, (2,))) == 4 + 1
+    assert point_rank(DecomposableScroll((1, 3)), 2, pt(1, (0,))) == 3 + 1
     X = DecomposableScroll((3,))
     for u in (0, 1, -2, Fraction(1, 3)):
-        assert osculating_dim(X, 3, pt(u)) == 3
+        assert point_rank(X, 3, pt(u)) == 3 + 1
 
 
 def test_osculating_dim_bound():
@@ -342,23 +338,17 @@ def test_osculating_dim_bound():
         k = X.N // X.n
         for _ in range(10):
             p = random_point(rng, X)
-            assert osculating_dim(X, k, p) <= k * X.n
+            assert point_rank(X, k, p) <= k * X.n + 1
 
 
 def test_is_inflected_examples():
     balanced = DecomposableScroll((2, 2))
     rng = random.Random(9)
     for _ in range(10):
-        assert not is_inflected(balanced, 2, random_point(rng, balanced))
+        assert not point_rank(balanced, 2, random_point(rng, balanced)) < 2 * 2 + 1
     X = DecomposableScroll((1, 2))
-    assert is_inflected(X, 2, pt(4, (0,)))
-    assert not is_inflected(X, 2, pt(4, (Fraction(1, 2),)))
-
-
-def test_is_inflected_rejects_large_order():
-    X = DecomposableScroll((1, 2))
-    with pytest.raises(ValueError):
-        is_inflected(X, 3, pt(1, (1,)))
+    assert point_rank(X, 2, pt(4, (0,))) < 2 * 2 + 1
+    assert not point_rank(X, 2, pt(4, (Fraction(1, 2),))) < 2 * 2 + 1
 
 
 def test_rank_bound_invariant():
@@ -713,8 +703,9 @@ def test_point_rank_is_constant_on_each_support_stratum(data):
 
 def test_scan_strata_are_the_closed_form_on_every_small_type():
     # a census of every nondecreasing type with n <= 3 and a_j <= 6, at
-    # every order k <= N // n (313 cases): a scan's stratum table, ranked
-    # by elimination, must be the closed form rho(T, k) on every support T
+    # every order k <= N // n (313 cases): a scan's orbit ranks, one
+    # elimination per degree, read off each support T by its largest degree,
+    # must be the closed form rho(T, k)
     cases = 0
     for n in (1, 2, 3):
         for degrees in itertools.combinations_with_replacement(range(1, 7), n):
@@ -723,7 +714,10 @@ def test_scan_strata_are_the_closed_form_on_every_small_type():
             supports = [t for size in summands for t in itertools.combinations(summands, size)]
             for k in range(1, X.N // n + 1):
                 expected = {t: stratum_rank(degrees, t, k) for t in supports}
-                assert rank_scan(X, k, samples=1).strata == expected, (degrees, k)
+                ranks = rank_scan(X, k, samples=1).orbit_ranks
+                assert set(ranks) == set(degrees), (degrees, k)
+                table = {t: ranks[max(degrees[j - 1] for j in t)] for t in supports}
+                assert table == expected, (degrees, k)
                 cases += 1
     assert cases == 313
 
@@ -731,20 +725,21 @@ def test_scan_strata_are_the_closed_form_on_every_small_type():
 def test_no_stratum_has_corank_two_where_the_generic_rank_is_full():
     # the oracle side of the vanishing Porteous classes of corank r >= 2: on
     # every nondecreasing type with n <= 4 and a_j <= 6, at every order
-    # k <= N // n of full generic rank kn + 1, every support stratum has
-    # rank at least kn, so no point has corank 2 or more
-    pairs = strata = 0
+    # k <= N // n of full generic rank kn + 1, every orbit, and so every
+    # support stratum, has rank at least kn, so no point has corank 2 or more
+    pairs = orbits = 0
     for n in (1, 2, 3, 4):
         for degrees in itertools.combinations_with_replacement(range(1, 7), n):
             X = DecomposableScroll(degrees)
             for k in range(1, X.N // n + 1):
                 if full_support_rank(X, k) < k * n + 1:
                     continue
-                table = rank_scan(X, k, samples=1).strata
-                assert min(table.values()) >= k * n, (degrees, k, table)
+                ranks = rank_scan(X, k, samples=1).orbit_ranks
+                assert set(ranks) == set(degrees), (degrees, k, ranks)
+                assert min(ranks.values()) >= k * n, (degrees, k, ranks)
                 pairs += 1
-                strata += len(table)
-    assert (pairs, strata) == (640, 7046)
+                orbits += len(ranks)
+    assert (pairs, orbits) == (640, 1488)
 
 
 # ---------------------------------------------------------------------------
