@@ -10,7 +10,6 @@ formulas.
 """
 
 from .chern import (
-    RankProfile,
     osculating_chern,
     rank_profile,
     segre_closed_form,
@@ -74,7 +73,6 @@ __all__ = [
     "InflectedSample",
     "MATCH",
     "MISMATCH",
-    "RankProfile",
     "ScanReport",
     "ScrollParams",
     "ScrollPoint",

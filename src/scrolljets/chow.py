@@ -99,8 +99,7 @@ def _substituted(terms: dict, d: Optional[Scalar], g: Optional[Scalar]) -> "Coef
             c, ed = c * d**ed, 0
         if g is not None:
             c, eg = c * g**eg, 0
-        if c:
-            out[ed, eg] = out.get((ed, eg), 0) + c
+        out[ed, eg] = out.get((ed, eg), 0) + c
     return CoeffPoly._make(_tidy(out))
 
 
@@ -163,12 +162,7 @@ class CoeffPoly:
         return bool(self._terms)
 
     def __add__(self, other: CoeffLike) -> "CoeffPoly":
-        if type(other) is not CoeffPoly:
-            other = CoeffPoly.coerce(other)
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
+        other = CoeffPoly.coerce(other)
         merged = dict(self._terms)
         for key, c in other._terms.items():
             merged[key] = merged.get(key, 0) + c
@@ -186,10 +180,9 @@ class CoeffPoly:
         return CoeffPoly.coerce(other) + (-self)
 
     def __mul__(self, other: CoeffLike) -> "CoeffPoly":
-        if type(other) is not CoeffPoly:
-            if isinstance(other, ChowClass):
-                return NotImplemented  # ChowClass.__rmul__ scales the class
-            other = CoeffPoly.coerce(other)
+        if isinstance(other, ChowClass):
+            return NotImplemented  # ChowClass.__rmul__ scales the class
+        other = CoeffPoly.coerce(other)
         prod: dict[Tuple[int, int], Scalar] = {}
         _addmul(prod, self._terms, other._terms)
         return CoeffPoly._make(_tidy(prod))
@@ -387,8 +380,8 @@ class ChowClass:
         pad = (_ZERO,) * (n - top)
         return ChowClass._make(
             n,
-            tuple(CoeffPoly._make(_tidy(t)) if t else _ZERO for t in alpha) + pad,
-            tuple(CoeffPoly._make(_tidy(t)) if t else _ZERO for t in beta) + pad,
+            tuple(map(CoeffPoly._make, map(_tidy, alpha))) + pad,
+            tuple(map(CoeffPoly._make, map(_tidy, beta))) + pad,
         )
 
     def __rmul__(self, other: CoeffLike) -> "ChowClass":

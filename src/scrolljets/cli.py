@@ -318,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _document_text(value, pad: str = "\n") -> str:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)``, in few C-level calls.
 
-    A dict sorts its keys once; a dict or list writes its str and int items inline in its
-    one join.  A jet matrix, a list or tuple of nonempty lists or tuples of str, is one
+    A dict sorts its keys once, and a dict or list writes its items' texts in one join.
+    A jet matrix, a list or tuple of nonempty lists or tuples of str, is one
     join of its rows' joins, its entries quoted by the separators, when one escape check on
     all of them at once finds none to escape; otherwise it is written as any list.  Types match
     exactly: any type but dict, list, tuple, str, int, bool and None (a subclass included),
@@ -348,8 +348,7 @@ def _document_text(value, pad: str = "\n") -> str:
         items, ends = value, "[]"
     else:
         raise TypeError(f"a {kind.__name__} has no exact JSON form")
-    texts = [_string(x) if type(x) is str else _text(x) if type(x) is int
-             else _document_text(x, inner) for x in items]
+    texts = [_document_text(x, inner) for x in items]
     if kind is dict:
         texts = map("{}: {}".format, map(_string, keys), texts)
     return ends[0] + inner + ("," + inner).join(texts) + pad + ends[1] if value else ends

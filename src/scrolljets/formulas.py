@@ -68,10 +68,7 @@ def inflectional_class(params: ScrollParams) -> ChowClass:
 
     Formal when d, g are formal; numeric coefficients otherwise.
     """
-    cls = segre_closed_form(params.n, params.k, params.ell)
-    if params.d is None and params.g is None:
-        return cls
-    return cls.evaluate(d=params.d, g=params.g)
+    return segre_closed_form(params.n, params.k, params.ell).evaluate(d=params.d, g=params.g)
 
 
 def inflectional_degree(params: ScrollParams) -> Value:

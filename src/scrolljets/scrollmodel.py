@@ -223,8 +223,8 @@ class ScrollPoint:
 
 def _check_point(scroll: DecomposableScroll, point: ScrollPoint) -> None:
     # ScrollPoint has checked its base chart and made its fiber chart an int,
-    # so a range check suffices; a scan checks only its inflected samples,
-    # as _jet_text writes their certificates
+    # so a range check suffices; a scan checks none of its points, which it
+    # builds from the draw keys of its own chart and summand counts
     if not 1 <= point.fiber_chart <= scroll.n:
         raise ValueError(f"fiber chart {point.fiber_chart} outside 1..{scroll.n}")
     if len(point.v) != scroll.n - 1:
@@ -344,8 +344,8 @@ def _jet_text(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> Tuple[t
     a/b = coeff r_j p^e / s_j q^e with b > 0, written as str(Fraction(a, b)), reduced by one
     g = gcd(a, b) only if b != 1 (b is 1 for about 70 % of a scan's nonzero entries); a zero
     is the shared "0".  Past the int-to-text digit limit a and b are written by :func:`_text`.
+    The point is not checked: :func:`~scrolljets.scanner.rank_scan`, the one caller, built it.
     """
-    _check_point(scroll, point)
     p, q = point.u.as_integer_ratio()
     terms = {None: [(p**e, q**e) for e in range(max(scroll.degrees) + 1)]}
     for j, x in zip(other_summands(scroll.n, point.fiber_chart), point.v):
@@ -411,8 +411,6 @@ def bareiss(rows: List[list]) -> Tuple[int, int]:
             row[col] = 0
         prev = pivot
         rank += 1
-        if rank == nrows:
-            break
     return rank, sign * prev if rank == nrows == ncols else 0
 
 

@@ -1,3 +1,4 @@
+import numbers
 import random
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
 from scrolljets.chern import osculating_chern
-from scrolljets.chow import ChowClass, CoeffPoly, D, G
+from scrolljets.chow import ChowClass, CoeffPoly, D, G, _addmul
 
 scalars = st.integers(min_value=-9, max_value=9)
 monomials = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -55,6 +56,49 @@ def test_coeffpoly_constants_and_eq():
     assert CoeffPoly.const(Fraction(6, 2)) == 3
     assert D != G
     assert (D + G) - D == G
+
+
+def test_coerce_builds_the_public_constant():
+    # coerce makes a number's CoeffPoly by the trusted _make, the public
+    # constructor by its checks: the terms, their types and the hash agree
+    for c in (0, 1, -3, Fraction(0, 5), Fraction(4, 2), Fraction(-2, 3)):
+        made, public = CoeffPoly.coerce(c), CoeffPoly({(0, 0): c})
+        assert made == public and hash(made) == hash(public)
+        assert [(key, type(x)) for key, x in made.terms().items()] == [
+            (key, type(x)) for key, x in public.terms().items()
+        ]
+
+
+class OtherRational:
+    """An exact rational type that is neither int nor Fraction."""
+
+    def __init__(self, numerator, denominator):
+        self.numerator, self.denominator = numerator, denominator
+
+
+numbers.Rational.register(OtherRational)
+
+
+def test_values_of_another_rational_type_substitute_as_ints_or_fractions():
+    # _exact passes an int or a Fraction as it is and converts any other exact
+    # rational: each value must give the terms, and term types, of its Fraction
+    # or, when integral, of its int
+    poly = 3 * D**2 * G - D + Fraction(1, 2) * G + 5
+    cls = ChowClass(2, [(0, 1, 0), (1, poly, D), (2, 0, poly * G)])
+    for top, bottom in ((3, 2), (-7, 4), (4, 1), (-5, 1), (0, 1)):
+        other = OtherRational(top, bottom)
+        exact = top if bottom == 1 else Fraction(top, bottom)
+        for got, expected in (
+            (poly.substitute(d=other), poly.substitute(d=exact)),
+            (poly.substitute(g=other), poly.substitute(g=exact)),
+            (CoeffPoly.const(poly.evaluate(other, other)),
+             CoeffPoly.const(poly.evaluate(exact, exact))),
+            *zip(cls.evaluate(d=other, g=other).term(2), cls.evaluate(d=exact, g=exact).term(2)),
+        ):
+            assert got == expected
+            assert [type(x) for x in got.terms().values()] == [
+                type(x) for x in expected.terms().values()
+            ]
 
 
 def test_coeffpoly_power_and_constant_value():
@@ -515,6 +559,30 @@ def test_constant_factor_matches_reference_model(p, q, c):
             assert_canonical(prod)
             rebuilt = CoeffPoly(prod.terms())
             assert prod == rebuilt and hash(prod) == hash(rebuilt)
+
+
+term_dicts = st.dictionaries(monomials, st.one_of(scalars, small_fractions), max_size=4)
+constant_dicts = st.one_of(scalars, small_fractions).map(lambda c: {(0, 0): c})
+
+
+def double_loop(acc, x, y):
+    """acc + x*y on term dicts by the plain pair loop."""
+    out = dict(acc)
+    for (ed1, eg1), c1 in x.items():
+        for (ed2, eg2), c2 in y.items():
+            out[ed1 + ed2, eg1 + eg2] = out.get((ed1 + ed2, eg1 + eg2), 0) + c1 * c2
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_dicts, st.one_of(term_dicts, constant_dicts), st.one_of(term_dicts, constant_dicts))
+def test_addmul_constant_branch_is_the_double_loop(acc, x, y):
+    # _addmul scales the other factor's terms when one factor is a constant;
+    # on either side, and with zeros left untidied, that is the pair loop
+    for left, right in ((x, y), (y, x)):
+        got = dict(acc)
+        _addmul(got, left, right)
+        assert got == double_loop(acc, left, right)
 
 
 @settings(max_examples=30, deadline=None)

@@ -42,6 +42,7 @@ from scrolljets.scrollmodel import (
     DecomposableScroll,
     ScrollPoint,
     _chart_support,
+    _check_point,
     _representative_rank,
     evaluate_jet_template,
     exact_rank,
@@ -741,6 +742,23 @@ def test_scan_points_meet_every_support_stratum(degrees, seed):
         supports.add(support)
     every = {t for size in summands for t in itertools.combinations(summands, size)}
     assert supports == every
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(0, 2**32))
+def test_scan_points_are_the_public_points_of_their_draws(degrees, seed):
+    # a scan builds its points by the trusted ScrollPoint._make, and hands the
+    # inflected ones to _jet_text unchecked: each must be the point that the
+    # public constructor makes of its fields, with the same field types, and
+    # lie in the scroll's charts
+    X = DecomposableScroll(tuple(degrees))
+    for point in scan_points(X, 40, seed):
+        public = ScrollPoint(point.base_chart, point.u, point.fiber_chart, point.v)
+        assert point == public and hash(point) == hash(public)
+        assert [type(x) for x in (point.u, point.fiber_chart, *point.v)] == [
+            type(x) for x in (public.u, public.fiber_chart, *public.v)
+        ]
+        _check_point(X, point)
 
 
 @settings(max_examples=60, deadline=None)

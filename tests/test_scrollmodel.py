@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import perm
 
@@ -745,6 +746,17 @@ def test_no_stratum_has_corank_two_where_the_generic_rank_is_full():
 # ---------------------------------------------------------------------------
 # exact number text
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-(10**60), 10**60), st.integers(1, 10**30))
+def test_number_text_below_the_limit_is_the_decimal_text(top, bottom):
+    # _text writes str(c), and only past the int-to-text digit limit the
+    # digits of Decimal: below the limit the two texts agree
+    for value in (top, Fraction(top, bottom)):
+        q = Fraction(value)
+        text = str(Decimal(q.numerator))
+        assert _text(value) == (text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}")
 
 
 def test_number_text_round_trips_past_the_int_to_text_limit():
