@@ -203,7 +203,10 @@ class CoeffPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        # canonical terms: an integral Fraction is stored as an int, which hashes alike
+        # canonical terms: an integral Fraction is stored as an int, which hashes alike;
+        # a constant equals its number, so it hashes as that number
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(frozenset(self._terms.items()))
 
     def substitute(

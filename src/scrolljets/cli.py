@@ -185,7 +185,7 @@ def _read_basis(path: str) -> list[list[int]]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            values = map(_rational, line.replace(",", " ").split())
+            values = map(_fraction, line.replace(",", " ").split())
             rows.append([x.numerator if x.denominator == 1 else x for x in values])
     if not rows:
         raise ValueError(f"basis file {path!r} contains no polynomials")
@@ -370,7 +370,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             for line in lines:
                 print(line)
-    except (ValueError, OSError, InconsistentCharts) as exc:
+    except (ValueError, OSError, InconsistentCharts, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return status

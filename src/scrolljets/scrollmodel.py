@@ -225,8 +225,7 @@ def _check_point(scroll: DecomposableScroll, point: ScrollPoint) -> None:
     # ScrollPoint has checked its base chart and made its fiber chart an int,
     # so a range check suffices; a scan checks none of its points, which it
     # builds from the draw keys of its own chart and summand counts
-    if not 1 <= point.fiber_chart <= scroll.n:
-        raise ValueError(f"fiber chart {point.fiber_chart} outside 1..{scroll.n}")
+    exact_int(point.fiber_chart, "the fiber chart", 1, scroll.n)
     if len(point.v) != scroll.n - 1:
         raise ValueError(
             f"point carries {len(point.v)} fiber coordinates, expected {scroll.n - 1}"
@@ -251,7 +250,8 @@ Column = Tuple
 
 def jet_columns(n: int, k: int, fiber_chart: int) -> Tuple[Column, ...]:
     """The kn+1 reduced derivative columns, graded by total order."""
-    others = other_summands(n, exact_int(fiber_chart, "fiber chart", 1, n))
+    n, k = scroll_dimension(n), jet_order(k)
+    others = other_summands(n, exact_int(fiber_chart, "the fiber chart", 1, n))
     cols: List[Column] = [("u", 0)]
     for h in range(1, k + 1):
         cols.append(("u", h))
@@ -294,7 +294,7 @@ def jet_template(
     """
     k, n = jet_order(k), scroll.n
     basis = scroll.section_basis(base_chart)
-    others = other_summands(n, exact_int(fiber_chart, "fiber chart", 1, n))
+    others = other_summands(n, exact_int(fiber_chart, "the fiber chart", 1, n))
     slot = {j: 2 + c for c, j in enumerate(others)}  # ("uv", h-1, j) is column (h-1)n + slot[j]
     rows = []
     for section in basis:
@@ -431,12 +431,6 @@ def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
     return bareiss(cleared)[0]
 
 
-def _chart_support(fiber_chart: int, v: tuple) -> Tuple[int, ...]:
-    """The support of the fiber coordinates v (values, or codes that are 0 for zero) in a chart."""
-    v = v[:fiber_chart - 1] + (1,) + v[fiber_chart - 1:]
-    return tuple(compress(range(1, len(v) + 1), v))
-
-
 def _echelon(rows: Iterable[Dict[int, int]]) -> Dict[int, Dict[int, int]]:
     """The pivot rows of a sparse integer matrix, keyed by leading column; their number is its
     rank.  Each row, a {column: nonzero int} dict, is reduced fraction-free by the pivot of its
@@ -473,7 +467,8 @@ def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
     independently of the orbit reduction and the stratum elimination.
     """
     _check_point(scroll, point)
-    return _representative_rank(scroll, k, _chart_support(point.fiber_chart, point.v))
+    support = compress(other_summands(scroll.n, point.fiber_chart), point.v)
+    return _representative_rank(scroll, k, tuple(sorted((point.fiber_chart, *support))))
 
 
 def full_support_rank(scroll: DecomposableScroll, k: int) -> int:

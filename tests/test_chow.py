@@ -617,3 +617,8 @@ def test_arithmetic_collapses_integral_fractions():
     x = ChowClass(2, [(0, 1, 0), (1, Fraction(1, 2), Fraction(3, 2))])
     assert type((x * 2).term(1)[1].terms()[(0, 0)]) is int
     assert hash(half + half) == hash(D)
+    # a constant equals its number, so it hashes as that number and a set holds one of them
+    for c in (0, 3, Fraction(1, 2)):
+        assert CoeffPoly.const(c) == c and hash(CoeffPoly.const(c)) == hash(c)
+        assert len({CoeffPoly.const(c), c}) == 1
+    assert len({CoeffPoly(), 0, CoeffPoly.const(0)}) == 1

@@ -508,6 +508,7 @@ def test_invalid_input_is_one_line_diagnostic(capsys, tmp_path):
         "zero": "1\n0 0\n0 1\n",
         "short": "1\n0 1\n",
         "constant": "1\n2\n3\n",
+        "unreadable": "1/0 1\n",
     }
     for name, text in bases.items():
         (tmp_path / f"{name}.txt").write_text(text)
@@ -527,6 +528,8 @@ def test_invalid_input_is_one_line_diagnostic(capsys, tmp_path):
          "need exactly k+1 = 3 basis polynomials, got 2"),
         (("wronskian", "--basis", str(tmp_path / "constant.txt"), "--k", "2"),
          "jet order 2 exceeds the basis degree 0"),
+        (("wronskian", "--basis", str(tmp_path / "unreadable.txt"), "--k", "1"),
+         "not an exact rational: '1/0'"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
@@ -766,7 +769,8 @@ def argvs(draw):
             argv += ["--degrees", draw(mostly(st.just(str(k)), scroll_spec))]
         if source in ("--basis", "both"):
             count = draw(mostly(st.just(k + 1), st.integers(1, 5)))
-            row = st.lists(st.integers(-3, 3), min_size=1, max_size=5)
+            coefficient = mostly(st.integers(-3, 3), st.sampled_from(["1/0", "x", "1.5"]))
+            row = st.lists(coefficient, min_size=1, max_size=5)
             argv += ["--basis", draw(st.lists(row, min_size=count, max_size=count))]
     else:
         for option, (values, chance) in OPTIONS[verb].items():
@@ -777,7 +781,7 @@ def argvs(draw):
     return argv
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(argvs())
 def test_random_argv_never_raises(argv):
     argv = list(argv)

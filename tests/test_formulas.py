@@ -21,7 +21,7 @@ from scrolljets.formulas import (
     inflectional_degree,
 )
 from scrolljets.scanner import rank_scan, scan_points
-from scrolljets.scrollmodel import DecomposableScroll, ScrollPoint
+from scrolljets.scrollmodel import DecomposableScroll, ScrollPoint, jet_columns, jet_matrix
 
 
 def test_params_derive_jet_order_and_codim():
@@ -383,6 +383,8 @@ INTEGER_SLOTS = [
     lambda v: ChowClass(2, [(v, 1, 0)]),
     lambda v: ChowClass.unit(2).term(v),
     lambda v: ChowClass.hyperplane(2) ** v,
+    lambda v: jet_columns(v, 2, 1),
+    lambda v: jet_columns(2, v, 1),
 ]
 RATIONAL_SLOTS = [
     lambda v: curve_inflection_degree(v, 0, 2),
@@ -437,6 +439,7 @@ OUT_OF_RANGE = [
     lambda: rank_scan(RANGE_SCROLL, k=3),
     lambda: scan_points(RANGE_SCROLL, 0, 1),
     lambda: rank_profile(0, 2),
+    lambda: jet_matrix(RANGE_SCROLL, 1, ScrollPoint("0", 0, 3, (0,))),
 ]
 
 

@@ -41,7 +41,6 @@ from scrolljets.scrollmodel import (
     BASE_ZERO,
     DecomposableScroll,
     ScrollPoint,
-    _chart_support,
     _check_point,
     _representative_rank,
     evaluate_jet_template,
@@ -737,9 +736,7 @@ def test_scan_points_meet_every_support_stratum(degrees, seed):
     summands = range(1, X.n + 1)
     supports = set()
     for point in scan_points(X, 1, seed):
-        support = _chart_support(point.fiber_chart, point.v)
-        assert support == tuple(j for j in summands if fiber_coordinate(X, point, j))
-        supports.add(support)
+        supports.add(tuple(j for j in summands if fiber_coordinate(X, point, j)))
     every = {t for size in summands for t in itertools.combinations(summands, size)}
     assert supports == every
 
@@ -962,7 +959,7 @@ def test_a_clean_stratum_table_reads_no_sample(monkeypatch):
     assert len(looked_up) == report.points_examined == len(_draws(X, 150, 3))
     assert report.inflected
     for sample in report.inflected:
-        support = _chart_support(sample.point.fiber_chart, sample.point.v)
+        support = [j for j in range(1, X.n + 1) if fiber_coordinate(X, sample.point, j)]
         top = max(X.degrees[j - 1] for j in support)
         assert report.orbit_ranks[top] == sample.rank < report.full_rank
 
