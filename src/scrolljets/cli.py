@@ -242,12 +242,12 @@ def _cmd_ranks(args) -> Outcome:
     inputs = {"n": args.n, "k": args.k}
     result = {key: value for key, value in asdict(profile).items() if key not in inputs}
     result["source"] = "rank-profile"
-    lines = [
+    lines = [  # _text: C(16000, 8000) is past the int-to-text digit limit
         f"ranks for n={args.n}, k={args.k}",
-        f"  jet bundle:        {profile.rank_jet}",
-        f"  osculating bundle: {profile.rank_osculating}",
-        f"  cokernel dual:     {profile.rank_cokernel}",
-        f"  order step:        {profile.rank_order_step}",
+        f"  jet bundle:        {_text(profile.rank_jet)}",
+        f"  osculating bundle: {_text(profile.rank_osculating)}",
+        f"  cokernel dual:     {_text(profile.rank_cokernel)}",
+        f"  order step:        {_text(profile.rank_order_step)}",
     ]
     return {"inputs": inputs, "result": result}, lines, 0
 

@@ -12,8 +12,8 @@ Three oracles are provided:
 * Determinant-divisor extraction for the square case N = kn: the k-jet
   matrix of the full section basis is square, and the inflectional locus
   is the zero divisor of its determinant.  Whether the generic rank
-  reaches kn+1 is decided first, exactly, by one integer rank at the
-  full-support point (the orbit argument of :mod:`scrolljets.scrollmodel`).
+  reaches kn+1 is decided first, exactly, by the rank of the open dense
+  orbit (the orbit argument of :mod:`scrolljets.scrollmodel`).
   Only then are the chart determinants built; each must be a monomial, and
   the divisor class L + bF is read off from the u-degrees against the
   summand degrees in every chart, and the charts must agree.
@@ -23,7 +23,7 @@ Three oracles are provided:
   stream for a nonnegative seed (plus structured points with fiber
   coordinates zeroed in all patterns and u in {0, +-1, +-2, inf}), are
   tested for jet-rank drop, each read off the rank of the orbit of its
-  largest degree, one elimination per summand degree; when every orbit is
+  largest degree, one rank per summand degree; when every orbit is
   clean no sample is drawn.  Each inflected sample carries its exact jet
   matrix as a certificate; a scan's notes never claim emptiness, but
   cross-validate's verdict does, from the orbit ranks, when none is inflected.
@@ -44,13 +44,13 @@ summand degree (a certificate at a rational point is text, one gcd per
 nonzero entry, exact at any size, that parses back to
 :func:`~scrolljets.scrollmodel.jet_matrix`, the template at the point's
 Fractions), and the Wronskian and determinant oracles share one chart
-determinant, so nothing here differentiates.  An orbit is ranked by the sparse
-elimination :func:`scrolljets.scrollmodel._echelon`; a determinant is one dense integer
-Bareiss (:func:`scrolljets.scrollmodel.bareiss`), with each variable set to 1 where the
-exponent box that the section basis leaves it holds one point (every variable of a square
-matrix) and packed elsewhere (Kronecker substitution), read back from its digits into an
-:class:`~scrolljets.intpoly.IntPoly`.  No oracle factors one: a Wronskian's weights are its
-rational roots.
+determinant, so nothing here differentiates.  An orbit's rank is the count of
+the columns that its torus-fixed point fills (:func:`scrolljets.scrollmodel._representative_rank`);
+a determinant is one integer Bareiss (:func:`scrolljets.scrollmodel.bareiss`), with each
+variable set to 1 where the exponent box that the section basis leaves it holds one point
+(every variable of a square matrix) and packed elsewhere (Kronecker substitution), read back
+from its digits into an :class:`~scrolljets.intpoly.IntPoly`.  No oracle factors one: a
+Wronskian's weights are its rational roots.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ CURVE_TRIALS = 20
 
 
 class GenericRankFailure(Exception):
-    """The jet matrix is singular everywhere, so the generic-rank hypothesis fails: the
-    full-support rank, the generic rank by the orbit argument of :mod:`scrolljets.scrollmodel`,
+    """The jet matrix is singular everywhere, so the generic-rank hypothesis fails: the rank of
+    the open dense orbit, the generic rank by the orbit argument of :mod:`scrolljets.scrollmodel`,
     is below kn+1."""
 
 
@@ -346,8 +346,8 @@ def determinant_divisor(scroll: DecomposableScroll, k: int) -> DeterminantDiviso
     """Zero divisor of the determinant of the square k-jet matrix.
 
     Requires N = kn so the matrix is square.  The determinant vanishes
-    identically iff the generic rank is below kn+1, which one rank at the
-    full-support point decides without building it (the orbit argument of
+    identically iff the generic rank is below kn+1, which the rank of the
+    open dense orbit decides without building it (the orbit argument of
     :mod:`scrolljets.scrollmodel`).  Each chart determinant is then a
     monomial by construction, as every exponent box of a square matrix is
     one point (:func:`_chart_determinant`), not by observation; the checks
@@ -615,7 +615,7 @@ def rank_scan(
     seed = exact_int(seed, "the seed", 0)
     full_rank, count = k * scroll.n + 1, _sample_count(scroll, samples)
     degrees = scroll.degrees
-    ranks = {a: _representative_rank(scroll, k, (degrees.index(a) + 1,))
+    ranks = {a: _representative_rank(scroll, k, degrees.index(a) + 1)
              for a in sorted(set(degrees))}
     # per fiber chart i, the degrees of its v_j, then a_i: read against v + (1,), code 0 is zero
     chart_degrees = {i: (*(degrees[j - 1] for j in other_summands(scroll.n, i)), degrees[i - 1])

@@ -16,22 +16,25 @@ Charts: two base charts ("0" and "inf", exchanging u with 1/u, which
 reverses the exponent m of a degree-a section to a - m) and n fiber charts
 (fiber chart i normalizes the i-th homogeneous fiber coordinate to 1).
 Everything is exact rational arithmetic; determinants and :func:`exact_rank` come from
-one dense fraction-free elimination with deterministic pivoting (:func:`bareiss`), stratum
-ranks from a sparse one (:func:`_echelon`).  A template row stores only its nonzero entries.
+one fraction-free elimination with deterministic pivoting (:func:`bareiss`), the only one here:
+an orbit's rank is a count (below).  A template row stores only its nonzero entries.
 
-The orbit argument: GL_2 x (C*)^n acts on the scroll and preserves the complete linear system,
-so the jet rank is constant on the support strata (a point's support T is its chart summand and
-every j with v_j != 0): GL_2 moves any base point to u = 0 in chart "0", and v_j -> t_j v_j
-(t_j != 0) scales the fiber coordinates on T to 1.  So :func:`point_rank` ranks a point by its
-stratum's integer matrix, at u = 0 in chart ("0", min T), v_j = 1 on T and 0 off it.  The
-automorphisms of E = O(a_1) + ... + O(a_n) join strata (Maruyama, "On automorphism groups of
-ruled surfaces", J. Math. Kyoto Univ. 11, 1971, for n = 2): a map O(a_i) -> O(a_j), times a g(u)
-of degree <= a_j - a_i, acts on the fiber coordinates w by w_i -> w_i + g(u) w_j, linearly and
-invertibly on H^0(E), so it extends to P^N and keeps every osculating rank; with w_j != 0 and
-a_j >= a_i it switches w_i on or off.  So T has the rank of {m} for any m with a_m = max_{j in T}
-a_j: one elimination per degree ranks every stratum.  The strata of the largest degree, {1..n}
-among them, are one open dense orbit, so its rank is the generic rank (:func:`full_support_rank`),
-and a jet determinant, whose zero locus is a union of orbits, is a monomial in every chart.
+The orbit argument: GL_2 x (C*)^n acts on the scroll and preserves the complete linear system, so
+the jet rank is constant on the support strata (a point's support T is its chart summand and every
+j with v_j != 0): GL_2 moves any base point to u = 0 in chart "0", and v_j -> t_j v_j (t_j != 0)
+scales the fiber coordinates on T to 1.  The automorphisms of E = O(a_1) + ... + O(a_n) join strata
+(Maruyama, "On automorphism groups of ruled surfaces", J. Math. Kyoto Univ. 11, 1971, for n = 2):
+a map O(a_i) -> O(a_j), times a g(u) of degree <= a_j - a_i, acts on the fiber coordinates w by
+w_i -> w_i + g(u) w_j, linearly and invertibly on H^0(E), so it extends to P^N and keeps every
+osculating rank; with w_j != 0 and a_j >= a_i it switches w_i on or off.  So T has the rank of {m}
+for any m with a_m = max_{j in T} a_j, and the orbit of {m} holds the torus-fixed point
+u = 0, v = 0 of chart ("0", m).  There every section is a torus eigenvector whose jet is one
+monomial, so a row keeps at most one nonzero entry, of u-exponent 0 and no v factor, in its own
+column, and the rank is the number of columns those entries fill (:func:`_representative_rank`;
+Perkinson, "Inflections of toric varieties", Michigan Math. J. 2000): one count per degree ranks
+every stratum.  The strata of the largest degree, {1..n} among them, are one open dense orbit, so
+its rank is the generic rank (:func:`full_support_rank`), and a jet determinant, whose zero locus
+is a union of orbits, is a monomial in every chart.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from fractions import _RATIONAL_FORMAT, Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm, perm
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -431,51 +434,32 @@ def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
     return bareiss(cleared)[0]
 
 
-def _echelon(rows: Iterable[Dict[int, int]]) -> Dict[int, Dict[int, int]]:
-    """The pivot rows of a sparse integer matrix, keyed by leading column; their number is its
-    rank.  Each row, a {column: nonzero int} dict, is reduced fraction-free by the pivot of its
-    leading column and divided by its content until it is zero or leads a new pivot."""
-    pivots: Dict[int, Dict[int, int]] = {}
-    for row in rows:
-        lead = min(row, default=None)
-        while lead in pivots:
-            pivot = pivots[lead]
-            a, b = pivot[lead], row[lead]
-            row = {c: a * row.get(c, 0) - b * pivot.get(c, 0) for c in row.keys() | pivot.keys()}
-            g = gcd(*row.values())
-            row = {c: x // g for c, x in row.items() if x}
-            lead = min(row, default=None)
-        if row:
-            pivots[lead] = row
-    return pivots
-
-
-def _representative_rank(scroll: DecomposableScroll, k: int, support: Tuple[int, ...]) -> int:
-    """The k-jet rank of a support stratum, at u = 0 in chart ("0", min T), v_j = 1 on T: the
-    number of :func:`_echelon` pivots of the template's u-exponent-0 entries on T's summands."""
-    rows = jet_template(scroll, k, BASE_ZERO, support[0]).rows
-    return len(_echelon({e.column: e.coeff for e in row if not e.u_exponent
-                         and (e.summand is None or e.summand in support)} for row in rows))
+def _representative_rank(scroll: DecomposableScroll, k: int, summand: int) -> int:
+    """The k-jet rank of the orbit of {summand}, at its torus-fixed point u = 0, v = 0 in chart
+    ("0", summand): the number of columns filled by the template's entries of u-exponent 0 and
+    no v factor, each row keeping at most one (the module's orbit argument)."""
+    rows = jet_template(scroll, k, BASE_ZERO, summand).rows
+    return len({e.column for row in rows for e in row if not e.u_exponent and e.summand is None})
 
 
 def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
-    """Rank of the k-jet matrix at a point: its support stratum's, by the module's orbit argument.
+    """Rank of the k-jet matrix at a point: by the module's orbit argument, the rank of the orbit
+    of the largest-degree summand in its support (its chart summand and every j with v_j != 0).
 
-    The stratum is ranked on integer rows, so no Fraction is built.
-    :func:`exact_rank` of the :func:`jet_matrix` rows, the point's chart
-    template at its Fractions, checks it in the point's own chart,
-    independently of the orbit reduction and the stratum elimination.
+    No Fraction is built.  :func:`exact_rank` of the :func:`jet_matrix` rows, the point's chart
+    template at its Fractions, checks it in the point's own chart, independently of the orbit
+    reduction and the count.
     """
     _check_point(scroll, point)
-    support = compress(other_summands(scroll.n, point.fiber_chart), point.v)
-    return _representative_rank(scroll, k, tuple(sorted((point.fiber_chart, *support))))
+    support = (point.fiber_chart, *compress(other_summands(scroll.n, point.fiber_chart), point.v))
+    return _representative_rank(scroll, k, max(support, key=lambda j: scroll.degrees[j - 1]))
 
 
 def full_support_rank(scroll: DecomposableScroll, k: int) -> int:
-    """The generic k-jet rank: the stratum T = {1..n}, at u = 0, every v_j = 1, in chart ("0", 1).
+    """The generic k-jet rank: the rank of the orbit of a largest-degree summand.
 
-    Exact, not a sample: by the module's orbit argument T = {1..n} lies in the open dense
-    orbit, the points with some w_j != 0 of the largest degree, which all have this rank.
+    Exact, not a sample: by the module's orbit argument that orbit is the open dense one, the
+    points with some w_j != 0 of the largest degree, which all have this rank.
     """
-    return _representative_rank(scroll, k, tuple(range(1, scroll.n + 1)))
+    return _representative_rank(scroll, k, scroll.degrees.index(max(scroll.degrees)) + 1)
 

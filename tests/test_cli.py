@@ -8,7 +8,9 @@ import sys
 import tempfile
 import textwrap
 import time
+from decimal import Decimal
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -500,6 +502,22 @@ def test_ranks_verb(capsys):
     assert code == 0
     assert doc["result"]["rank_jet"] == 6
     assert doc["result"]["rank_osculating"] == 5
+
+
+def test_ranks_past_the_int_to_text_limit_print_from_the_cli(capsys):
+    # C(16000, 8000) has 4,815 digits, past the 4,300 that str prints by
+    # default; the text and the --json both print it and exit 0 (checked as
+    # text, since json.loads has the same limit), and leave the limit as it was
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    rank_jet = str(Decimal(comb(16000, 8000)))
+    assert len(rank_jet) == 4815
+    code, out, err = run(capsys, "ranks", "--n", "8000", "--k", "8000")
+    assert (code, err) == (0, "")
+    assert f"\n  jet bundle:        {rank_jet}\n" in out
+    code, out, err = run(capsys, "ranks", "--n", "8000", "--k", "8000", "--json")
+    assert (code, err) == (0, "")
+    assert f'\n    "rank_jet": {rank_jet},\n' in out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_invalid_input_is_one_line_diagnostic(capsys, tmp_path):

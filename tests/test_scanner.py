@@ -43,11 +43,13 @@ from scrolljets.scrollmodel import (
     ScrollPoint,
     _check_point,
     _representative_rank,
+    bareiss,
     evaluate_jet_template,
     exact_rank,
     fiber_coordinate,
     jet_columns,
     jet_matrix,
+    other_summands,
 )
 
 MONOMIAL_QUARTIC = [[1], [0, 1], [0, 0, 1], [0, 0, 0, 0, 1]]
@@ -644,9 +646,14 @@ def test_rank_scan_ranks_every_point_as_its_fraction_jet_matrix(data):
 
 
 def full_stratum_table(scroll, k):
-    """The reference table: every one of the 2^n - 1 supports ranked by its own elimination."""
+    """The reference table: every one of the 2^n - 1 supports T ranked by a dense Bareiss of the
+    evaluated template at u = 0 in chart ("0", min T), v_j = 1 on T and 0 off it."""
+    def dense_rank(support):
+        v = {j: int(j in support) for j in other_summands(scroll.n, support[0])}
+        return bareiss(evaluate_jet_template(scroll, k, BASE_ZERO, support[0], 0, v))[0]
+
     summands = range(1, scroll.n + 1)
-    return {support: _representative_rank(scroll, k, support)
+    return {support: dense_rank(support)
             for size in summands for support in itertools.combinations(summands, size)}
 
 
@@ -660,22 +667,22 @@ def expanded_table(report):
 
 def test_rank_scan_eliminates_once_per_summand_degree(monkeypatch):
     # a support is a nonempty set of summands, and there are 2^n - 1, but a
-    # scan ranks one support per distinct summand degree, whatever its sample
+    # scan ranks one orbit per distinct summand degree, whatever its sample
     # count, and keeps one rank per degree; spread over the supports, those
     # are the full table; a non-square cross-validate reads its generic rank
-    # off the same ranks, with no further elimination
+    # off the same ranks, with no further orbit ranked
     import scrolljets.scrollmodel as scrollmodel_mod
 
     calls = []
-    echelon = scrollmodel_mod._echelon
 
-    def counted(rows):
-        calls.append(rows)
-        return echelon(rows)
+    def counted(scroll, k, summand):
+        calls.append(summand)
+        return _representative_rank(scroll, k, summand)
 
     X, Y = DecomposableScroll((2, 3)), DecomposableScroll((1, 1, 1, 1, 1, 1, 2))
     references = {X: full_stratum_table(X, 3), Y: full_stratum_table(Y, 2)}
-    monkeypatch.setattr(scrollmodel_mod, "_echelon", counted)
+    for module in (scanner_mod, scrollmodel_mod):
+        monkeypatch.setattr(module, "_representative_rank", counted)
     report = rank_scan(X, k=3, samples=200)
     assert report.points_examined == 200 and report.inflected
     assert len(calls) == 2 and len(report.orbit_ranks) == 2
@@ -689,7 +696,7 @@ def test_rank_scan_eliminates_once_per_summand_degree(monkeypatch):
     assert cross_validate(DecomposableScroll((1, 1, 3)), samples=50).oracle == "rank-scan"
     assert len(calls) == 2
     calls.clear()
-    # a balanced scroll has one degree, so its 127 strata are one orbit and take one elimination
+    # a balanced scroll has one degree, so its 127 strata are one orbit, ranked once
     report = rank_scan(DecomposableScroll((3,) * 7), samples=4480)
     assert len(calls) == 1 and report.orbit_ranks == {3: report.full_rank}
 
@@ -701,8 +708,8 @@ def test_rank_scan_eliminates_once_per_summand_degree(monkeypatch):
 def test_stratum_table_ranks_each_support_by_its_largest_degree(degrees):
     # a map O(a_i) -> O(a_j) of degree a_j - a_i >= 0 switches w_i on or off
     # where w_j != 0, so every support of one largest degree b is one orbit:
-    # the scan's one elimination per degree ranks every support as its own
-    # elimination does, every {m} with a_m = b has the same rank, and the
+    # the scan's one rank per degree ranks every support as a dense Bareiss
+    # does, every {m} with a_m = b has the same rank, and the
     # locus is the union of the inflected supports, itself one of them
     X = DecomposableScroll(tuple(degrees))
     for k in range(1, X.N // X.n + 1):
@@ -712,7 +719,7 @@ def test_stratum_table_ranks_each_support_by_its_largest_degree(degrees):
         assert set(scan.orbit_ranks) == set(X.degrees)
         by_degree = {}
         for m, a in enumerate(X.degrees, 1):
-            by_degree.setdefault(a, set()).add(_representative_rank(X, k, (m,)))
+            by_degree.setdefault(a, set()).add(_representative_rank(X, k, m))
         for support, rank in reference.items():
             top = max(X.degrees[j - 1] for j in support)
             assert scan.orbit_ranks[top] == rank and by_degree[top] == {rank}, support

@@ -15,7 +15,6 @@ from scrolljets.scrollmodel import (
     DecomposableScroll,
     JetEntry,
     ScrollPoint,
-    _echelon,
     _jet_text,
     _rational,
     _representative_rank,
@@ -420,7 +419,7 @@ def test_full_support_rank_is_the_rank_on_the_open_orbit(data):
     # GL_2 x (C*)^n acts on the scroll and preserves its sections, and the
     # points with every fiber coordinate nonzero form one orbit, which meets
     # all 2n charts: a random full-support point of each chart has the rank
-    # of the one representative u = 0, v_j = 1 of chart ("0", 1)
+    # that full_support_rank counts at the torus-fixed point of a largest degree
     X = DecomposableScroll(tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))))
     k = data.draw(st.integers(1, X.N // X.n))
     generic = full_support_rank(X, k)
@@ -578,39 +577,10 @@ def test_jet_template_is_the_column_filter_of_every_section():
     assert templates == 4200
 
 
-@st.composite
-def sparse_matrices(draw):
-    """Small sparse integer matrices whose later rows include combinations of earlier ones."""
-    ncols = draw(st.integers(1, 8))
-    entry = st.one_of(st.just(0), st.just(0), st.integers(-5, 5))
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=6))
-    for _ in range(draw(st.integers(0, 4))):
-        (a, i), (b, j) = (draw(st.tuples(st.integers(-3, 3), st.sampled_from(range(len(rows)))))
-                          for _ in range(2))
-        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
-    return draw(st.permutations(rows))
-
-
-@settings(max_examples=200, deadline=None)
-@given(sparse_matrices())
-def test_echelon_ranks_sparse_matrices_as_bareiss_does(rows):
-    # the stratum ranks' elimination against the dense one it replaced: the
-    # same rank, each pivot row led by its key, in the row space, and the
-    # pivots below column m are the rank of the first m columns
-    pivots = _echelon({c: x for c, x in enumerate(row) if x} for row in rows)
-    ncols = len(rows[0])
-    assert len(pivots) == bareiss([list(row) for row in rows])[0]
-    dense = [[pivot.get(c, 0) for c in range(ncols)] for pivot in pivots.values()]
-    assert bareiss([list(row) for row in rows] + dense)[0] == len(pivots)
-    for lead, pivot in pivots.items():
-        assert lead == min(pivot) and all(pivot.values())
-    for m in range(ncols + 1):
-        assert sum(lead < m for lead in pivots) == bareiss([row[:m] for row in rows])[0]
-
-
 def test_stratum_ranks_are_the_dense_bareiss_ranks():
-    # every stratum representative of the small types, by the sparse
-    # elimination of its u^0 entries and by dense Bareiss of the evaluated template
+    # every stratum representative of the small types, at u = 0 in chart
+    # ("0", min T), v_j = 1 on T, ranked by dense Bareiss of the evaluated
+    # template, has the column count of the orbit of T's largest degree
     strata = 0
     for n in range(1, 5):
         for degrees in itertools.combinations_with_replacement(range(1, 6), n):
@@ -620,9 +590,35 @@ def test_stratum_ranks_are_the_dense_bareiss_ranks():
                     for support in itertools.combinations(range(1, n + 1), size):
                         v = {j: int(j in support) for j in other_summands(n, support[0])}
                         dense = evaluate_jet_template(X, k, BASE_ZERO, support[0], 0, v)
-                        assert _representative_rank(X, k, support) == bareiss(dense)[0]
+                        top = max(support, key=lambda j: degrees[j - 1])
+                        assert _representative_rank(X, k, top) == bareiss(dense)[0]
                         strata += 1
     assert strata == 6725
+
+
+def test_every_torus_fixed_jet_matrix_is_monomial():
+    # at u = 0, v = 0 in chart ("0", m) every section's jet is one monomial:
+    # the evaluated matrix keeps at most one nonzero per row, in distinct
+    # columns, exactly at the template entries of u-exponent 0 and no v
+    # factor, so their column count is the rank
+    matrices = 0
+    for n in range(1, 6):
+        for degrees in itertools.combinations_with_replacement(range(1, 7), n):
+            X = DecomposableScroll(degrees)
+            for k in range(1, X.N // n + 1):
+                for m in range(1, n + 1):
+                    v = dict.fromkeys(other_summands(n, m), 0)
+                    dense = evaluate_jet_template(X, k, BASE_ZERO, m, 0, v)
+                    nonzero = [(r, c) for r, row in enumerate(dense) for c, x in enumerate(row)
+                               if x]
+                    template = jet_template(X, k, BASE_ZERO, m).rows
+                    kept = [(r, e.column) for r, row in enumerate(template) for e in row
+                            if not e.u_exponent and e.summand is None]
+                    assert nonzero == kept
+                    assert len({r for r, _ in kept}) == len({c for _, c in kept}) == len(kept)
+                    assert _representative_rank(X, k, m) == len(kept)
+                    matrices += 1
+    assert matrices == 7677
 
 
 @settings(max_examples=60, deadline=None)
@@ -695,7 +691,7 @@ def test_point_rank_is_constant_on_each_support_stratum(data):
             rank = point_rank(X, k, representative)
             point = ScrollPoint(base, u, iota, v)
             # the Fraction rank at the sampled point itself, which does not
-            # go through the representative that point_rank ranks
+            # go through the orbit count that point_rank reads
             fraction_rank = exact_rank(jet_matrix(X, k, point))
             assert fraction_rank == rank, (support, base, iota, u, v)
             assert point_rank(X, k, point) == rank, (support, base, iota, u, v)
