@@ -51,7 +51,6 @@ from .scrollmodel import (
     fiber_coordinate,
     full_support_rank,
     jet_matrix,
-    point_rank,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +88,6 @@ __all__ = [
     "inflectional_degree",
     "jet_matrix",
     "osculating_chern",
-    "point_rank",
     "rank_profile",
     "rank_scan",
     "scan_points",

@@ -1,13 +1,14 @@
 """Integer polynomials, so that no oracle needs a computer algebra system:
-:class:`IntPoly` holds and prints a chart determinant in ZZ[u, v_j], and
-:func:`rational_roots` finds the rational roots of a Wronskian, with their
-multiplicities, by p-adic Newton lifting and rational reconstruction (von zur
-Gathen and Gerhard, *Modern Computer Algebra*, section 5.10)."""
+:class:`IntPoly` holds and prints a chart determinant in ZZ[u, v_j], read back from its
+balanced digits, and :func:`rational_roots` finds the rational roots of a Wronskian, with their
+multiplicities, by p-adic Newton lifting and rational reconstruction (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, section 5.10) after a gcd that reads the same digits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isqrt
 from typing import List, Optional, Tuple
 
@@ -65,17 +66,32 @@ def _divide(f: List[int], g: List[int]) -> Optional[List[int]]:
     return None if any(f) else quotient
 
 
+def _balanced_digits(value: int, radix: int, count: int) -> List[int]:
+    """The ``count`` lowest balanced base-``radix`` digits of ``value``, least significant first,
+    each in -(radix // 2)..(radix - 1) // 2: a polynomial read back from its value at radix."""
+    digits = []
+    for _ in range(count):
+        value, digit = divmod(value + radix // 2, radix)
+        digits.append(digit - radix // 2)
+    return digits
+
+
 def _gcd(f: List[int], g: List[int]) -> List[int]:
-    """The primitive gcd of f and g (deg f >= deg g >= 0), by the primitive PRS."""
+    """The primitive gcd of f and g (deg f >= deg g >= 0) by GCDHEU (Char, Geddes and Gonnet, 1989).
+    For primitive f, g and X > 1 + 2 min(|f|, |g|) in max norm, gcd(f(X), g(X)) <= |p(X)| for the p
+    of smaller norm has at most len(f) balanced base-X digits, and their primitive part is the gcd
+    if it divides both (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, Thm. 7.7).
+    Else X grows: the gcd of the cofactors' values divides their resultant, so a large X reads a
+    multiple of the gcd digit by digit."""
     f, g = _primitive(f), _primitive(g)
-    while g:
-        for i in reversed(range(len(f) - len(g) + 1)):  # f becomes prem(f, g)
-            top, f = f[i + len(g) - 1], [g[-1] * a for a in f]
-            for j, b in enumerate(g):
-                f[i + j] -= top * b
-        f = f[:max((i + 1 for i, a in enumerate(f) if a), default=0)]
-        f, g = g, _primitive(f) if f else []
-    return f
+    x = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    while True:
+        values = [reduce(lambda value, a: value * x + a, reversed(p), 0) for p in (f, g)]
+        h = _balanced_digits(gcd(*values), x, len(f))
+        h = _primitive(h[:max(i + 1 for i, a in enumerate(h) if a)])
+        if _divide(f, h) is not None and _divide(g, h) is not None:
+            return h
+        x = 2 * x + 1
 
 
 def _value(f: List[int], x: int, modulus: int) -> int:

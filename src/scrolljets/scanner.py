@@ -49,8 +49,8 @@ the columns that its torus-fixed point fills (:func:`scrolljets.scrollmodel._rep
 a determinant is one integer Bareiss (:func:`scrolljets.scrollmodel.bareiss`), with each
 variable set to 1 where the exponent box that the section basis leaves it holds one point
 (every variable of a square matrix) and packed elsewhere (Kronecker substitution), read back
-from its digits into an :class:`~scrolljets.intpoly.IntPoly`.  No oracle factors one: a
-Wronskian's weights are its rational roots.
+by the digit reader of :mod:`scrolljets.intpoly`'s gcd into an :class:`~scrolljets.intpoly.IntPoly`.
+No oracle factors one: a Wronskian's weights are its rational roots.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .chow import ChowClass
 from .formulas import ScrollParams, curve_inflection_degree, inflectional_class, inflectional_degree
-from .intpoly import IntPoly, rational_roots
+from .intpoly import IntPoly, _balanced_digits, rational_roots
 from .scrollmodel import (
     BASE_INF,
     BASE_ZERO,
@@ -310,11 +310,9 @@ def _chart_determinant(
     det, tops = bareiss(matrix)[1], tuple(box[-1] for box in ranges)
     if det and min(tops) < 0:
         raise InconsistentCharts(f"chart determinant has a negative exponent: {tops}")
-    terms, scale = {}, prod(divisors)
-    for monom in product(*ranges[::-1]):  # u's digit is the least significant
-        det, digit = divmod(det + radix // 2, radix)
-        terms[monom[::-1]] = (digit - radix // 2) * scale  # IntPoly drops the zero digits
-    return IntPoly(("u", *(f"v{j}" for j in others)), terms)
+    digits, scale = _balanced_digits(det, radix, weight), prod(divisors)  # u's digit is lowest
+    terms = {m[::-1]: digit * scale for m, digit in zip(product(*ranges[::-1]), digits)}
+    return IntPoly(("u", *(f"v{j}" for j in others)), terms)  # IntPoly drops the zero digits
 
 
 def _section_twist(scroll: DecomposableScroll, fiber_chart: int, monomial: IntPoly) -> int:
@@ -537,6 +535,9 @@ def scan_points(
     structured block, so for one seed more samples only append points.
     More samples than the distinct points these draws can make raise at once.
     """
+    samples = exact_int(samples, "the number of samples", 1)
+    seed = exact_int(seed, "the seed", 0)
+    _sample_count(scroll, samples)
     return [_point(*key) for key in _draws(scroll, samples, seed)]
 
 
@@ -556,11 +557,9 @@ def _sample_count(scroll: DecomposableScroll, samples: int) -> int:
 def _draws(scroll: DecomposableScroll, samples: int, seed: int) -> List[tuple]:
     """The :func:`_sample_count` distinct draws of :func:`scan_points`, in its order, as int-code
     keys: getrandbits rejection draws (:func:`_below`), advanced lazily in the order of the randint
-    and choice calls they stand for, so they are randint's stream for the nonnegative seed."""
-    samples = exact_int(samples, "the number of samples", 1)
-    bits = random.Random(exact_int(seed, "the seed", 0)).getrandbits
+    and choice calls they stand for, so they are randint's stream for the seed the callers check."""
+    bits = random.Random(seed).getrandbits
     n = scroll.n
-    _sample_count(scroll, samples)
     charts, fibers, wide = _below(bits, 2), _below(bits, n), _codes(bits, _WIDE_DRAW)
     narrow, nonzero, zero = _codes(bits, _NARROW_DRAW), _codes(bits, _NARROW_DRAW, True), repeat(0)
     # per zero pattern, the iterator each fiber coordinate reads: zero on a bit, else nonzero

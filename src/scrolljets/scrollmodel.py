@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import _RATIONAL_FORMAT, Fraction
 from functools import lru_cache
-from itertools import compress
 from math import gcd, lcm, perm
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -440,19 +439,6 @@ def _representative_rank(scroll: DecomposableScroll, k: int, summand: int) -> in
     no v factor, each row keeping at most one (the module's orbit argument)."""
     rows = jet_template(scroll, k, BASE_ZERO, summand).rows
     return len({e.column for row in rows for e in row if not e.u_exponent and e.summand is None})
-
-
-def point_rank(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> int:
-    """Rank of the k-jet matrix at a point: by the module's orbit argument, the rank of the orbit
-    of the largest-degree summand in its support (its chart summand and every j with v_j != 0).
-
-    No Fraction is built.  :func:`exact_rank` of the :func:`jet_matrix` rows, the point's chart
-    template at its Fractions, checks it in the point's own chart, independently of the orbit
-    reduction and the count.
-    """
-    _check_point(scroll, point)
-    support = (point.fiber_chart, *compress(other_summands(scroll.n, point.fiber_chart), point.v))
-    return _representative_rank(scroll, k, max(support, key=lambda j: scroll.degrees[j - 1]))
 
 
 def full_support_rank(scroll: DecomposableScroll, k: int) -> int:

@@ -1,15 +1,26 @@
-"""The integer polynomials of the oracles against sympy's reference models:
-rational roots against the linear factors of ``factor_list``, printing
-against ``PolyElement``, and monomial factors against ``factor_list``."""
+"""The integer polynomials of the oracles against reference models: rational
+roots against the linear factors of sympy's ``factor_list``, the heuristic gcd
+against the primitive PRS, printing against ``PolyElement``, and monomial
+factors against ``factor_list``."""
 
+import random
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, ring
 
-from scrolljets.intpoly import IntPoly, rational_roots
-from scrolljets.scanner import _monomial_factors
+from scrolljets import intpoly
+from scrolljets.intpoly import IntPoly, _balanced_digits, _divide, _gcd, _primitive, rational_roots
+from scrolljets.scanner import (
+    BASE_ZERO,
+    _chart_determinant,
+    _monomial_factors,
+    _random_spanning_basis,
+)
+from scrolljets.scrollmodel import DecomposableScroll
 
 NAMES = ("u", "v2", "v3", "v10")
 
@@ -52,6 +63,99 @@ def test_rational_roots_match_the_linear_factors_of_factor_list(content, powers,
     roots = rational_roots(dense(f))
     assert roots == reference_roots(f)
     assert all(type(mult) is int for _, mult in roots)
+
+
+def prs_gcd(f, g):
+    """The primitive gcd of f and g (deg f >= deg g >= 0) by the primitive PRS: the reference
+    for intpoly._gcd, exact but slow, as its pseudo-remainders' coefficients grow."""
+    f, g = _primitive(f), _primitive(g)
+    while g:
+        for i in reversed(range(len(f) - len(g) + 1)):  # f becomes prem(f, g)
+            top, f = f[i + len(g) - 1], [g[-1] * a for a in f]
+            for j, b in enumerate(g):
+                f[i + j] -= top * b
+        f = f[:max((i + 1 for i, a in enumerate(f) if a), default=0)]
+        f, g = g, _primitive(f) if f else []
+    return f
+
+
+def prs_roots(coeffs):
+    """rational_roots with the primitive PRS as its gcd."""
+    with mock.patch.object(intpoly, "_gcd", prs_gcd):
+        return rational_roots(coeffs)
+
+
+def derivative(f):
+    return [i * a for i, a in enumerate(f)][1:]
+
+
+def times(f, g):
+    product = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            product[i + j] += a * b
+    return product
+
+
+def assert_gcds_agree(f, g):
+    """_gcd of f and g (deg f >= deg g), and of f and f', is the PRS gcd, and f's roots are the
+    PRS-based ones."""
+    assert _gcd(f, g) == prs_gcd(f, g), (f, g)
+    assert _gcd(f, derivative(f)) == prs_gcd(f, derivative(f)), f
+    assert rational_roots(f) == prs_roots(f), f
+
+
+# degree >= 1 for the shared factor, >= 0 for the cofactors; leading coefficients nonzero
+shared = st.lists(st.integers(-12, 12), min_size=2, max_size=4).filter(lambda f: f[-1])
+cofactor_lists = st.lists(st.integers(-12, 12), min_size=1, max_size=5).filter(lambda f: f[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared, st.integers(1, 3), cofactor_lists, cofactor_lists)
+@example([-2, 1], 3, [-2], [6])  # (u - 2)^3 twice: a start at X = 3, where u - 2 is 1, reads 1
+@example([0, 1], 2, [1], [0, 0, 1])  # u^2 and u^4: a monomial gcd
+@example([1, 1], 1, [1, 1], [-1, 1])  # u + 1 once in g, twice in f
+def test_gcd_is_the_prs_gcd_on_products_sharing_a_factor(common, power, p, q):
+    # the gcd of the two products is divisible by common^power, so it is not 1
+    for _ in range(power - 1):
+        p, q = times(p, common), times(q, common)
+    f, g = sorted((times(common, p), times(common, q)), key=len, reverse=True)
+    assert len(prs_gcd(f, g)) > 1
+    assert_gcds_agree(f, g)
+
+
+def test_gcd_takes_a_second_point_when_the_first_misreads():
+    # f = 2 + 2u - u^2 and f' = 2 - 2u are coprime; primitive, they are u^2 - 2u - 2
+    # and u - 1, of norms 2 and 1, so the first X is 4, where gcd(f(4), f'(4)) = 3
+    # reads as u - 1: it divides f' but not f, so X grows to 9, and the gcd is 1
+    f = [2, 2, -1]
+    assert _balanced_digits(gcd(6, 3), 4, 3) == [-1, 1, 0]
+    assert _divide(derivative(f), [-1, 1]) is not None and _divide(f, [-1, 1]) is None
+    assert _gcd(f, derivative(f)) == prs_gcd(f, derivative(f)) == [1]
+    assert rational_roots(f) == prs_roots(f) == ()
+
+
+def wronskian(rows, k):
+    """The dense finite Wronskian of integer basis rows, as wronskian_weights passes it on."""
+    degree = max(len(row) for row in rows) - 1
+    terms = dict(_chart_determinant(DecomposableScroll((degree,)), k, BASE_ZERO, 1, rows).terms)
+    return [terms.get((e,), 0) for e in range(max(e for (e,) in terms) + 1)]
+
+
+def test_wronskian_gcds_are_the_prs_gcds():
+    # criterion 4's bases: the monomial quartic, whose Wronskian c u has a
+    # constant derivative, and random spanning bases, whose Wronskians are
+    # squarefree; bases with one repeated root off 0 (t^2, t^3, t^5 in t = 2u - 1,
+    # and in t = u + 3); and a monomial basis u^3, u^5, u^8, of Wronskian c u^13
+    bases = [([[1], [0, 1], [0, 0, 1], [0, 0, 0, 0, 1]], 3),
+             ([[1, -4, 4], [-1, 6, -12, 8], [-1, 10, -40, 80, -80, 32]], 2),
+             ([[9, 6, 1], [27, 27, 9, 1], [243, 405, 270, 90, 15, 1]], 2),
+             ([[0, 0, 0, 1], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 0, 1]], 2)]
+    rng = random.Random(20260809)
+    bases += [(_random_spanning_basis(rng, d, k), k) for d, k in ((4, 3), (5, 3), (5, 4), (6, 4))]
+    for rows, k in bases:
+        f = wronskian(rows, k)
+        assert_gcds_agree(f, derivative(f))
 
 
 coefficients = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-10**6, 10**6))

@@ -30,6 +30,7 @@ from scrolljets.scanner import (
     WronskianReport,
     _chart_determinant,
     _draws,
+    _sample_count,
     cross_validate,
     determinant_divisor,
     rank_scan,
@@ -891,6 +892,12 @@ def randint_draws(scroll, samples, seed):
     return list(points)
 
 
+def checked_draws(scroll, samples, seed):
+    """The keys of _draws behind the checks and the count that scan_points makes first."""
+    scan_points(scroll, samples, seed)
+    return _draws(scroll, samples, seed)
+
+
 def _outcome(sampler, *args):
     try:
         return sampler(*args)
@@ -906,9 +913,10 @@ def _outcome(sampler, *args):
 )
 def test_draws_are_the_stream_randint_would_draw(degrees, seed, samples):
     # _draws reads getrandbits by the rejection rule of randint and choice, so
-    # its keys, their order and its errors are those of the randint sampler
+    # its keys, their order and, raised by the count that scan_points takes
+    # first, its errors are those of the randint sampler
     X = DecomposableScroll(tuple(degrees))
-    assert _outcome(_draws, X, samples, seed) == _outcome(randint_draws, X, samples, seed)
+    assert _outcome(checked_draws, X, samples, seed) == _outcome(randint_draws, X, samples, seed)
 
 
 def test_draws_match_randint_up_to_the_capacity_of_a_curve():
@@ -927,7 +935,7 @@ def test_negative_seeds_are_rejected():
     # Random seeds with abs(seed), so a negative seed would repeat its positive twin
     X = DecomposableScroll((1, 3))
     for call in (lambda: rank_scan(X, samples=20, seed=-7), lambda: scan_points(X, 20, -7),
-                 lambda: _draws(X, 20, -1), lambda: cross_validate(X, seed=-7),
+                 lambda: cross_validate(X, seed=-7),
                  lambda: cross_validate(DecomposableScroll((5,)), k=3, seed=-7)):
         with pytest.raises(ValueError, match="the seed must be at least 0, got -"):
             call()
@@ -980,10 +988,27 @@ def test_a_clean_stratum_table_reads_no_sample(monkeypatch):
 )
 def test_a_clean_scan_counts_the_samples_it_would_draw(a, n, samples, seed):
     # a balanced scroll's table is clean, so its scan draws nothing, yet it
-    # counts exactly the keys that _draws would return, or raises its error
+    # counts exactly the points that scan_points would return, or raises its error
     X = DecomposableScroll((a,) * n)
     counted = _outcome(lambda: rank_scan(X, samples=samples, seed=seed).points_examined)
-    assert counted == _outcome(lambda: len(_draws(X, samples, seed)))
+    assert counted == _outcome(lambda: len(scan_points(X, samples, seed)))
+
+
+def test_a_scan_counts_its_samples_once(monkeypatch):
+    # rank_scan and scan_points check and count the samples before _draws
+    # draws them, and _draws counts them no more
+    counts = []
+
+    def counted(scroll, samples):
+        counts.append(samples)
+        return _sample_count(scroll, samples)
+
+    monkeypatch.setattr(scanner_mod, "_sample_count", counted)
+    X = DecomposableScroll((1, 2, 2))
+    for call in (lambda: rank_scan(X, samples=150, seed=3), lambda: scan_points(X, 150, 3)):
+        counts.clear()
+        call()
+        assert counts == [150]
 
 
 def test_oversized_scan_raises_before_any_rank(monkeypatch):

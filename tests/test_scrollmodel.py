@@ -29,13 +29,21 @@ from scrolljets.scrollmodel import (
     jet_order,
     jet_template,
     other_summands,
-    point_rank,
 )
 from scrolljets.scanner import rank_scan
 
 
 def pt(u, v=(), fiber_chart=1, base_chart=BASE_ZERO):
     return ScrollPoint(base_chart, Fraction(u), fiber_chart, tuple(Fraction(x) for x in v))
+
+
+def point_rank(scroll, k, point):
+    """The orbit argument's rank at a point: that of the orbit of the largest-degree summand in
+    its support (its chart summand and every j with v_j != 0), a column count at that orbit's
+    torus-fixed point, with no Fraction built; the tests check it against dense ranks."""
+    support = (point.fiber_chart,
+               *itertools.compress(other_summands(scroll.n, point.fiber_chart), point.v))
+    return _representative_rank(scroll, k, max(support, key=lambda j: scroll.degrees[j - 1]))
 
 
 def random_point(rng, scroll):
