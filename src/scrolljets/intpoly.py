@@ -76,8 +76,9 @@ def _balanced_digits(value: int, radix: int, count: int) -> List[int]:
     return digits
 
 
-def _gcd(f: List[int], g: List[int]) -> List[int]:
-    """The primitive gcd of f and g (deg f >= deg g >= 0) by GCDHEU (Char, Geddes and Gonnet, 1989).
+def _gcd(f: List[int], g: List[int]) -> Tuple[List[int], List[int]]:
+    """The primitive gcd h of f and g (deg f >= deg g >= 0) by GCDHEU (Char, Geddes and Gonnet,
+    1989), with the cofactor primitive(f) / h that proves h | f.
     For primitive f, g and X > 1 + 2 min(|f|, |g|) in max norm, gcd(f(X), g(X)) <= |p(X)| for the p
     of smaller norm has at most len(f) balanced base-X digits, and their primitive part is the gcd
     if it divides both (Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, Thm. 7.7).
@@ -89,8 +90,9 @@ def _gcd(f: List[int], g: List[int]) -> List[int]:
         values = [reduce(lambda value, a: value * x + a, reversed(p), 0) for p in (f, g)]
         h = _balanced_digits(gcd(*values), x, len(f))
         h = _primitive(h[:max(i + 1 for i, a in enumerate(h) if a)])
-        if _divide(f, h) is not None and _divide(g, h) is not None:
-            return h
+        cofactor = _divide(f, h)
+        if cofactor is not None and _divide(g, h) is not None:
+            return h, cofactor
         x = 2 * x + 1
 
 
@@ -106,15 +108,15 @@ def rational_roots(coeffs) -> Tuple[Tuple[Fraction, int], ...]:
 
     ``coeffs`` run from the constant term to a nonzero leading one; u^z gives
     the root 0, z times.  A root a/b of the rest f is a simple root of the
-    squarefree g = f / gcd(f, f') mod the first odd prime p with lc(g) != 0
-    and no root of g and g' in common mod p.  Newton lifts it above 2 max(
-    |g(0)|, |lc(g)|)^2 >= 2 max(|a|, |b|)^2, where the half-extended Euclid
-    finds a/b; it counts if b u - a divides g, as often as it divides f."""
+    squarefree g = f / gcd(f, f'), up to content, mod the first odd prime p
+    with lc(g) != 0 and no root of g and g' in common mod p.  Newton lifts it
+    above 2 max(|g(0)|, |lc(g)|)^2 >= 2 max(|a|, |b|)^2, where the half-extended
+    Euclid finds a/b; it counts if b u - a divides g, as often as it divides f."""
     zeros = next(i for i, a in enumerate(coeffs) if a)
     f = list(coeffs)[zeros:]
     found = [(Fraction(0), zeros)] if zeros else []
     if len(f) > 1:
-        g = _divide(f, _gcd(f, [i * a for i, a in enumerate(f)][1:]))
+        _, g = _gcd(f, [i * a for i, a in enumerate(f)][1:])
         dg = [i * a for i, a in enumerate(g)][1:]
         p = 3
         while True:

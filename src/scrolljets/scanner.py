@@ -94,9 +94,6 @@ DEFAULT_SEED = 1729
 #: points whatever the sample count, so this admits scrolls with n <= 7.
 MAX_STRUCTURED_POINTS = 10_000
 
-#: Seeded generic bases a curve is probed with when k is below its degree.
-CURVE_TRIALS = 20
-
 
 class GenericRankFailure(Exception):
     """The jet matrix is singular everywhere, so the generic-rank hypothesis fails: the rank of
@@ -669,24 +666,18 @@ class CrossValidationReport:
 
 
 def _curve_oracle(scroll: DecomposableScroll, k: int, seed: int, expected):
-    """Wronskian totals of a curve against the formula count ``expected``."""
-    d = scroll.d
+    """A curve's Wronskian total against the formula count ``expected``: every spanning basis
+    totals (k+1)(d-k), so one measurement decides."""
     if k == scroll.N:
-        reports = [wronskian_weights(scroll, k)]
-        summary = reports[0].to_dict()
-        notes = ["full monomial basis used"]
+        basis, note = scroll, "full monomial basis used"
     else:
         # the curve carries more sections than the jet order needs, so probe
-        # generic (k+1)-dimensional subsystems with seeded bases
-        rng = random.Random(seed)
-        reports = [
-            wronskian_weights(_random_spanning_basis(rng, d, k), k) for _ in range(CURVE_TRIALS)
-        ]
-        summary = {**reports[0].to_dict(), "trials": CURVE_TRIALS}
-        notes = [f"{CURVE_TRIALS} seeded generic bases of k+1 sections of the degree-{d} system"]
-    totals = {report.total for report in reports}
-    notes.append(f"oracle totals {sorted(totals)} vs formula {expected}")
-    return "wronskian", totals == {expected}, summary, notes
+        # a (k+1)-dimensional subsystem with a seeded basis
+        basis = _random_spanning_basis(random.Random(seed), scroll.d, k)
+        note = f"a seeded basis of k+1 sections of the degree-{scroll.d} system"
+    report = wronskian_weights(basis, k)
+    notes = [note, f"oracle total {report.total} vs formula {expected}"]
+    return "wronskian", report.total == expected, report.to_dict(), notes
 
 
 def _random_spanning_basis(rng: random.Random, d: int, k: int) -> List[List[int]]:
@@ -722,7 +713,7 @@ def _scan_oracle(scroll: DecomposableScroll, k: int, samples: int, seed: int, el
     if len(top) == scroll.n:  # the full-support stratum
         rank = scan.orbit_ranks[max(scroll.degrees)]
         notes.append(f"generic jet rank {rank} is below kn+1 = {scan.full_rank} "
-                     "(exact, at the full-support point): the whole scroll is inflected")
+                     "(exact, the rank of the open dense orbit): the whole scroll is inflected")
     elif len(top) > scroll.n - ell:
         notes.append(f"the inflected stratum of support {top} has dimension {len(top)} > "
                      f"n - ell = {scroll.n - ell}: the locus has the wrong dimension")
@@ -750,7 +741,7 @@ def cross_validate(
     exact measurement equals the formula's, or None for a failed hypothesis.
     The jet order defaults to the largest k with kn <= N.  An explicit
     lower order is allowed for curves only, where it means probing
-    :data:`CURVE_TRIALS` generic subsystems of sections.
+    one seeded subsystem of sections.
     """
     samples = exact_int(samples, "the number of samples", 1)
     seed = exact_int(seed, "the seed", 0)

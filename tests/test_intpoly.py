@@ -79,9 +79,15 @@ def prs_gcd(f, g):
     return f
 
 
+def prs_pair(f, g):
+    """The PRS gcd h of f and g with the cofactor primitive(f) / h, as intpoly._gcd returns them."""
+    h = prs_gcd(f, g)
+    return h, _divide(_primitive(f), h)
+
+
 def prs_roots(coeffs):
     """rational_roots with the primitive PRS as its gcd."""
-    with mock.patch.object(intpoly, "_gcd", prs_gcd):
+    with mock.patch.object(intpoly, "_gcd", prs_pair):
         return rational_roots(coeffs)
 
 
@@ -98,10 +104,10 @@ def times(f, g):
 
 
 def assert_gcds_agree(f, g):
-    """_gcd of f and g (deg f >= deg g), and of f and f', is the PRS gcd, and f's roots are the
-    PRS-based ones."""
-    assert _gcd(f, g) == prs_gcd(f, g), (f, g)
-    assert _gcd(f, derivative(f)) == prs_gcd(f, derivative(f)), f
+    """_gcd of f and g (deg f >= deg g), and of f and f', is the PRS gcd with its cofactor of f,
+    and f's roots are the PRS-based ones."""
+    assert _gcd(f, g) == prs_pair(f, g), (f, g)
+    assert _gcd(f, derivative(f)) == prs_pair(f, derivative(f)), f
     assert rational_roots(f) == prs_roots(f), f
 
 
@@ -131,7 +137,7 @@ def test_gcd_takes_a_second_point_when_the_first_misreads():
     f = [2, 2, -1]
     assert _balanced_digits(gcd(6, 3), 4, 3) == [-1, 1, 0]
     assert _divide(derivative(f), [-1, 1]) is not None and _divide(f, [-1, 1]) is None
-    assert _gcd(f, derivative(f)) == prs_gcd(f, derivative(f)) == [1]
+    assert _gcd(f, derivative(f)) == prs_pair(f, derivative(f)) == ([1], _primitive(f))
     assert rational_roots(f) == prs_roots(f) == ()
 
 

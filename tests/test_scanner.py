@@ -30,6 +30,7 @@ from scrolljets.scanner import (
     WronskianReport,
     _chart_determinant,
     _draws,
+    _random_spanning_basis,
     _sample_count,
     cross_validate,
     determinant_divisor,
@@ -1090,10 +1091,26 @@ def test_cross_validate_curve_full_basis():
 
 
 def test_cross_validate_curve_generic_projection():
-    report = cross_validate(DecomposableScroll((4,)), k=3)
-    assert report.verdict == MATCH
-    assert report.formula_degree == "4"
-    assert report.oracle == "wronskian"
+    # every spanning basis totals (k+1)(d-k), so the verdict rests on one
+    # Wronskian: that of the first basis drawn from the seed
+    calls = []
+
+    def counted(basis, order):
+        calls.append(basis)
+        return wronskian_weights(basis, order)
+
+    for (d, k), seed in itertools.product([(4, 3), (8, 4), (12, 6)], [1729, 7]):
+        calls.clear()
+        with mock.patch.object(scanner_mod, "wronskian_weights", counted):
+            report = cross_validate(DecomposableScroll((d,)), k=k, seed=seed)
+        assert len(calls) == 1, (d, k, seed)
+        assert report.verdict == MATCH
+        assert report.formula_degree == str((k + 1) * (d - k))
+        assert report.oracle == "wronskian"
+        expected = wronskian_weights(_random_spanning_basis(random.Random(seed), d, k), k)
+        assert report.oracle_summary == expected.to_dict()
+        assert report.notes == (f"a seeded basis of k+1 sections of the degree-{d} system",
+                                f"oracle total {expected.total} vs formula {(k + 1) * (d - k)}")
 
 
 def test_cross_validate_hypothesis_violation():
@@ -1120,7 +1137,8 @@ def test_cross_validate_generic_rank_failure_off_square():
         report = cross_validate(DecomposableScroll(degrees), samples=20)
         assert report.verdict == HYPOTHESIS_VIOLATED, degrees
         assert report.oracle == "rank-scan"
-        assert any("the whole scroll is inflected" in note for note in report.notes)
+        assert any("(exact, the rank of the open dense orbit): the whole scroll is inflected"
+                   in note for note in report.notes)
         assert report.oracle_summary["clean_count"] == 0
         assert report.oracle_summary["inflected"]
     # the section P(O(a_1)) is the locus, of the expected class
