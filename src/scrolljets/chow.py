@@ -273,8 +273,8 @@ class ChowClass:
             a, b = CoeffPoly.coerce(a), CoeffPoly.coerce(b)
             if j == 0 and not b.is_zero():
                 raise ValueError("codimension 0 admits no fiber term")
-            alpha[j] += a
-            beta[j] += b
+            alpha[j] = a if alpha[j] is _ZERO else alpha[j] + a  # no copy onto the shared zero
+            beta[j] = b if beta[j] is _ZERO else beta[j] + b
         self._n, self._alpha, self._beta = n, tuple(alpha), tuple(beta)
 
     @classmethod

@@ -12,7 +12,9 @@ MISMATCH, a correctness alarm.
 
 Each verb's handler returns its document fields, its text lines and its
 exit status; an oracle verb reads its text lines from the ``result`` that
---json prints.  :func:`main` alone assembles and prints the document.
+--json prints.  :func:`main` alone assembles and prints the document.  It
+parses a verb's argv once, with that verb's own parser; the top-level parser,
+which only picks the verb, reads any other argv and reports leftovers.
 """
 
 from __future__ import annotations
@@ -355,13 +357,22 @@ def _document_text(value, pad: str = "\n") -> str:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of a process: parsing leaves it as it was, so main reuses it."""
-    return build_parser()
+def _parser() -> Tuple[argparse.ArgumentParser, dict]:
+    """The one parser of a process and the verbs' parsers that its build made, by name, which
+    main reuses (parsing leaves them as they were): a verb's argv goes to that verb's alone."""
+    parser = build_parser()
+    return parser, next(action.choices for action in parser._actions if action.dest == "verb")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, verbs = _parser()
+    verb = verbs.get(argv[0]) if argv else None
+    args, extra = verb.parse_known_args(argv[1:]) if verb else (None, argv)
+    if args is None or extra:  # no verb first, or leftovers: argparse's own help and errors
+        args = parser.parse_args(argv)
+    else:
+        args.verb = argv[0]
     try:
         fields, lines, status = args.func(args)
         if args.json:

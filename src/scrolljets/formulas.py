@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .chern import segre_closed_form
-from .chow import ChowClass, CoeffPoly, D, G
+from .chow import ChowClass, CoeffPoly, D, G, _exact
 from .scrollmodel import DecomposableScroll, exact_int, exact_rational, jet_order, scroll_dimension
 
 Numeric = Union[int, Fraction]
@@ -34,16 +34,17 @@ class ScrollParams:
 
     n is the dimension, ambient the dimension of the surrounding projective
     space, d the degree and g the genus of the base curve (either may be
-    None to stay formal).  The jet order k is always derived as the largest
-    integer with k*n <= ambient, and ell = ambient + 1 - k*n is the expected
+    None to stay formal; an integral value is kept as an int, any other as
+    a Fraction).  The jet order k is always derived as the largest integer
+    with k*n <= ambient, and ell = ambient + 1 - k*n is the expected
     codimension of the inflectional locus, which automatically satisfies
     1 <= ell <= n.
     """
 
     n: int
     ambient: int
-    d: Optional[Fraction] = None
-    g: Optional[Fraction] = None
+    d: Optional[Numeric] = None
+    g: Optional[Numeric] = None
 
     def __post_init__(self) -> None:
         n = scroll_dimension(self.n)
@@ -52,7 +53,7 @@ class ScrollParams:
         for name in ("d", "g"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, exact_rational(value, name))
+                object.__setattr__(self, name, _exact(value, name))
 
     @property
     def k(self) -> int:
@@ -78,10 +79,12 @@ def inflectional_degree(params: ScrollParams) -> Value:
 
     Agrees with the degree of :func:`inflectional_class` and specializes to
     (k+1)(d + nk(g-1)) when N = (k+1)n - 1 and to (k+1)(d + k(g-1)) when
-    n = 1.
+    n = 1.  It is built as (k+1)d + t*g - t from its three int terms, all
+    nonzero as t = k(2(N+1) - (k+1)n) = k(n(k-1) + 2*ell) >= 2.
     """
-    n, k, ambient = params.n, params.k, params.ambient
-    poly = (k + 1) * D + (k * (2 * (ambient + 1) - (k + 1) * n)) * (G - 1)
+    k = params.k
+    t = k * (2 * (params.ambient + 1) - (k + 1) * params.n)
+    poly = CoeffPoly._make({(1, 0): k + 1, (0, 1): t, (0, 0): -t})
     return _as_value(poly.substitute(d=params.d, g=params.g))
 
 

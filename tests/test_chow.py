@@ -182,6 +182,12 @@ def test_make_case_i_class():
     assert str(cls) == "L - 2*F"
 
 
+def test_terms_of_one_codimension_add_up():
+    cls = ChowClass(2, [(1, 1, 2), (0, 3, 0), (1, D, -2), (1, 0, G), (0, -3, 0)])
+    assert cls == ChowClass(2, [(1, D + 1, G)])
+    assert cls.term(0) == (CoeffPoly(), CoeffPoly())
+
+
 def test_class_str_pins_every_printer_branch():
     # a negative codim-0 Fraction, +-1 on L and on L^2*F, a Fraction on F,
     # a magnitude on L*F and a d/g polynomial with a negative lead on L^2

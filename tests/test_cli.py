@@ -729,6 +729,79 @@ def test_an_argparse_error_leaves_the_parser_as_it_was(capsys):
     assert reused == fresh
 
 
+def outcome(argv):
+    """main's exit code, or a usage error's SystemExit code, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parse_outcome(argv):
+    """outcome(argv) with the verb lookup turned off: the top-level parser reads all of argv."""
+    import scrolljets.cli as cli_mod
+
+    parser = cli_mod._parser()[0]
+    cached = cli_mod._parser
+    cli_mod._parser = lambda: (parser, {})
+    try:
+        return outcome(argv)
+    finally:
+        cli_mod._parser = cached
+
+
+PARSE_ARGVS = [
+    *VERB_ARGVS,
+    *(argv + ("--json",) for argv in VERB_ARGVS),
+    *((argv[0], "-h") for argv in VERB_ARGVS),
+    (), ("-h",), ("--help",), ("no-such-verb",), ("--json", *VERB_ARGVS[0]), ("--", *VERB_ARGVS[0]),
+    ("cross-validate", "--scroll", "2,2", "--bogus"),
+    ("cross-validate", "--scroll", "2,2", "extra", "--bogus"),
+    ("cross-validate", "--scroll", "2,2", "--sam", "50"),
+    ("cross-validate", "--scroll=2,2"),
+    ("ranks", "--n", "3", "--k", "2", "--n", "2"),
+    ("ranks", "--n", "2", "--", "--k", "2"),
+    ("classify", "--n", "2", "--k", "2"),
+    ("scan", "--scroll", "1,3", "--samples", "x"),
+    ("cross-validate", "--scroll", "1,3", "--seed", "-7"),
+]
+
+
+def test_a_verb_parser_prints_what_the_full_parser_prints():
+    codes = set()
+    for argv in PARSE_ARGVS:
+        expected = full_parse_outcome(argv)
+        assert outcome(argv) == expected, argv
+        codes.add(expected[0])
+    assert codes == {0, 1, 2}  # results, an error line and usage errors are all compared
+
+
+def test_a_verb_argv_is_parsed_once(capsys, monkeypatch):
+    # the top-level parser only picks the verb, so a verb's argv skips it
+    import scrolljets.cli as cli_mod
+
+    parser, _ = cli_mod._parser()
+    passes = []
+    parse_known_args = parser.parse_known_args
+
+    def counting(*args, **kwargs):
+        passes.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counting)
+    for argv in VERB_ARGVS:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert passes == []
+    # leftovers are reported by the top-level parser, which then runs once
+    with pytest.raises(SystemExit):
+        main(["cross-validate", "--scroll", "2,2", "--bogus"])
+    assert len(passes) == 1
+    assert capsys.readouterr().err.endswith("scrolljets: error: unrecognized arguments: --bogus\n")
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "scan", "--scroll", "1,3", "--samples", "60", "--json")
     second = run(capsys, "scan", "--scroll", "1,3", "--samples", "60", "--json")
@@ -809,16 +882,12 @@ def test_random_argv_never_raises(argv):
             path = Path(tmp) / "basis.txt"
             path.write_text("".join(" ".join(map(str, row)) + "\n" for row in argv[at]))
             argv[at] = str(path)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exit_:  # argparse: usage errors exit 2
-                code = exit_.code
+        code, out, err = outcome(argv)  # argparse: usage errors exit 2
+        assert full_parse_outcome(argv) == (code, out, err)
     assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 0 and "--json" in argv:
-        json.loads(out.getvalue())
+        json.loads(out)
 
 
 SYMPY_FREE_VERBS = (

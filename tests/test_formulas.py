@@ -14,6 +14,7 @@ from scrolljets.chern import (
 from scrolljets.chow import ChowClass, CoeffPoly, D, G
 from scrolljets.formulas import (
     ScrollParams,
+    _as_value,
     classify_uninflected,
     curve_inflection_degree,
     double_point_check,
@@ -59,6 +60,9 @@ def test_params_reject_inexact_values():
     p = ScrollParams(n=2, ambient=4, d=Fraction(3, 2), g=-7)
     assert (p.d, p.g) == (Fraction(3, 2), Fraction(-7))
     assert str(inflectional_class(p)) == "L - 61*F"
+    # an integral value is kept as an int
+    p = ScrollParams(n=2, ambient=5, d=Fraction(6))
+    assert type(p.d) is int and p == ScrollParams(n=2, ambient=5, d=6)
 
 
 def test_params_codim_always_in_range():
@@ -147,6 +151,27 @@ def test_degree_agrees_with_class_degree_formally():
         for ambient in range(n + 1, 5 * n + 2):
             p = ScrollParams(n=n, ambient=ambient)
             assert inflectional_degree(p) == inflectional_class(p).degree_poly()
+
+
+def typed(value):
+    """A value with the type of each number in it: a Fraction, or a polynomial's terms."""
+    if isinstance(value, CoeffPoly):
+        return sorted((key, type(c), c) for key, c in value.terms().items())
+    return type(value), value
+
+
+def test_degree_matches_its_operator_form():
+    # the three-term build against (k+1)*D + t*(G - 1) by CoeffPoly operators,
+    # formal and at integral, fractional, negative and wide values
+    values = (None, 0, 5, Fraction(3, 2), -7, Fraction(10**30, 7))
+    for n in range(1, 7):
+        for ambient in range(n + 1, 40):
+            k = ambient // n
+            poly = (k + 1) * D + k * (2 * (ambient + 1) - (k + 1) * n) * (G - 1)
+            for d, g in itertools.product(values, repeat=2):
+                expected = _as_value(poly.substitute(d=d, g=g))
+                degree = inflectional_degree(ScrollParams(n=n, ambient=ambient, d=d, g=g))
+                assert typed(degree) == typed(expected), (n, ambient, d, g)
 
 
 def test_degree_specializes_to_finite_count_form():
