@@ -54,8 +54,13 @@ def _fraction(text: str) -> Fraction:
 
 
 def _scroll(text: str) -> DecomposableScroll:
+    """A comma-separated degree list such as "1,2"."""
     try:
-        return DecomposableScroll.from_text(text)
+        degrees = tuple(map(int, text.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad scroll spec {text!r}: {exc}")
+    try:
+        return DecomposableScroll(degrees)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 

@@ -137,15 +137,6 @@ class DecomposableScroll:
             raise ValueError("a scroll needs at least one summand")
         object.__setattr__(self, "degrees", degrees)
 
-    @classmethod
-    def from_text(cls, text: str) -> "DecomposableScroll":
-        """Parse a comma-separated degree list such as "1,2"."""
-        try:
-            degrees = tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad scroll spec {text!r}: {exc}") from None
-        return cls(degrees)
-
     @property
     def n(self) -> int:
         return len(self.degrees)
@@ -162,33 +153,8 @@ class DecomposableScroll:
         """Degree of a summand, indexed 1..n."""
         return self.degrees[exact_int(summand, "summand index", 1, self.n) - 1]
 
-    def section_basis(self, base_chart: str) -> Tuple["SectionMonomial", ...]:
-        """The N+1 basis sections as monomials in the given base chart.
-
-        In base chart "0" the sections of summand j are v_j * u^m for
-        0 <= m <= a_j.  In base chart "inf" the exponents reverse,
-        m -> a_j - m.  The basis does not depend on the fiber chart i: there
-        the v_i of the chart summand is normalized to 1, which a section
-        names only by its summand.
-        """
-        if base_chart not in _BASE_CHARTS:
-            raise ValueError(f"base chart must be one of {_BASE_CHARTS}")
-        basis: List[SectionMonomial] = []
-        for summand, a in enumerate(self.degrees, start=1):
-            for m in range(a + 1):
-                exponent = m if base_chart == BASE_ZERO else a - m
-                basis.append(SectionMonomial(summand=summand, exponent=exponent))
-        return tuple(basis)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(a) for a in self.degrees) + ")"
-
-
-class SectionMonomial(NamedTuple):
-    """A basis section v_summand * u^exponent (v omitted on the chart summand)."""
-
-    summand: int
-    exponent: int
 
 
 @dataclass(frozen=True)
@@ -282,32 +248,36 @@ class JetTemplate(NamedTuple):
 def jet_template(
     scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int
 ) -> JetTemplate:
-    """The reduced k-jet matrix of the section basis in one chart, symbolically.
+    """The reduced k-jet matrix of the N+1 basis sections in one chart, symbolically.
 
-    Rows follow :meth:`DecomposableScroll.section_basis`, columns follow
-    :func:`jet_columns`; a row lists its partials that do not vanish
-    identically, in column order.  A section v_j u^e has pure derivative
-    perm(e, h) u^(e-h) v_j (v_j = 1 on the chart summand) and, for its own
-    summand j only, the mixed d/dv_j derivative perm(e, h) u^(e-h): at most
-    2(k+1) entries, emitted directly.  Every numeric, symbolic and Wronskian
-    jet matrix is this template evaluated.
+    Rows are the sections v_j u^e in every fiber chart (v_j = 1 on the chart
+    summand): summands j = 1..n in turn, each with e = 0..a_j in base chart
+    "0" and a_j..0 in chart "inf", where u -> 1/u reverses the exponents.
+    Columns follow :func:`jet_columns`; a row lists its partials that do not
+    vanish identically, in column order.  The section v_j u^e has pure
+    derivative perm(e, h) u^(e-h) v_j and, for its own summand j only, the
+    mixed d/dv_j derivative perm(e, h) u^(e-h): at most 2(k+1) entries,
+    emitted directly.  Every numeric, symbolic and Wronskian jet matrix is
+    this template evaluated.
     The cache is bounded: a scan ranks its orbits in the charts ("0", i)
     and certifies in its points' own charts, so it needs at most 2n charts.
     """
     k, n = jet_order(k), scroll.n
-    basis = scroll.section_basis(base_chart)
+    if base_chart not in _BASE_CHARTS:
+        raise ValueError(f"base chart must be one of {_BASE_CHARTS}")
     others = other_summands(n, exact_int(fiber_chart, "the fiber chart", 1, n))
     slot = {j: 2 + c for c, j in enumerate(others)}  # ("uv", h-1, j) is column (h-1)n + slot[j]
     rows = []
-    for section in basis:
-        e, vfac = section.exponent, section.summand if section.summand in slot else None
-        entries = [JetEntry(0, 1, e, vfac)]
-        for h in range(1, min(e + 1, k) + 1):
-            if h <= e:
-                entries.append(JetEntry((h - 1) * n + 1, perm(e, h), e - h, vfac))
-            if vfac:
-                entries.append(JetEntry((h - 1) * n + slot[vfac], perm(e, h - 1), e - h + 1, None))
-        rows.append(tuple(entries))
+    for j, a in enumerate(scroll.degrees, start=1):
+        vfac = j if j in slot else None
+        for e in range(a + 1) if base_chart == BASE_ZERO else range(a, -1, -1):
+            entries = [JetEntry(0, 1, e, vfac)]
+            for h in range(1, min(e + 1, k) + 1):
+                if h <= e:
+                    entries.append(JetEntry((h - 1) * n + 1, perm(e, h), e - h, vfac))
+                if vfac:
+                    entries.append(JetEntry((h - 1) * n + slot[j], perm(e, h - 1), e - h + 1, None))
+            rows.append(tuple(entries))
     return JetTemplate(k * n + 1, tuple(rows))
 
 

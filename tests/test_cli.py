@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrolljets.cli import _document_text, main
+from scrolljets.cli import _document_text, _scroll, main
 from scrolljets.intpoly import IntPoly
 from scrolljets.scrollmodel import DecomposableScroll
 
@@ -556,6 +556,22 @@ def test_invalid_input_is_one_line_diagnostic(capsys, tmp_path):
         assert message in err, (argv, err)
 
 
+def test_scroll_spec_is_a_comma_list_of_summand_degrees(capsys):
+    # --scroll reads ints split at commas; a token int() refuses and a degree
+    # below 1 are usage errors, each one argparse line with exit code 2
+    assert _scroll("1,2") == DecomposableScroll((1, 2))
+    for argv, last in (
+        (["scan", "--scroll", "1,x"], "scrolljets scan: error: argument --scroll: bad scroll spec "
+         "'1,x': invalid literal for int() with base 10: 'x'"),
+        (["cross-validate", "--scroll", "0,2"], "scrolljets cross-validate: error: argument "
+         "--scroll: a summand degree must be at least 1, got 0"),
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2, argv
+        assert capsys.readouterr().err.splitlines()[-1] == last
+
+
 def test_cross_validate_gates_the_sample_count_on_every_path(capsys):
     # the square and curve oracles take no samples, but the count is an
     # input the document records, so it is gated as scan gates it
@@ -847,9 +863,16 @@ OPTIONS = {
 }
 
 
+#: Tokens no verb parser reads whole, each sending main to the full parser: a leftover, an
+#: unknown option, a value given to a flag, the options' end and an abbreviation (of --samples
+#: in scan and cross-validate).  No help flag: the deterministic PARSE_ARGVS cover help.
+STRAY = st.sampled_from(["extra", "--bogus", "--json=1", "--", "--sam"])
+
+
 @st.composite
 def argvs(draw):
-    """A random command line; a wronskian basis is a list of rows, written out by the test."""
+    """A random command line; a wronskian basis is a list of rows, written out by the test.
+    About one in four carries a stray token, right after the verb or at the end."""
     verb = draw(st.sampled_from(sorted(OPTIONS) + ["wronskian"]))
     argv = [verb]
     if verb == "wronskian":
@@ -869,6 +892,8 @@ def argvs(draw):
                 argv += [option, draw(values)]
     if draw(st.booleans()):
         argv.append("--json")
+    if draw(st.integers(0, 3)) == 3:
+        argv.insert(draw(st.sampled_from([1, len(argv)])), draw(STRAY))
     return argv
 
 

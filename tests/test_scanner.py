@@ -57,14 +57,6 @@ from scrolljets.scrollmodel import (
 MONOMIAL_QUARTIC = [[1], [0, 1], [0, 0, 1], [0, 0, 0, 0, 1]]
 
 
-def random_spanning_basis(rng, d, k):
-    while True:
-        rows = [[rng.randint(-5, 5) for _ in range(d + 1)] for _ in range(k + 1)]
-        if all(any(row) for row in rows) and any(row[d] for row in rows):
-            if exact_rank(rows) == k + 1:
-                return rows
-
-
 def reference_wronskians(rows, k):
     """Both-chart Wronskians by differentiating the basis polynomials.
 
@@ -178,7 +170,7 @@ def test_wronskian_random_spanning_bases():
     rng = random.Random(424242)
     for d, k in ((4, 3), (5, 3), (5, 4), (6, 4)):
         for trial in range(20):
-            rows = random_spanning_basis(rng, d, k)
+            rows = _random_spanning_basis(rng, d, k)
             report = wronskian_weights(rows, k)
             assert not report.degenerate
             assert report.total == (k + 1) * (d - k), (d, k, rows)
@@ -295,6 +287,13 @@ def test_determinant_divisor_affine_linear_in_fibers():
             assert sp.degree(delta, symbol) <= 1
 
 
+def sections(scroll, base):
+    """The N+1 basis sections v_j u^e as pairs (j, e), summand by summand: e = m in chart "0"
+    and a_j - m in chart "inf" for m = 0..a_j."""
+    return [(j, m if base == BASE_ZERO else a - m)
+            for j, a in enumerate(scroll.degrees, start=1) for m in range(a + 1)]
+
+
 def differentiated_jet_matrix(scroll, k, base, iota, u, vs):
     """The reduced jet matrix of a chart by differentiating the section monomials."""
     return sp.Matrix(
@@ -303,7 +302,7 @@ def differentiated_jet_matrix(scroll, k, base, iota, u, vs):
                 sp.diff(f, u, col[1], *([vs[col[2]]] if col[0] == "uv" else []))
                 for col in jet_columns(scroll.n, k, iota)
             ]
-            for f in (vs.get(s.summand, 1) * u**s.exponent for s in scroll.section_basis(base))
+            for f in (vs.get(j, 1) * u**e for j, e in sections(scroll, base))
         ]
     )
 

@@ -46,6 +46,13 @@ def point_rank(scroll, k, point):
     return _representative_rank(scroll, k, max(support, key=lambda j: scroll.degrees[j - 1]))
 
 
+def sections(scroll, base):
+    """The N+1 basis sections v_j u^e as pairs (j, e), summand by summand: e = m in chart "0"
+    and a_j - m in chart "inf" for m = 0..a_j.  The reference basis of the jet-template tests."""
+    return [(j, m if base == BASE_ZERO else a - m)
+            for j, a in enumerate(scroll.degrees, start=1) for m in range(a + 1)]
+
+
 def random_point(rng, scroll):
     base = rng.choice((BASE_ZERO, BASE_INF))
     iota = rng.randint(1, scroll.n)
@@ -83,36 +90,31 @@ def test_scroll_rejects_bad_degrees():
         DecomposableScroll((True, 2))
 
 
-def test_scroll_from_text():
-    assert DecomposableScroll.from_text("1,2").degrees == (1, 2)
-    with pytest.raises(ValueError):
-        DecomposableScroll.from_text("1,x")
-
-
-def test_section_basis_size_and_reversal():
-    X = DecomposableScroll((1, 2))
-    basis0 = X.section_basis(BASE_ZERO)
-    assert len(basis0) == X.N + 1
-    assert [(s.summand, s.exponent) for s in basis0] == [
-        (1, 0),
-        (1, 1),
-        (2, 0),
-        (2, 1),
-        (2, 2),
-    ]
-    basis_inf = X.section_basis(BASE_INF)
-    assert [(s.summand, s.exponent) for s in basis_inf] == [
-        (1, 1),
-        (1, 0),
-        (2, 2),
-        (2, 1),
-        (2, 0),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # jet matrix
 # ---------------------------------------------------------------------------
+
+
+def test_jet_template_rows_are_the_sections_reversed_at_infinity():
+    # row r is the section v_j u^e: the summands in turn, e = 0..a_j in chart
+    # "0" and a_j..0 in chart "inf"; its column-0 entry is the section itself,
+    # u^e times v_j, with no v factor on the chart summand
+    X = DecomposableScroll((1, 2))
+    for base, exponents in ((BASE_ZERO, [0, 1, 0, 1, 2]), (BASE_INF, [1, 0, 2, 1, 0])):
+        for iota in (1, 2):
+            rows = jet_template(X, 2, base, iota).rows
+            assert [row[0] for row in rows] == [
+                JetEntry(0, 1, e, None if j == iota else j)
+                for j, e in zip([1, 1, 2, 2, 2], exponents)
+            ], (base, iota)
+    for degrees in ((3,), (2, 1), (1, 3, 2), (4, 1, 1, 2)):
+        X = DecomposableScroll(degrees)
+        for base in (BASE_ZERO, BASE_INF):
+            for iota in range(1, X.n + 1):
+                rows = jet_template(X, 1, base, iota).rows
+                assert [(row[0].summand, row[0].u_exponent) for row in rows] == [
+                    (None if j == iota else j, e) for j, e in sections(X, base)
+                ], (degrees, base, iota)
 
 
 def test_jet_columns_shape_and_order():
@@ -180,12 +182,12 @@ def test_jet_matrix_rejects_bad_input():
         with pytest.raises(ValueError):
             ScrollPoint(*args)
     assert ScrollPoint(BASE_ZERO, 1, 2, (Fraction(1, 2),)).u == Fraction(1)
-    # the base chart is "0" or "inf", in a point and in a section basis alike
+    # the base chart is "0" or "inf", in a point and in a jet template alike
     for chart in ("1", "infinity", 0, None):
         with pytest.raises(ValueError, match="base chart must be one of"):
             ScrollPoint(chart, 1)
         with pytest.raises(ValueError, match="base chart must be one of"):
-            X.section_basis(chart)
+            jet_template(X, 1, chart, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +457,7 @@ def test_jet_template_is_diagonally_scaled_by_powers_of_u(data):
         for iota in range(1, X.n + 1):
             values = dict(zip(other_summands(X.n, iota), v))
             for order in {k, X.N // X.n}:
-                exponents = [section.exponent for section in X.section_basis(base)]
+                exponents = [e for _, e in sections(X, base)]
                 orders = [column[1] for column in jet_columns(X.n, order, iota)]
                 at_u = evaluate_jet_template(X, order, base, iota, u, values)
                 at_one = evaluate_jet_template(X, order, base, iota, 1, values)
@@ -478,8 +480,7 @@ def dense_jet_matrix(scroll, k, base, iota, u, values):
     only the sections of summand i.
     """
     matrix = []
-    for section in scroll.section_basis(base):
-        e, j = section.exponent, section.summand
+    for j, e in sections(scroll, base):
         row = []
         for column in jet_columns(scroll.n, k, iota):
             h = column[1]
@@ -543,7 +544,7 @@ def test_jet_template_is_diagonally_scaled_by_the_fiber_coordinates(data):
     u = data.draw(small_fractions)
     v = dict(zip(other_summands(X.n, iota), data.draw(
         st.lists(nonzero_coordinates, min_size=X.n - 1, max_size=X.n - 1))))
-    rows = [v.get(section.summand, 1) for section in X.section_basis(base)]
+    rows = [v.get(j, 1) for j, _ in sections(X, base)]
     columns = [v[column[2]] if column[0] == "uv" else 1 for column in jet_columns(X.n, k, iota)]
     at_v = evaluate_jet_template(X, k, base, iota, u, v)
     at_one = evaluate_jet_template(X, k, base, iota, u, dict.fromkeys(v, 1))
@@ -556,8 +557,7 @@ def column_filter_template(scroll, k, base, iota):
     """A chart's template by testing every jet column against every section, densely."""
     columns = jet_columns(scroll.n, k, iota)
     rows = []
-    for section in scroll.section_basis(base):
-        e, j = section.exponent, section.summand
+    for j, e in sections(scroll, base):
         fiber = None if j == iota else j
         rows.append(tuple(
             (c, perm(e, column[1]), e - column[1], fiber if column[0] == "u" else None)
