@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Verbs: class, degree, verify-theorem3, classify, scan, wronskian,
-cross-validate, ranks.  Output is aligned text by default; --json emits a
-single document with a schema marker, the inputs and the result, plus a
-certificate where one exists, as the ASCII text of ``json.dumps(doc,
-indent=2, sort_keys=True)`` with no float in it, written by
-:func:`_document_text` in a few C-level joins per container and one per jet
-matrix.  Identical inputs and seed give identical output.  Invalid input
-exits nonzero with a one-line diagnostic, and so does a cross-validate
-MISMATCH, a correctness alarm.
+Verbs: class, degree, verify-theorem3, classify, scan, wronskian, cross-validate,
+ranks.  Output is aligned text by default; --json emits a single document with a
+schema marker, the inputs and the result, plus a certificate where one exists,
+as the ASCII text of ``json.dumps(doc, indent=2, sort_keys=True)`` with no float
+in it.  :func:`_document_text` writes it into one buffer, one join per jet
+matrix, and matches types exactly but for a certificate's rows, a ``_JetText``.
+Identical inputs and seed give identical output.  Invalid input exits nonzero
+with a one-line diagnostic, and so does a cross-validate MISMATCH, a
+correctness alarm.
 
 Each verb's handler returns its document fields, its text lines and its
 exit status; an oracle verb reads its text lines from the ``result`` that
@@ -43,7 +43,7 @@ from .scanner import (
     rank_scan,
     wronskian_weights,
 )
-from .scrollmodel import DecomposableScroll, _rational, _text, exact_int
+from .scrollmodel import DecomposableScroll, _JetText, _rational, _text, exact_int
 
 
 def _fraction(text: str) -> Fraction:
@@ -322,43 +322,63 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _document_text(value, pad: str = "\n") -> str:
+def _document_text(value) -> str:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)``, in few C-level calls.
 
-    A dict sorts its keys once, and a dict or list writes its items' texts in one join.
+    Every node appends its pieces to one buffer, joined once; a dict sorts its keys once.
     A jet matrix, a list or tuple of nonempty lists or tuples of str, is one
     join of its rows' joins, its entries quoted by the separators, when one escape check on
     all of them at once finds none to escape; otherwise it is written as any list.  Types match
     exactly: any type but dict, list, tuple, str, int, bool and None (a subclass included),
-    or a non-str key (which _string refuses), raises TypeError wherever it sits.
+    or a non-str key (which _string refuses), raises TypeError wherever it sits.  The one
+    exception is a certificate's rows, a ``scrollmodel._JetText``, whose entries are exact
+    ASCII str by construction: that matrix is joined with no type or escape check.
     """
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value, pad: str, out: list) -> None:
+    """Append the pieces of value's indented JSON text, nested at ``pad``, to ``out``."""
     kind = type(value)
     if kind is str:
-        return _string(value)
-    if kind is int:
-        return _text(value)  # which writes an int past the int-to-text digit limit too
-    if kind is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    inner = pad + "  "
-    if kind is dict:
-        keys = sorted(value)
-        items, ends = map(value.__getitem__, keys), "{}"
-    elif kind is list or kind is tuple:
-        matrix = {*map(type, value)} <= {list, tuple} and all(value)  # nonempty rows
-        if matrix and {*map(type, chain(*value))} == {str}:
-            text, deeper = "".join(map("".join, value)), inner + "  "
-            if len(_string(text)) == len(text) + 2:  # no entry needs escaping
-                rows = f'"{inner}],{inner}[{deeper}"'.join(map(f'",{deeper}"'.join, value))
-                return f'[{inner}[{deeper}"{rows}"{inner}]{pad}]'
-        items, ends = value, "[]"
-    else:
+        out.append(_string(value))
+    elif kind is int:
+        out.append(_text(value))  # which writes an int past the int-to-text digit limit too
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
+    elif kind not in (dict, list, tuple, _JetText):
         raise TypeError(f"a {kind.__name__} has no exact JSON form")
-    texts = [_document_text(x, inner) for x in items]
-    if kind is dict:
-        texts = map("{}: {}".format, map(_string, keys), texts)
-    return ends[0] + inner + ("," + inner).join(texts) + pad + ends[1] if value else ends
+    elif not value:
+        out.append("{}" if kind is dict else "[]")
+    else:
+        inner = pad + "  "
+        matrix = kind is _JetText  # exact ASCII texts by construction: nothing to check
+        if kind in (list, tuple) and {*map(type, value)} <= {list, tuple} and all(value):
+            if {*map(type, chain(*value))} == {str}:  # nonempty rows of str
+                text = "".join(map("".join, value))
+                matrix = len(_string(text)) == len(text) + 2  # no entry needs escaping
+        if matrix:
+            deeper = inner + "  "
+            rows = f'"{inner}],{inner}[{deeper}"'.join(map(f'",{deeper}"'.join, value))
+            out.append(f'[{inner}[{deeper}"{rows}"{inner}]{pad}]')
+        elif kind is dict:
+            sep = "{" + inner
+            for key in sorted(value):
+                out += sep, _string(key), ": "
+                _write(value[key], inner, out)
+                sep = "," + inner
+            out += pad, "}"
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out += pad, "]"
 
 
 @functools.cache

@@ -309,26 +309,46 @@ def evaluate_jet_template(
     return matrix
 
 
-def _jet_text(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> Tuple[tuple, ...]:
+class _JetText(tuple):
+    """A certificate's rows, built only by :func:`_jet_text`: tuples of exact ASCII str "a" or
+    "a/b", which the JSON writer prints unchecked.  It equals and hashes as its plain tuple."""
+
+    __slots__ = ()
+
+
+@lru_cache(maxsize=32, typed=True)
+def _jet_plan(scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int) -> tuple:
+    """A chart's template for :func:`_jet_text`: its width, D + 1 for D the largest degree, and
+    each row's entries (column, coeff, i) for coeff u^e v_j, where i = (D + 1) c + e indexes
+    the point's flat powers, with c = 0 for no v_j, else 1 + the place of v_j in the point's v."""
+    template = jet_template(scroll, k, base_chart, fiber_chart)
+    width = max(scroll.degrees) + 1
+    slot = {j: c for c, j in enumerate(other_summands(scroll.n, fiber_chart), start=1)}
+    rows = tuple(tuple((column, coeff, slot.get(summand, 0) * width + e)
+                       for column, coeff, e, summand in row) for row in template.rows)
+    return template.ncols, width, rows
+
+
+def _jet_text(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> _JetText:
     """The jet template of the point's chart at the point, each entry as its Fraction's text.
 
     At u = p/q and v_j = r_j/s_j, each ratio read once, a nonzero entry coeff u^e v_j is
     a/b = coeff r_j p^e / s_j q^e with b > 0, written as str(Fraction(a, b)), reduced by one
     g = gcd(a, b) only if b != 1 (b is 1 for about 70 % of a scan's nonzero entries); a zero
     is the shared "0".  Past the int-to-text digit limit a and b are written by :func:`_text`.
+    Each entry is read off the chart's cached :func:`_jet_plan`; the rows are a :class:`_JetText`.
     The point is not checked: :func:`~scrolljets.scanner.rank_scan`, the one caller, built it.
     """
+    ncols, width, plan = _jet_plan(scroll, k, point.base_chart, point.fiber_chart)
     p, q = point.u.as_integer_ratio()
-    terms = {None: [(p**e, q**e) for e in range(max(scroll.degrees) + 1)]}
-    for j, x in zip(other_summands(scroll.n, point.fiber_chart), point.v):
-        r, s = x.as_integer_ratio()
-        terms[j] = [(r * a, s * b) for a, b in terms[None]]
-    template = jet_template(scroll, k, point.base_chart, point.fiber_chart)
+    powers = [(p**e, q**e) for e in range(width)]
+    flat = powers + [(r * a, s * b) for r, s in map(Fraction.as_integer_ratio, point.v)
+                     for a, b in powers]
     rows = []
-    for row in template.rows:
-        filled = ["0"] * template.ncols
-        for column, coeff, e, summand in row:
-            a, b = terms[summand][e]
+    for row in plan:
+        filled = ["0"] * ncols
+        for column, coeff, i in row:
+            a, b = flat[i]
             if a:
                 a *= coeff
                 if b != 1:
@@ -339,7 +359,7 @@ def _jet_text(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> Tuple[t
                 except ValueError:
                     filled[column] = _text(a) if b == 1 else f"{_text(a)}/{_text(b)}"
         rows.append(tuple(filled))
-    return tuple(rows)
+    return _JetText(rows)
 
 
 def jet_matrix(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> Tuple[tuple, ...]:

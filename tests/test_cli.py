@@ -10,16 +10,24 @@ import textwrap
 import time
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scrolljets.cli import _document_text, _scroll, main
 from scrolljets.intpoly import IntPoly
-from scrolljets.scrollmodel import DecomposableScroll
+from scrolljets.scrollmodel import (
+    BASE_INF,
+    BASE_ZERO,
+    DecomposableScroll,
+    ScrollPoint,
+    _jet_text,
+    _JetText,
+)
 
 
 def run(capsys, *argv):
@@ -312,8 +320,46 @@ def test_document_text_is_the_stdlib_indented_text(value):
     assert _document_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+WIDE_U = Fraction(10**30 + 1)  # at e = 160 its powers pass the 4,300 digits str writes
+coordinates = st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    st.integers(1, 6),
+    st.sampled_from([BASE_ZERO, BASE_INF]),
+    st.integers(1, 4),
+    coordinates,
+    st.lists(coordinates, min_size=3, max_size=3),
+)
+@example([1, 160], 2, BASE_ZERO, 1, WIDE_U / 7, [Fraction(-2, 3)] * 3)
+@example([1, 160], 2, BASE_INF, 2, WIDE_U, [Fraction(-2)] * 3)
+@example([1, 160], 2, BASE_ZERO, 2, WIDE_U / 7, [Fraction(0)] * 3)
+def test_a_certificate_is_written_unchecked_as_the_checked_path_writes_it(
+    degrees, k, base, iota, u, v
+):
+    # the writer joins a _JetText with no per-entry type or escape check, so
+    # every certificate _jet_text makes, in every chart, at u = 0, at zero v_j
+    # and past the int-to-text limit, must be exact str that need no escape,
+    # and print as the stdlib and the checked path print its plain tuples
+    X = DecomposableScroll(tuple(degrees))
+    k, iota = min(k, X.N // X.n), min(iota, X.n)
+    rows = _jet_text(X, k, ScrollPoint(base, u, iota, tuple(v[: X.n - 1])))
+    assert type(rows) is _JetText
+    entries = [x for row in rows for x in row]
+    assert all(type(x) is str and encode_basestring_ascii(x) == f'"{x}"' for x in entries)
+    text = _document_text({"m": rows})
+    assert text == json.dumps({"m": rows}, indent=2, sort_keys=True)
+    assert text == _document_text({"m": tuple(map(tuple, rows))})
+
+
 class Text(str):
     """A str subclass, which has no exact JSON form however it prints."""
+
+
+class Rows(tuple):
+    """A tuple subclass other than a certificate's, which has no exact JSON form either."""
 
 
 @pytest.mark.parametrize(
@@ -332,10 +378,12 @@ class Text(str):
         {"m": [["1", 1.5]]},
         [("1",), (Fraction(1),)],
         {"m": [["1", "2"], ["3", Text("4")]]},
+        {"m": Rows((("1", "2"), ("3", "4")))},
     ],
     ids=["float", "fraction", "nested-float", "matrix-fraction", "nan-in-strings",
          "tuple-fraction", "int-key", "nested-int-key", "tuple-key", "mixed-keys",
-         "matrix-float", "tuple-matrix-fraction", "matrix-str-subclass"],
+         "matrix-float", "tuple-matrix-fraction", "matrix-str-subclass",
+         "matrix-tuple-subclass"],
 )
 def test_a_document_with_a_float_a_fraction_or_a_non_str_key_is_refused(document):
     with pytest.raises(TypeError):

@@ -1,8 +1,9 @@
 """Source layout: no module imports sympy (determinants and roots are
 integer arithmetic in the package itself, and sympy serves only the tests'
 reference models), one gate decides what counts as an exact number, one
-module converts exact numbers to and from text, and the CLI reads oracle
-reports only through the documents their ``to_dict`` builds.
+module converts exact numbers to and from text, the CLI reads oracle
+reports only through the documents their ``to_dict`` builds, and one
+function builds the certificate text that the JSON writer prints unchecked.
 
 Every module of the package is parsed, so a sympy import or a report read
 on a path no test runs is still seen.
@@ -229,3 +230,31 @@ def test_only_cross_validate_reads_the_verdicts():
     assert {node.id for node in reads} == verdicts
     for node in reads:
         assert id(node) in inside, f"scanner.py:{node.lineno} reads {node.id}"
+
+
+def test_only_jet_text_constructs_a_certificate_text():
+    # the JSON writer prints a _JetText with no per-entry type or escape
+    # check, which holds only because one function, which writes every entry
+    # as str(int) or "a/b", builds one: any other call of the type, or of a
+    # __new__ handed it (say tuple.__new__(_JetText, rows)), is refused
+    inside, outside = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        builder = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_jet_text"
+            for inner in ast.walk(node)
+        } if path.name == "scrollmodel.py" else set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            parts = [callee, *node.args] if getattr(callee, "attr", None) == "__new__" else [callee]
+            if any(
+                getattr(name, "id", getattr(name, "attr", None)) == "_JetText"
+                for part in parts
+                for name in ast.walk(part)
+            ):
+                (inside if id(node) in builder else outside).append(f"{path.name}:{node.lineno}")
+    assert len(inside) == 1 and outside == [], (inside, outside)

@@ -44,6 +44,7 @@ from scrolljets.scrollmodel import (
     DecomposableScroll,
     ScrollPoint,
     _check_point,
+    _jet_plan,
     _representative_rank,
     bareiss,
     evaluate_jet_template,
@@ -624,6 +625,17 @@ def test_certificates_parse_back_to_the_jet_matrix_at_their_points():
                 assert report.orbit_ranks[top] == sample.rank < report.full_rank, (degrees, seed)
                 checked += 1
     assert checked == 420
+
+
+def test_certificate_plans_are_cached_per_chart():
+    # _jet_text reads its entries off one plan per chart, so a scan of n = 6
+    # summands needs at most its 2n charts' plans however many certificates
+    # it writes, well within the plan cache's bound of 32
+    X = DecomposableScroll((1, 1, 1, 1, 1, 3))
+    _jet_plan.cache_clear()
+    report = rank_scan(X, samples=100, seed=1)
+    assert len(report.inflected) == 800
+    assert _jet_plan.cache_info().misses <= 2 * X.n <= _jet_plan.cache_info().maxsize
 
 
 @settings(max_examples=30, deadline=None)
