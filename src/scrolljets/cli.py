@@ -4,8 +4,8 @@ Verbs: class, degree, verify-theorem3, classify, scan, wronskian, cross-validate
 ranks.  Output is aligned text by default; --json emits a single document with a
 schema marker, the inputs and the result, plus a certificate where one exists,
 as the ASCII text of ``json.dumps(doc, indent=2, sort_keys=True)`` with no float
-in it.  :func:`_document_text` writes it into one buffer, one join per jet
-matrix, and matches types exactly but for a certificate's rows, a ``_JetText``.
+in it.  :func:`_document_text` writes it into one buffer and matches types
+exactly, but for a certificate's rows, a ``_JetText``, which it writes in one join.
 Identical inputs and seed give identical output.  Invalid input exits nonzero
 with a one-line diagnostic, and so does a cross-validate MISMATCH, a
 correctness alarm.
@@ -24,7 +24,6 @@ import functools
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 from typing import Optional, Tuple
 
@@ -323,16 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _document_text(value) -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, in few C-level calls.
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, appended to one buffer
+    and joined once.
 
-    Every node appends its pieces to one buffer, joined once; a dict sorts its keys once.
-    A jet matrix, a list or tuple of nonempty lists or tuples of str, is one
-    join of its rows' joins, its entries quoted by the separators, when one escape check on
-    all of them at once finds none to escape; otherwise it is written as any list.  Types match
-    exactly: any type but dict, list, tuple, str, int, bool and None (a subclass included),
-    or a non-str key (which _string refuses), raises TypeError wherever it sits.  The one
-    exception is a certificate's rows, a ``scrollmodel._JetText``, whose entries are exact
-    ASCII str by construction: that matrix is joined with no type or escape check.
+    A dict sorts its keys once.  Types match exactly: any type but dict, list, tuple, str, int,
+    bool and None (a subclass included), or a non-str key (which _string refuses), raises
+    TypeError wherever it sits.  The one exception is a certificate's rows, a
+    ``scrollmodel._JetText``, whose entries are exact ASCII str by construction: that matrix
+    is one join of its rows' joins, its entries quoted by the separators, with no type or
+    escape check.
     """
     out: list[str] = []
     _write(value, "\n", out)
@@ -356,12 +354,7 @@ def _write(value, pad: str, out: list) -> None:
         out.append("{}" if kind is dict else "[]")
     else:
         inner = pad + "  "
-        matrix = kind is _JetText  # exact ASCII texts by construction: nothing to check
-        if kind in (list, tuple) and {*map(type, value)} <= {list, tuple} and all(value):
-            if {*map(type, chain(*value))} == {str}:  # nonempty rows of str
-                text = "".join(map("".join, value))
-                matrix = len(_string(text)) == len(text) + 2  # no entry needs escaping
-        if matrix:
+        if kind is _JetText:  # exact ASCII texts by construction: nothing to check
             deeper = inner + "  "
             rows = f'"{inner}],{inner}[{deeper}"'.join(map(f'",{deeper}"'.join, value))
             out.append(f'[{inner}[{deeper}"{rows}"{inner}]{pad}]')

@@ -336,13 +336,14 @@ coordinates = st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominato
 @example([1, 160], 2, BASE_ZERO, 1, WIDE_U / 7, [Fraction(-2, 3)] * 3)
 @example([1, 160], 2, BASE_INF, 2, WIDE_U, [Fraction(-2)] * 3)
 @example([1, 160], 2, BASE_ZERO, 2, WIDE_U / 7, [Fraction(0)] * 3)
-def test_a_certificate_is_written_unchecked_as_the_checked_path_writes_it(
+def test_a_certificate_is_written_unchecked_as_the_general_path_writes_it(
     degrees, k, base, iota, u, v
 ):
     # the writer joins a _JetText with no per-entry type or escape check, so
     # every certificate _jet_text makes, in every chart, at u = 0, at zero v_j
     # and past the int-to-text limit, must be exact str that need no escape,
-    # and print as the stdlib and the checked path print its plain tuples
+    # and print as the stdlib and the writer's checked list path print its
+    # plain tuples
     X = DecomposableScroll(tuple(degrees))
     k, iota = min(k, X.N // X.n), min(iota, X.n)
     rows = _jet_text(X, k, ScrollPoint(base, u, iota, tuple(v[: X.n - 1])))
