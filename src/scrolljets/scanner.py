@@ -275,7 +275,7 @@ def _chart_determinant(
     on M' = M diag(1 / h_c!), scaled back.  A row of section v_j u^e carries u^e v_j and a
     column u^-h_c, and v_j^-1 on the k mixed columns of j, so by Cauchy-Binet a term comes from
     kn+1 sections: its u-exponent lies between the sums of the kn+1 smallest and largest
-    section exponents, less sum h_c, and its v_j-exponent between c_j - (N - kn) - k and
+    section exponents 0..a_j, less sum h_c, and its v_j-exponent between c_j - (N - kn) - k and
     min(c_j, kn+1) - k, for c_j the sections of j, and no box starts below 0.  A variable whose
     box holds one exponent, as each does when M is square, is set to 1 and given it; the others
     are packed at X^w over 0..top (Kronecker substitution), X = 2B + 1 for B the product of the
@@ -287,12 +287,12 @@ def _chart_determinant(
     orders = [column[1] for column in jet_columns(scroll.n, k, fiber_chart)]
     divisors = [factorial(h) for h in orders]
     size, spare = len(orders), len(template) - len(orders)  # kn+1 sections, N - kn left out
-    exponents = sorted(row[0].u_exponent for row in template)  # a row's first entry: its section
+    exponents = sorted(e for a in scroll.degrees for e in range(a + 1))  # in either base chart
     boxes = [(sum(exponents[:size]) - sum(orders), sum(exponents[spare:]) - sum(orders)),
              *((a + 1 - spare - k, min(a + 1, size) - k) for a in map(scroll.degree_of, others))]
     ranges = [range(top + 1) if top > max(low, 0) else range(top, top + 1) for low, top in boxes]
     # a column's sections are distinct monomials, so l1 norms add along a row of rows x M'
-    norms = [sum(entry.coeff // divisors[entry.column] for entry in row) for row in template]
+    norms = [sum(coeff // divisors[column] for column, coeff, _ in row) for row in template]
     if rows is not None:
         norms = [sum(abs(c) * norm for c, norm in zip(row, norms)) for row in rows]
     radix, weight, values = 2 * prod(norms) + 1, 1, []

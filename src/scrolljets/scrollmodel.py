@@ -17,7 +17,8 @@ reverses the exponent m of a degree-a section to a - m) and n fiber charts
 (fiber chart i normalizes the i-th homogeneous fiber coordinate to 1).
 Everything is exact rational arithmetic; determinants and :func:`exact_rank` come from
 one fraction-free elimination with deterministic pivoting (:func:`bareiss`), the only one here:
-an orbit's rank is a count (below).  A template row stores only its nonzero entries.
+an orbit's rank is a count (below).  A template row stores only its nonzero entries, each an
+index into one flat list of a point's powers (:class:`JetTemplate`), the template's one layout.
 
 The orbit argument: GL_2 x (C*)^n acts on the scroll and preserves the complete linear system, so
 the jet rank is constant on the support strata (a point's support T is its chart summand and every
@@ -228,20 +229,16 @@ def jet_columns(n: int, k: int, fiber_chart: int) -> Tuple[Column, ...]:
     return tuple(cols)
 
 
-class JetEntry(NamedTuple):
-    """A nonzero jet-matrix entry: coeff * u^u_exponent, times v_summand if set."""
-
-    column: int
-    coeff: int
-    u_exponent: int
-    summand: Optional[int]
-
-
 class JetTemplate(NamedTuple):
-    """A chart's jet matrix, stored sparsely: each row's nonzero entries, by column."""
+    """A chart's jet matrix, stored sparsely: each row's nonzero entries, by column, as plain
+    (column, coeff, index) tuples.  The entry coeff u^e v_j has index = width c + e, for width
+    = D + 1 with D the largest degree and c = 0 with no v factor, else 1 + the place of v_j
+    among the chart's :func:`other_summands`: it indexes a point's one flat list of powers, the
+    powers u^0..u^D and then each v_j times them."""
 
     ncols: int
-    rows: Tuple[Tuple[JetEntry, ...], ...]
+    width: int
+    rows: Tuple[Tuple[Tuple[int, int, int], ...], ...]
 
 
 @lru_cache(maxsize=32, typed=True)
@@ -257,8 +254,8 @@ def jet_template(
     vanish identically, in column order.  The section v_j u^e has pure
     derivative perm(e, h) u^(e-h) v_j and, for its own summand j only, the
     mixed d/dv_j derivative perm(e, h) u^(e-h): at most 2(k+1) entries,
-    emitted directly.  Every numeric, symbolic and Wronskian jet matrix is
-    this template evaluated.
+    emitted directly.  Every numeric, symbolic, Wronskian and certificate jet
+    matrix is this template evaluated, and an orbit's rank is read off it.
     The cache is bounded: a scan ranks its orbits in the charts ("0", i)
     and certifies in its points' own charts, so it needs at most 2n charts.
     """
@@ -266,19 +263,21 @@ def jet_template(
     if base_chart not in _BASE_CHARTS:
         raise ValueError(f"base chart must be one of {_BASE_CHARTS}")
     others = other_summands(n, exact_int(fiber_chart, "the fiber chart", 1, n))
-    slot = {j: 2 + c for c, j in enumerate(others)}  # ("uv", h-1, j) is column (h-1)n + slot[j]
+    width = max(scroll.degrees) + 1
+    slot = {j: c for c, j in enumerate(others, start=1)}  # ("uv", h-1, j) is column (h-1)n + 1 + c
     rows = []
     for j, a in enumerate(scroll.degrees, start=1):
-        vfac = j if j in slot else None
+        c = slot.get(j, 0)
         for e in range(a + 1) if base_chart == BASE_ZERO else range(a, -1, -1):
-            entries = [JetEntry(0, 1, e, vfac)]
+            i = width * c + e  # u^e v_j
+            entries = [(0, 1, i)]
             for h in range(1, min(e + 1, k) + 1):
                 if h <= e:
-                    entries.append(JetEntry((h - 1) * n + 1, perm(e, h), e - h, vfac))
-                if vfac:
-                    entries.append(JetEntry((h - 1) * n + slot[j], perm(e, h - 1), e - h + 1, None))
+                    entries.append(((h - 1) * n + 1, perm(e, h), i - h))
+                if c:
+                    entries.append(((h - 1) * n + 1 + c, perm(e, h - 1), e - h + 1))
             rows.append(tuple(entries))
-    return JetTemplate(k * n + 1, tuple(rows))
+    return JetTemplate(k * n + 1, width, tuple(rows))
 
 
 def evaluate_jet_template(
@@ -289,22 +288,21 @@ def evaluate_jet_template(
     ``v`` maps every summand other than the chart summand to its fiber
     coordinate.  The package passes ints (chart determinants, each variable 1
     or Kronecker-packed) and, from :func:`jet_matrix`, a point's Fractions;
-    sympy symbols come from the tests.  The powers of u
-    are taken once, only the nonzero entries are filled, the zeros stay in
-    u's own number type, and the rows are new lists.  (A symbol's u * u or
-    1 - 1 would build an Add, whose first use imports sympy's tensor module:
-    hence u**e and the zero 0 * u**0.)
+    sympy symbols come from the tests.  The powers of u are taken once, then
+    each v_j times them, into the flat list that the template indexes; only
+    the nonzero entries are filled, the zeros stay in u's own number type, and
+    the rows are new lists.  (A symbol's u * u or 1 - 1 would build an Add,
+    whose first use imports sympy's tensor module: hence u**e and 0 * u**0.)
     """
-    template = jet_template(scroll, k, base_chart, fiber_chart)
-    powers = [u**e for e in range(max(scroll.degrees) + 1)]
-    scaled = {None: powers}
-    scaled.update((j, [x * p for p in powers]) for j, x in v.items())
+    ncols, width, template = jet_template(scroll, k, base_chart, fiber_chart)
+    powers = [u**e for e in range(width)]
+    flat = powers + [v[j] * p for j in other_summands(scroll.n, fiber_chart) for p in powers]
     zero = powers[0] * 0
     matrix = []
-    for entries in template.rows:
-        row = [zero] * template.ncols
-        for column, coeff, e, summand in entries:
-            row[column] = coeff * scaled[summand][e]
+    for entries in template:
+        row = [zero] * ncols
+        for column, coeff, i in entries:
+            row[column] = coeff * flat[i]
         matrix.append(row)
     return matrix
 
@@ -316,19 +314,6 @@ class _JetText(tuple):
     __slots__ = ()
 
 
-@lru_cache(maxsize=32, typed=True)
-def _jet_plan(scroll: DecomposableScroll, k: int, base_chart: str, fiber_chart: int) -> tuple:
-    """A chart's template for :func:`_jet_text`: its width, D + 1 for D the largest degree, and
-    each row's entries (column, coeff, i) for coeff u^e v_j, where i = (D + 1) c + e indexes
-    the point's flat powers, with c = 0 for no v_j, else 1 + the place of v_j in the point's v."""
-    template = jet_template(scroll, k, base_chart, fiber_chart)
-    width = max(scroll.degrees) + 1
-    slot = {j: c for c, j in enumerate(other_summands(scroll.n, fiber_chart), start=1)}
-    rows = tuple(tuple((column, coeff, slot.get(summand, 0) * width + e)
-                       for column, coeff, e, summand in row) for row in template.rows)
-    return template.ncols, width, rows
-
-
 def _jet_text(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> _JetText:
     """The jet template of the point's chart at the point, each entry as its Fraction's text.
 
@@ -336,16 +321,17 @@ def _jet_text(scroll: DecomposableScroll, k: int, point: ScrollPoint) -> _JetTex
     a/b = coeff r_j p^e / s_j q^e with b > 0, written as str(Fraction(a, b)), reduced by one
     g = gcd(a, b) only if b != 1 (b is 1 for about 70 % of a scan's nonzero entries); a zero
     is the shared "0".  Past the int-to-text digit limit a and b are written by :func:`_text`.
-    Each entry is read off the chart's cached :func:`_jet_plan`; the rows are a :class:`_JetText`.
+    Each entry is read off the chart's cached :func:`jet_template`, its index into the point's
+    flat powers; the rows are a :class:`_JetText`.
     The point is not checked: :func:`~scrolljets.scanner.rank_scan`, the one caller, built it.
     """
-    ncols, width, plan = _jet_plan(scroll, k, point.base_chart, point.fiber_chart)
+    ncols, width, template = jet_template(scroll, k, point.base_chart, point.fiber_chart)
     p, q = point.u.as_integer_ratio()
     powers = [(p**e, q**e) for e in range(width)]
     flat = powers + [(r * a, s * b) for r, s in map(Fraction.as_integer_ratio, point.v)
                      for a, b in powers]
     rows = []
-    for row in plan:
+    for row in template:
         filled = ["0"] * ncols
         for column, coeff, i in row:
             a, b = flat[i]
@@ -425,10 +411,10 @@ def exact_rank(rows: Sequence[Sequence[Rational]]) -> int:
 
 def _representative_rank(scroll: DecomposableScroll, k: int, summand: int) -> int:
     """The k-jet rank of the orbit of {summand}, at its torus-fixed point u = 0, v = 0 in chart
-    ("0", summand): the number of columns filled by the template's entries of u-exponent 0 and
+    ("0", summand): the number of columns filled by the template's entries of index 0, u^0 with
     no v factor, each row keeping at most one (the module's orbit argument)."""
     rows = jet_template(scroll, k, BASE_ZERO, summand).rows
-    return len({e.column for row in rows for e in row if not e.u_exponent and e.summand is None})
+    return len({column for row in rows for column, _, i in row if not i})
 
 
 def full_support_rank(scroll: DecomposableScroll, k: int) -> int:

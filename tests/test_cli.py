@@ -27,6 +27,8 @@ from scrolljets.scrollmodel import (
     ScrollPoint,
     _jet_text,
     _JetText,
+    _rational,
+    jet_matrix,
 )
 
 
@@ -343,11 +345,14 @@ def test_a_certificate_is_written_unchecked_as_the_general_path_writes_it(
     # every certificate _jet_text makes, in every chart, at u = 0, at zero v_j
     # and past the int-to-text limit, must be exact str that need no escape,
     # and print as the stdlib and the writer's checked list path print its
-    # plain tuples
+    # plain tuples; and it must read back as jet_matrix, the template's other
+    # evaluator, at the same point
     X = DecomposableScroll(tuple(degrees))
     k, iota = min(k, X.N // X.n), min(iota, X.n)
-    rows = _jet_text(X, k, ScrollPoint(base, u, iota, tuple(v[: X.n - 1])))
+    point = ScrollPoint(base, u, iota, tuple(v[: X.n - 1]))
+    rows = _jet_text(X, k, point)
     assert type(rows) is _JetText
+    assert tuple(tuple(map(_rational, row)) for row in rows) == jet_matrix(X, k, point)
     entries = [x for row in rows for x in row]
     assert all(type(x) is str and encode_basestring_ascii(x) == f'"{x}"' for x in entries)
     text = _document_text({"m": rows})

@@ -2,8 +2,9 @@
 integer arithmetic in the package itself, and sympy serves only the tests'
 reference models), one gate decides what counts as an exact number, one
 module converts exact numbers to and from text, the CLI reads oracle
-reports only through the documents their ``to_dict`` builds, and one
-function builds the certificate text that the JSON writer prints unchecked.
+reports only through the documents their ``to_dict`` builds, one
+function builds the certificate text that the JSON writer prints unchecked,
+and a chart's jet matrix has one cached layout.
 
 Every module of the package is parsed, so a sympy import or a report read
 on a path no test runs is still seen.
@@ -273,3 +274,36 @@ def test_only_jet_text_builds_a_certificate_text():
             if getattr(node, "attr", None) == "__class__":
                 stray.append(where)
     assert len(built) == 1 and built[0].startswith("scrollmodel.py") and stray == [], (built, stray)
+
+
+def test_only_the_chart_template_and_the_segre_inverse_are_lru_cached():
+    # a chart's jet matrix has one layout, jet_template's, in one bounded
+    # cache, and chern keeps one for the Segre inverse; cli's one parser is
+    # functools.cache'd.  So a second chart layout cache fails here: every
+    # name of either decorator in the package decorates one of these three,
+    # or is a plain import of it
+    decorators = {"lru_cache", "cache"}
+    cached, stray = {}, []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = getattr(target, "id", None) or getattr(target, "attr", None)
+                    if name in decorators:
+                        cached[f"{path.stem}.{node.name}"] = name
+                        allowed.add(id(target))
+            elif isinstance(node, ast.alias) and node.asname is None:
+                allowed.add(id(node))
+        for node in ast.walk(tree):
+            fields = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
+            if fields & decorators and id(node) not in allowed:
+                stray.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert cached == {
+        "scrollmodel.jet_template": "lru_cache",
+        "chern._segre_class": "lru_cache",
+        "cli._parser": "cache",
+    }, cached
+    assert stray == [], stray

@@ -13,7 +13,6 @@ from scrolljets.scrollmodel import (
     BASE_INF,
     BASE_ZERO,
     DecomposableScroll,
-    JetEntry,
     ScrollPoint,
     _jet_text,
     _rational,
@@ -98,22 +97,26 @@ def test_scroll_rejects_bad_degrees():
 def test_jet_template_rows_are_the_sections_reversed_at_infinity():
     # row r is the section v_j u^e: the summands in turn, e = 0..a_j in chart
     # "0" and a_j..0 in chart "inf"; its column-0 entry is the section itself,
-    # u^e times v_j, with no v factor on the chart summand
+    # u^e times v_j, at index width * c + e for c = 0 on the chart summand
+    # (no v factor) and else 1 + the place of v_j among the chart's others
     X = DecomposableScroll((1, 2))
     for base, exponents in ((BASE_ZERO, [0, 1, 0, 1, 2]), (BASE_INF, [1, 0, 2, 1, 0])):
         for iota in (1, 2):
-            rows = jet_template(X, 2, base, iota).rows
-            assert [row[0] for row in rows] == [
-                JetEntry(0, 1, e, None if j == iota else j)
-                for j, e in zip([1, 1, 2, 2, 2], exponents)
+            template = jet_template(X, 2, base, iota)
+            assert template.width == 3
+            assert [row[0][:2] for row in template.rows] == [(0, 1)] * 5
+            assert [divmod(row[0][2], 3) for row in template.rows] == [
+                (int(j != iota), e) for j, e in zip([1, 1, 2, 2, 2], exponents)
             ], (base, iota)
     for degrees in ((3,), (2, 1), (1, 3, 2), (4, 1, 1, 2)):
         X = DecomposableScroll(degrees)
         for base in (BASE_ZERO, BASE_INF):
             for iota in range(1, X.n + 1):
-                rows = jet_template(X, 1, base, iota).rows
-                assert [(row[0].summand, row[0].u_exponent) for row in rows] == [
-                    (None if j == iota else j, e) for j, e in sections(X, base)
+                others = other_summands(X.n, iota)
+                template = jet_template(X, 1, base, iota)
+                assert template.width == max(degrees) + 1
+                assert [divmod(row[0][2], template.width) for row in template.rows] == [
+                    (0 if j == iota else 1 + others.index(j), e) for j, e in sections(X, base)
                 ], (degrees, base, iota)
 
 
@@ -554,22 +557,27 @@ def test_jet_template_is_diagonally_scaled_by_the_fiber_coordinates(data):
 
 
 def column_filter_template(scroll, k, base, iota):
-    """A chart's template by testing every jet column against every section, densely."""
+    """A chart's template by testing every jet column against every section, densely: the entry
+    coeff u^e v_j at index width * c + e, c = 0 with no v factor, else 1 + v_j's place."""
     columns = jet_columns(scroll.n, k, iota)
+    width, others = max(scroll.degrees) + 1, other_summands(scroll.n, iota)
     rows = []
     for j, e in sections(scroll, base):
-        fiber = None if j == iota else j
+        fiber = 0 if j == iota else 1 + others.index(j)
         rows.append(tuple(
-            (c, perm(e, column[1]), e - column[1], fiber if column[0] == "u" else None)
+            (c, perm(e, column[1]), width * (fiber if column[0] == "u" else 0) + e - column[1])
             for c, column in enumerate(columns)
             if column[1] <= e and (column[0] == "u" or column[2] == j)
         ))
-    return len(columns), tuple(rows)
+    return len(columns), width, tuple(rows)
 
 
 def test_jet_template_is_the_column_filter_of_every_section():
     # the template emits each section's at most 2(k+1) partials directly, in
-    # column order; they are exactly the columns a dense filter keeps
+    # column order; they are exactly the columns a dense filter keeps.  Each
+    # entry is an exact tuple, not a NamedTuple: CPython 3.11 unpacked a
+    # 3-field NamedTuple 1.8-2.4x as slowly as a tuple (timeit, 20-entry
+    # rows), and a certificate unpacks every entry of its chart's template
     templates = 0
     for n in range(1, 5):
         for degrees in itertools.combinations_with_replacement(range(1, 6), n):
@@ -580,7 +588,7 @@ def test_jet_template_is_the_column_filter_of_every_section():
                         template = jet_template(X, k, base, iota)
                         assert template == column_filter_template(X, k, base, iota)
                         entries = itertools.chain(*template.rows)
-                        assert all(type(entry) is JetEntry for entry in entries)
+                        assert all(type(entry) is tuple for entry in entries)
                         templates += 1
     assert templates == 4200
 
@@ -608,7 +616,7 @@ def test_every_torus_fixed_jet_matrix_is_monomial():
     # at u = 0, v = 0 in chart ("0", m) every section's jet is one monomial:
     # the evaluated matrix keeps at most one nonzero per row, in distinct
     # columns, exactly at the template entries of u-exponent 0 and no v
-    # factor, so their column count is the rank
+    # factor, index 0, so their column count is the rank
     matrices = 0
     for n in range(1, 6):
         for degrees in itertools.combinations_with_replacement(range(1, 7), n):
@@ -620,8 +628,8 @@ def test_every_torus_fixed_jet_matrix_is_monomial():
                     nonzero = [(r, c) for r, row in enumerate(dense) for c, x in enumerate(row)
                                if x]
                     template = jet_template(X, k, BASE_ZERO, m).rows
-                    kept = [(r, e.column) for r, row in enumerate(template) for e in row
-                            if not e.u_exponent and e.summand is None]
+                    kept = [(r, column) for r, row in enumerate(template)
+                            for column, _, i in row if i == 0]
                     assert nonzero == kept
                     assert len({r for r, _ in kept}) == len({c for _, c in kept}) == len(kept)
                     assert _representative_rank(X, k, m) == len(kept)
