@@ -207,11 +207,10 @@ def wronskian_weights(curve, k: int) -> WronskianReport:
 
     # coefficient m of a basis polynomial multiplies section m of the monomial curve
     monomial_curve = DecomposableScroll((degree,))
-    basis = None if isinstance(curve, DecomposableScroll) else rows
-    wronskian = _chart_determinant(monomial_curve, k, BASE_ZERO, 1, basis)
+    wronskian = _chart_determinant(monomial_curve, k, BASE_ZERO, 1, rows)
     if not wronskian:
         return WronskianReport(rows)
-    wronskian_inf = _chart_determinant(monomial_curve, k, BASE_INF, 1, basis)
+    wronskian_inf = _chart_determinant(monomial_curve, k, BASE_INF, 1, rows)
 
     finite_total = wronskian.degree()
     terms = dict(wronskian.terms)

@@ -271,6 +271,18 @@ def test_coefficient_times_class_either_order():
             D * bad
 
 
+def test_a_class_adds_and_compares_with_classes_only():
+    # a number is no class, so + and - each refuse it under their own symbol,
+    # and neither a class nor a coefficient equals a string
+    unit = ChowClass.unit(2)
+    with pytest.raises(TypeError, match=r"for \+: 'ChowClass' and 'int'"):
+        unit + 1
+    with pytest.raises(TypeError, match="for -: 'ChowClass' and 'int'"):
+        unit - 1
+    assert (unit == "1") is False
+    assert (CoeffPoly.const(1) == "1") is False
+
+
 @settings(max_examples=80)
 @given(chow_pairs(count=3))
 def test_chow_ring_axioms(classes):

@@ -655,104 +655,55 @@ def test_scan_beyond_the_sampler_supply_fails_at_once(capsys):
     assert err == "error: could not sample 1000000 distinct points on (3)\n"
 
 
-def test_inconsistent_determinant_charts_are_one_line_diagnostic(capsys, monkeypatch):
-    import scrolljets.scanner as scanner_mod
+# One row per model check of scanner.determinant_divisor and scanner._section_twist: a chart of
+# (1, 2) at k = 2, the fault put into its determinant and the message the CLI prints as one line.
+CHART_FAULTS = {
+    # one full-support rank passes the generic-rank test for every chart, so a
+    # chart determinant that still vanishes identically is a broken model
+    "vanishing-chart": (("inf", 2), lambda det: IntPoly(det.names, ()),
+                        "determinant vanishes in some charts but not all; inconsistent model"),
+    # every square chart determinant is c or c*v_m by the orbit argument, and
+    # its factors are read off that monomial
+    "second-term": (("inf", 1), lambda det: IntPoly(det.names, {**dict(det.terms), (0, 0): 1}),
+                    "determinant is not a monomial in some chart; inconsistent model"),
+    # v2^2 is no section of any L + bF
+    "fiber-square": (("inf", 1), lambda det: IntPoly(det.names, {(0, 2): 1}),
+                     "determinant is not affine-linear in the fiber coordinates; "
+                     "cannot extract a divisor class"),
+    # an extra factor u shifts that chart's twist by one
+    "u-shift": (("inf", 1),
+                lambda det: IntPoly(det.names, {(m[0] + 1, *m[1:]): c for m, c in det.terms}),
+                "chart extractions of the divisor twist disagree: "
+                "{('0', 1): -2, ('0', 2): -2, ('inf', 1): -1, ('inf', 2): -2}"),
+}
 
-    def disagreeing(scroll, k):
-        raise scanner_mod.InconsistentCharts(
-            "determinant vanishes in some charts but not all; inconsistent model"
-        )
 
-    monkeypatch.setattr(scanner_mod, "determinant_divisor", disagreeing)
-    code, out, err = run(capsys, "cross-validate", "--scroll", "1,2")
-    assert code == 1
-    assert out == ""
-    assert err == "error: determinant vanishes in some charts but not all; inconsistent model\n"
-
-
-def test_full_support_rank_dropping_in_one_chart_is_inconsistent(capsys, monkeypatch):
-    # the model self-check: one full-support rank passes the generic-rank
-    # test for every chart, so a chart determinant that still vanishes
-    # identically is a broken model, and the CLI prints one line
+@pytest.mark.parametrize("chart, fault, message", CHART_FAULTS.values(), ids=CHART_FAULTS)
+def test_chart_faults_are_one_line_diagnostics(capsys, monkeypatch, chart, fault, message):
     import scrolljets.scanner as scanner_mod
 
     chart_determinant = scanner_mod._chart_determinant
     full_support_rank = scanner_mod.full_support_rank
-    ranks = []
+    calls = []
 
-    def vanishes_at_infinity(scroll, k, base_chart, fiber_chart, rows=None):
+    def faulty(scroll, k, base_chart, fiber_chart, rows=None):
+        calls.append((base_chart, fiber_chart))
         det = chart_determinant(scroll, k, base_chart, fiber_chart, rows)
-        return IntPoly(det.names, ()) if (base_chart, fiber_chart) == ("inf", 2) else det
+        return fault(det) if (base_chart, fiber_chart) == chart else det
 
     def counting(scroll, k):
-        ranks.append((scroll, k))
+        calls.append((scroll, k))
         return full_support_rank(scroll, k)
 
-    monkeypatch.setattr(scanner_mod, "_chart_determinant", vanishes_at_infinity)
+    monkeypatch.setattr(scanner_mod, "_chart_determinant", faulty)
     monkeypatch.setattr(scanner_mod, "full_support_rank", counting)
     X = DecomposableScroll((1, 2))
-    with pytest.raises(scanner_mod.InconsistentCharts):
+    with pytest.raises(scanner_mod.InconsistentCharts) as raised:
         scanner_mod.determinant_divisor(X, 2)
-    assert ranks == [(X, 2)]
-    code, out, err = run(capsys, "cross-validate", "--scroll", "1,2")
-    assert code == 1
-    assert out == ""
-    assert err == "error: determinant vanishes in some charts but not all; inconsistent model\n"
-
-
-def test_non_monomial_chart_determinant_is_inconsistent(capsys, monkeypatch):
-    # every square chart determinant is c or c*v_m by the orbit argument,
-    # and its factors are read off that monomial; anything else is a broken
-    # model, which the CLI reports in one line
-    import scrolljets.scanner as scanner_mod
-
-    chart_determinant = scanner_mod._chart_determinant
-
-    def binomial_at_infinity(scroll, k, base_chart, fiber_chart, rows=None):
-        det = chart_determinant(scroll, k, base_chart, fiber_chart, rows)
-        if (base_chart, fiber_chart) != ("inf", 1):
-            return det
-        return IntPoly(det.names, {**dict(det.terms), (0,) * len(det.names): 1})
-
-    monkeypatch.setattr(scanner_mod, "_chart_determinant", binomial_at_infinity)
-    with pytest.raises(scanner_mod.InconsistentCharts, match="not a monomial"):
-        scanner_mod.determinant_divisor(DecomposableScroll((1, 2)), 2)
-    code, out, err = run(capsys, "cross-validate", "--scroll", "1,2")
-    assert code == 1
-    assert out == ""
-    assert err == "error: determinant is not a monomial in some chart; inconsistent model\n"
-
-
-@pytest.mark.parametrize(
-    "fault, message",
-    [
-        # v2^2 is no section of any L + bF
-        (lambda det: IntPoly(det.names, {(0, 2): 1}), "not affine-linear in the fiber coordinates"),
-        # an extra factor u shifts that chart's twist by one
-        (
-            lambda det: IntPoly(det.names, {(m[0] + 1, *m[1:]): c for m, c in det.terms}),
-            "chart extractions of the divisor twist disagree",
-        ),
-    ],
-    ids=["fiber-square", "u-shift"],
-)
-def test_chart_determinants_of_no_one_class_are_inconsistent(capsys, monkeypatch, fault, message):
-    # both faults are a broken model, not bad input, so they raise
-    # InconsistentCharts like the other chart checks, and the CLI prints one line
-    import scrolljets.scanner as scanner_mod
-
-    chart_determinant = scanner_mod._chart_determinant
-
-    def faulty_at_infinity(scroll, k, base_chart, fiber_chart, rows=None):
-        det = chart_determinant(scroll, k, base_chart, fiber_chart, rows)
-        return fault(det) if (base_chart, fiber_chart) == ("inf", 1) else det
-
-    monkeypatch.setattr(scanner_mod, "_chart_determinant", faulty_at_infinity)
-    with pytest.raises(scanner_mod.InconsistentCharts, match=message):
-        scanner_mod.determinant_divisor(DecomposableScroll((1, 2)), 2)
-    code, out, err = run(capsys, "cross-validate", "--scroll", "1,2")
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and err.startswith("error:") and message in err
+    assert str(raised.value) == message
+    # one full-support rank decides the generic rank before any chart is built
+    assert calls == [(X, 2), ("0", 1), ("0", 2), ("inf", 1), ("inf", 2)]
+    assert run(capsys, "cross-validate", "--scroll", "1,2") == (1, "", f"error: {raised.value}\n")
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
@@ -953,6 +904,10 @@ def argvs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(argvs())
+# the basis reader on every run: a valid --k and one junk coefficient each
+@example(["wronskian", "--k", "1", "--basis", [[1, "1/0"], [0, 1]]])
+@example(["wronskian", "--k", "1", "--basis", [[1, "x"], [0, 1]]])
+@example(["wronskian", "--k", "1", "--basis", [[1, "1.5"], [0, 1]]])
 def test_random_argv_never_raises(argv):
     argv = list(argv)
     with tempfile.TemporaryDirectory() as tmp:

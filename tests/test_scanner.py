@@ -8,6 +8,7 @@ import re
 import sys
 from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -231,9 +232,10 @@ def test_wronskian_read_back_of_large_signed_coefficients():
 
 
 def test_scroll_form_wronskian_is_the_identity_basis_wronskian():
-    # the scroll form eliminates the jet matrix itself and the identity basis
-    # the product of its rows with it; both are square, so u keeps its one
-    # exponent and is set to 1: the determinants and the reports must agree
+    # the square oracle eliminates the jet matrix itself, and the Wronskian,
+    # of the scroll form as of the identity basis, the product of the identity
+    # rows with it; both are square, so u keeps its one exponent and is set
+    # to 1: the determinants and the two Wronskian reports must agree
     for d in range(1, 9):
         curve = DecomposableScroll((d,))
         identity = [[int(i == m) for i in range(d + 1)] for m in range(d + 1)]
@@ -366,6 +368,17 @@ def test_row_block_chart_determinants_match_sympy():
             identity = [[int(r == c) for c in range(X.N + 1)] for r in range(X.N + 1)]
             square = _chart_determinant(X, k, base, iota)
             assert _chart_determinant(X, k, base, iota, identity) == square
+
+
+def test_a_nonzero_determinant_past_its_box_is_inconsistent(monkeypatch):
+    # the v1 box of the row-block chart ("0", 2) of (1, 6) at k = 3 tops out
+    # at -1, so its determinant is 0 (above); an elimination that read a
+    # nonzero one there would be a broken model, not a polynomial to read back
+    X = DecomposableScroll((1, 6))
+    monkeypatch.setattr(scanner_mod, "bareiss", lambda matrix: (len(matrix[0]), 1))
+    with pytest.raises(scanner_mod.InconsistentCharts) as raised:
+        _chart_determinant(X, 3, BASE_ZERO, 2)
+    assert str(raised.value) == "chart determinant has a negative exponent: (13, -1)"
 
 
 def square_types(max_n, max_degree):
@@ -941,6 +954,25 @@ def test_draws_match_randint_up_to_the_capacity_of_a_curve():
     assert _outcome(randint_draws, curve, 503, 0) == message
     with pytest.raises(ValueError, match=re.escape(message)):
         scan_points(curve, 503, 0)
+
+
+def test_draws_give_up_after_100_attempts_per_sample(monkeypatch):
+    # a stream of zero bits draws one u and one v pattern each way, so (1, 2)
+    # has its 40 structured keys and 2 drawn ones, though _sample_count allows
+    # 51,204: a 43rd sample is refused once 4,300 attempts (about 24,000
+    # draws) have failed, where a sampler with no such bound draws forever
+    draws = itertools.count()
+
+    class ZeroBits(random.Random):
+        def getrandbits(self, k):
+            assert next(draws) < 10**5, "the sampler did not give up"
+            return 0
+
+    monkeypatch.setattr(scanner_mod, "random", SimpleNamespace(Random=ZeroBits))
+    X = DecomposableScroll((1, 2))
+    assert len(scan_points(X, 42, 0)) == 42
+    with pytest.raises(ValueError, match=re.escape("could not sample 43 distinct points on (1,2)")):
+        scan_points(X, 43, 0)
 
 
 def test_negative_seeds_are_rejected():
