@@ -655,13 +655,56 @@ def test_scan_beyond_the_sampler_supply_fails_at_once(capsys):
     assert err == "error: could not sample 1000000 distinct points on (3)\n"
 
 
-# One row per model check of scanner.determinant_divisor and scanner._section_twist: a chart of
-# (1, 2) at k = 2, the fault put into its determinant and the message the CLI prints as one line.
+def test_inconsistent_determinant_charts_are_one_line_diagnostic(capsys, monkeypatch):
+    import scrolljets.scanner as scanner_mod
+
+    def disagreeing(scroll, k):
+        raise scanner_mod.InconsistentCharts(
+            "determinant vanishes in some charts but not all; inconsistent model"
+        )
+
+    monkeypatch.setattr(scanner_mod, "determinant_divisor", disagreeing)
+    code, out, err = run(capsys, "cross-validate", "--scroll", "1,2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: determinant vanishes in some charts but not all; inconsistent model\n"
+
+
+def test_full_support_rank_dropping_in_one_chart_is_inconsistent(capsys, monkeypatch):
+    # the model self-check: one full-support rank passes the generic-rank
+    # test for every chart, so a chart determinant that still vanishes
+    # identically is a broken model, and the CLI prints one line
+    import scrolljets.scanner as scanner_mod
+
+    chart_determinant = scanner_mod._chart_determinant
+    full_support_rank = scanner_mod.full_support_rank
+    calls = []
+
+    def vanishes_at_infinity(scroll, k, base_chart, fiber_chart, rows=None):
+        calls.append((base_chart, fiber_chart))
+        det = chart_determinant(scroll, k, base_chart, fiber_chart, rows)
+        return IntPoly(det.names, ()) if (base_chart, fiber_chart) == ("inf", 2) else det
+
+    def counting(scroll, k):
+        calls.append((scroll, k))
+        return full_support_rank(scroll, k)
+
+    monkeypatch.setattr(scanner_mod, "_chart_determinant", vanishes_at_infinity)
+    monkeypatch.setattr(scanner_mod, "full_support_rank", counting)
+    X = DecomposableScroll((1, 2))
+    with pytest.raises(scanner_mod.InconsistentCharts) as raised:
+        scanner_mod.determinant_divisor(X, 2)
+    message = "determinant vanishes in some charts but not all; inconsistent model"
+    assert str(raised.value) == message
+    # one full-support rank decides the generic rank before any chart is built
+    assert calls == [(X, 2), ("0", 1), ("0", 2), ("inf", 1), ("inf", 2)]
+    assert run(capsys, "cross-validate", "--scroll", "1,2") == (1, "", f"error: {message}\n")
+
+
+# One row per check of a chart determinant's form in scanner.determinant_divisor and
+# scanner._section_twist: a chart of (1, 2) at k = 2, the fault put into its determinant and
+# the message the CLI prints as one line.
 CHART_FAULTS = {
-    # one full-support rank passes the generic-rank test for every chart, so a
-    # chart determinant that still vanishes identically is a broken model
-    "vanishing-chart": (("inf", 2), lambda det: IntPoly(det.names, ()),
-                        "determinant vanishes in some charts but not all; inconsistent model"),
     # every square chart determinant is c or c*v_m by the orbit argument, and
     # its factors are read off that monomial
     "second-term": (("inf", 1), lambda det: IntPoly(det.names, {**dict(det.terms), (0, 0): 1}),
